@@ -3,18 +3,15 @@
 // n — the paper's O(1) / Theta(log* n) / Theta(n) landscape. Also times
 // one full simulated execution per regime at a moderate n.
 //
-// Experiment E10: decide_linear_gap scaling — the factorized aggregate
-// engine (default) against the legacy pair-wise sweep across growing block
-// domains, including the Section 3.7 undirected lifts whose huge domains
-// the pair-wise engine cannot search. Since ISSUE 5 the certificate build
-// is phase-split: `search` is the factorized aggregate search emitting the
-// lazy class-indexed certificate (cost independent of domain size),
-// `materialize` is the extra cost of the dense point-table backend (run
-// only on domains where it is affordable), and `lookup` is the amortized
-// lazy value_at cost the synthesized algorithms pay at runtime. Rows also
-// report resident-memory deltas per phase, and an end-to-end classify()
-// table covers the full decision procedure — the lifted shift-input row
-// (monoid 930, ~2.9 * 10^7 points) is the ISSUE 5 headline.
+// Experiment E10: decide_linear_gap scaling across growing block domains,
+// including the Section 3.7 undirected lifts. `search` is the factorized
+// aggregate search emitting the class-indexed certificate (cost
+// independent of domain size), and `lookup` is the amortized value_at cost
+// the synthesized algorithms pay at runtime. Rows also report the
+// search's resident-memory delta, and an end-to-end classify() table
+// covers the full decision procedure — the lifted shift-input row (monoid
+// 930, ~2.9 * 10^7 points) is the heaviest. Agreement with the point-pair
+// oracle is checked in tests/linear_gap_diff_test.cpp, not here.
 //
 // `--emit-json[=path]` writes the measurements as machine-readable JSON
 // (default BENCH_linear_gap.json; committed at the repo root as the
@@ -22,7 +19,8 @@
 // `--perf-smoke[=seconds]` additionally enforces a wall-clock bound on the
 // fixed-cost experiments and — the regression tripwire — bounds the lifted
 // shift-input end-to-end classify at a sixth of the budget: a slide back
-// toward the old ~30 s eager materialization fails the CI step loudly.
+// toward materializing per-point certificate tables (~30 s) fails the CI
+// step loudly.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -71,17 +69,7 @@ BENCHMARK(SimulateRegime)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond)
 
 // ------------------------------------------------------------------- E10
 
-/// The pair-wise engine is quadratic in domain points; beyond this it
-/// stops answering in benchable time (on the lifts it effectively never
-/// terminates — the ROADMAP open item PR 2's engine resolved).
-constexpr std::size_t kPairwiseDomainLimit = 4096;
-
-/// Dense materialization is linear in domain points with a hash insert per
-/// point; past this it costs tens of seconds and GBs (the ISSUE 5
-/// motivation), so the bench only materializes where it stays snappy.
-constexpr std::size_t kMaterializeDomainLimit = 1u << 21;
-
-/// Lazy value_at lookups per row for the amortized-lookup column.
+/// value_at lookups per row for the amortized-lookup column.
 constexpr std::size_t kLookupSamples = 10000;
 
 struct GapMeasurement {
@@ -90,13 +78,9 @@ struct GapMeasurement {
   std::size_t contexts = 0;
   std::size_t monoid = 0;
   bool feasible = false;
-  bool mismatch = false;  ///< engines disagreed on feasibility
-  double search_s = 0;          ///< factorized search -> lazy certificate
-  double search_rss_mb = 0;     ///< resident-set delta across the search
-  double materialize_s = -1;    ///< dense backend extra cost (< 0: skipped)
-  double materialize_rss_mb = 0;///< resident-set delta across materialization
-  double lookup_us = -1;        ///< mean lazy value_at (< 0: infeasible)
-  double pairwise_s = -1;       ///< < 0: not run (domain beyond the oracle limit)
+  double search_s = 0;       ///< search -> certificate
+  double search_rss_mb = 0;  ///< resident-set delta across the search
+  double lookup_us = -1;     ///< mean value_at (< 0: infeasible)
 };
 
 struct EndToEndMeasurement {
@@ -126,11 +110,8 @@ const char* kSmokeProblem = "shift-input (undirected) on undirected cycle";
 
 /// Deterministic interior sample points for the lookup column, spread
 /// across the certificate's context layers and the input alphabet.
-std::vector<BlockPoint> sample_points(const Monoid& monoid,
-                                      const LinearGapCertificate& cert) {
-  std::vector<std::size_t> contexts = monoid.layer_at(cert.ell_ctx);
-  const std::vector<std::size_t> next = monoid.layer_at(cert.ell_ctx + 1);
-  contexts.insert(contexts.end(), next.begin(), next.end());
+std::vector<BlockPoint> sample_points(const Monoid& monoid) {
+  const std::vector<std::size_t> contexts = linear_gap_contexts(monoid).elements;
   const std::size_t alpha = monoid.transitions().num_inputs();
   std::vector<BlockPoint> sample;
   sample.reserve(kLookupSamples);
@@ -155,49 +136,21 @@ std::vector<GapMeasurement> run_gap_scaling() {
 
     const double rss0 = current_rss_mb();
     const auto t0 = clock_type::now();
-    const LinearGapCertificate lazy =
-        decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kLazy);
+    const LinearGapCertificate cert = decide_linear_gap(monoid);
     const auto t1 = clock_type::now();
-    row.feasible = lazy.feasible;
+    row.feasible = cert.feasible;
     row.search_s = std::chrono::duration<double>(t1 - t0).count();
     row.search_rss_mb = current_rss_mb() - rss0;
 
-    if (row.feasible && row.points <= kMaterializeDomainLimit) {
-      const double rss1 = current_rss_mb();
-      const auto t2 = clock_type::now();
-      const LinearGapCertificate dense = decide_linear_gap(
-          monoid, LinearGapEngine::kFactorized, CertificateMode::kDense);
-      const auto t3 = clock_type::now();
-      // The dense run repeats the search; its extra cost is the
-      // materialization phase.
-      row.materialize_s =
-          std::chrono::duration<double>(t3 - t2).count() - row.search_s;
-      if (row.materialize_s < 0) row.materialize_s = 0;
-      row.materialize_rss_mb = current_rss_mb() - rss1;
-      benchmark::DoNotOptimize(dense.domain_size());
-    }
-
     if (row.feasible) {
-      const std::vector<BlockPoint> sample = sample_points(monoid, lazy);
-      const auto t4 = clock_type::now();
+      const std::vector<BlockPoint> sample = sample_points(monoid);
+      const auto t2 = clock_type::now();
       std::size_t checksum = 0;
-      for (const BlockPoint& p : sample) checksum += lazy.value_at(p).a;
-      const auto t5 = clock_type::now();
+      for (const BlockPoint& p : sample) checksum += cert.value_at(p).a;
+      const auto t3 = clock_type::now();
       benchmark::DoNotOptimize(checksum);
-      row.lookup_us = std::chrono::duration<double, std::micro>(t5 - t4).count() /
+      row.lookup_us = std::chrono::duration<double, std::micro>(t3 - t2).count() /
                       static_cast<double>(sample.size());
-    }
-
-    if (row.points <= kPairwiseDomainLimit) {
-      const auto t6 = clock_type::now();
-      const LinearGapCertificate pair =
-          decide_linear_gap(monoid, LinearGapEngine::kPairwise);
-      const auto t7 = clock_type::now();
-      row.pairwise_s = std::chrono::duration<double>(t7 - t6).count();
-      if (pair.feasible != lazy.feasible) {
-        row.mismatch = true;
-        std::fprintf(stderr, "ENGINE MISMATCH on %s\n", row.problem.c_str());
-      }
     }
     rows.push_back(std::move(row));
   }
@@ -220,41 +173,23 @@ std::vector<EndToEndMeasurement> run_end_to_end() {
 }
 
 void print_gap_table(const std::vector<GapMeasurement>& rows) {
-  std::printf("=== E10: decide_linear_gap — certificate phases and engines ===\n");
-  std::printf("%-44s %9s %6s %9s %9s %12s %10s %12s\n", "problem", "points", "ctx",
-              "feasible", "search", "materialize", "lookup", "pairwise");
+  std::printf("=== E10: decide_linear_gap — search and certificate lookups ===\n");
+  std::printf("%-44s %9s %6s %9s %9s %10s\n", "problem", "points", "ctx", "feasible",
+              "search", "lookup");
   for (const GapMeasurement& r : rows) {
-    char materialize[32];
-    if (r.materialize_s >= 0) {
-      std::snprintf(materialize, sizeof materialize, "%.4fs", r.materialize_s);
-    } else {
-      std::snprintf(materialize, sizeof materialize, "(skipped)");
-    }
     char lookup[32];
     if (r.lookup_us >= 0) {
       std::snprintf(lookup, sizeof lookup, "%.3fus", r.lookup_us);
     } else {
       std::snprintf(lookup, sizeof lookup, "-");
     }
-    char pairwise[32];
-    if (r.pairwise_s >= 0) {
-      std::snprintf(pairwise, sizeof pairwise, "%.4fs", r.pairwise_s);
-    } else {
-      std::snprintf(pairwise, sizeof pairwise, "(skipped)");
-    }
-    std::printf("%-44s %9zu %6zu %9s %8.4fs %12s %10s %12s\n", r.problem.c_str(),
-                r.points, r.contexts, r.feasible ? "yes" : "no", r.search_s,
-                materialize, lookup, pairwise);
+    std::printf("%-44s %9zu %6zu %9s %8.4fs %10s\n", r.problem.c_str(), r.points,
+                r.contexts, r.feasible ? "yes" : "no", r.search_s, lookup);
   }
   std::printf(
-      "(search = factorized aggregate search emitting the lazy class-indexed\n"
-      " certificate; materialize = extra cost of the dense point tables, run only\n"
-      " on domains <= %zu points; lookup = mean lazy value_at over %zu sampled\n"
-      " points; pairwise runs only on domains <= %zu points — it is quadratic in\n"
-      " them, and effectively non-terminating on the lifted domains.)\n\n",
-      static_cast<std::size_t>(kMaterializeDomainLimit),
-      static_cast<std::size_t>(kLookupSamples),
-      static_cast<std::size_t>(kPairwiseDomainLimit));
+      "(search = factorized aggregate search emitting the class-indexed\n"
+      " certificate; lookup = mean value_at over %zu sampled points.)\n\n",
+      static_cast<std::size_t>(kLookupSamples));
 }
 
 void print_end_to_end(const std::vector<EndToEndMeasurement>& rows) {
@@ -264,9 +199,7 @@ void print_end_to_end(const std::vector<EndToEndMeasurement>& rows) {
     std::printf("%-44s %12s %11.4fs\n", r.problem.c_str(), r.complexity.c_str(),
                 r.classify_s);
   }
-  std::printf("(peak RSS this run %.1f MB; before the lazy certificate backend the\n"
-              " lifted shift-input row alone took ~30 s and ~4.4 GB of dense tables.)\n\n",
-              peak_rss_mb());
+  std::printf("(peak RSS this run %.1f MB)\n\n", peak_rss_mb());
 }
 
 using benchjson::json_escaped;
@@ -290,15 +223,11 @@ void write_gap_json(const std::vector<GapMeasurement>& rows,
     const GapMeasurement& r = rows[i];
     std::fprintf(out,
                  "    {\"problem\": \"%s\", \"points\": %zu, \"contexts\": %zu, "
-                 "\"monoid\": %zu, \"feasible\": %s, \"engine_mismatch\": %s, "
+                 "\"monoid\": %zu, \"feasible\": %s, "
                  "\"search_s\": %.6f, \"search_rss_mb\": %.2f, ",
                  json_escaped(r.problem).c_str(), r.points, r.contexts, r.monoid,
-                 r.feasible ? "true" : "false", r.mismatch ? "true" : "false",
-                 r.search_s, r.search_rss_mb);
-    optional_s("materialize_s", r.materialize_s, ", ");
-    std::fprintf(out, "\"materialize_rss_mb\": %.2f, ", r.materialize_rss_mb);
-    optional_s("lookup_us", r.lookup_us, ", ");
-    optional_s("pairwise_s", r.pairwise_s, "");
+                 r.feasible ? "true" : "false", r.search_s, r.search_rss_mb);
+    optional_s("lookup_us", r.lookup_us, "");
     std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"end_to_end\": [\n");
@@ -330,8 +259,8 @@ void DecideLinearGapLiftedColoring(benchmark::State& state) {
 BENCHMARK(DecideLinearGapLiftedColoring)->Unit(benchmark::kMillisecond);
 
 void DecideLinearGapLiftedShiftInput(benchmark::State& state) {
-  // The ISSUE 5 headline: monoid 930, ~2.9e7 points — only benchable at
-  // all because the default certificate is the lazy class solution.
+  // Monoid 930, ~2.9e7 points — benchable because the certificate is the
+  // class-level solution, not per-point tables.
   const PairwiseProblem lifted = hardness::lift_to_undirected(catalog::shift_input());
   const Monoid monoid = Monoid::enumerate(TransitionSystem::build(lifted));
   for (auto _ : state) {
@@ -347,9 +276,8 @@ void LazyCertificateLookup(benchmark::State& state) {
   const PairwiseProblem lifted =
       hardness::lift_to_undirected(catalog::coloring(3, Topology::kDirectedPath));
   const Monoid monoid = Monoid::enumerate(TransitionSystem::build(lifted));
-  const LinearGapCertificate cert =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kLazy);
-  const std::vector<BlockPoint> sample = sample_points(monoid, cert);
+  const LinearGapCertificate cert = decide_linear_gap(monoid);
+  const std::vector<BlockPoint> sample = sample_points(monoid);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cert.value_at(sample[i]));
@@ -357,20 +285,6 @@ void LazyCertificateLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(LazyCertificateLookup);
-
-void DecideLinearGapEngines(benchmark::State& state) {
-  // Both engines on a pair-wise-affordable domain (shift-input, 1024 pts).
-  const LinearGapEngine engine =
-      state.range(0) == 0 ? LinearGapEngine::kFactorized : LinearGapEngine::kPairwise;
-  const Monoid monoid =
-      Monoid::enumerate(TransitionSystem::build(catalog::shift_input()));
-  for (auto _ : state) {
-    const LinearGapCertificate cert = decide_linear_gap(monoid, engine);
-    benchmark::DoNotOptimize(cert.feasible);
-  }
-  state.SetLabel(engine == LinearGapEngine::kFactorized ? "factorized" : "pairwise");
-}
-BENCHMARK(DecideLinearGapEngines)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -397,18 +311,13 @@ int main(int argc, char** argv) {
   const std::vector<EndToEndMeasurement> e2e = run_end_to_end();
   print_end_to_end(e2e);
   if (harness.emit_json()) write_gap_json(rows, e2e, harness.json_path());
-  for (const GapMeasurement& r : rows) {
-    // An engine disagreement must fail the process (CI runs this binary as
-    // its own step), not just leave a line in the log.
-    if (r.mismatch) harness.fail();
-  }
 
   harness.check_smoke_budget();
-  // The ISSUE 5 regression tripwire: the lifted shift-input end-to-end
-  // classify must stay lazy-certificate fast (~1 s in Release). A sixth
-  // of the smoke budget (10 s under CI's --perf-smoke=60) is ~10x
-  // headroom over the healthy time yet far below the ~30 s
-  // eager-materialization regression — a partial slide fails too.
+  // The regression tripwire: the lifted shift-input end-to-end classify
+  // must stay fast (~1 s in Release). A sixth of the smoke budget (10 s
+  // under CI's --perf-smoke=60) is ~10x headroom over the healthy time yet
+  // far below the ~30 s it took when the certificate was materialized per
+  // point — a partial slide fails too.
   bool found = false;
   for (const EndToEndMeasurement& r : e2e) {
     if (r.problem != kSmokeProblem) continue;

@@ -38,9 +38,8 @@
 //
 // deadline-suite is the CI robustness gate: it classifies the Section 3.7
 // lift family plus a generator-sampled hostile set under a per-problem
-// deadline on both linear-gap engines, and fails when any problem escapes
-// the deadline by more than 2x (a missing checkpoint in some hot loop) or
-// crashes outright.
+// deadline, and fails when any problem escapes the deadline by more than
+// 2x (a missing checkpoint in some hot loop) or crashes outright.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -353,8 +352,8 @@ int run_serve(int argc, char** argv) {
   std::fflush(stdout);
 
   store::CatalogServer server(dir);
-  const std::string identity_suffix = cache_identity_suffix(
-      options.classify.linear_engine, options.classify.certificate_mode);
+  const std::string identity_suffix =
+      cache_identity_suffix(LinearGapEngine::kFactorized, CertificateMode::kAuto);
   // Each problem is (re)classified at most once per serve process, so a
   // deterministic failure cannot turn the loop into a hot retry spin;
   // retry-eligible observations from *previous* runs are retried here.
@@ -495,9 +494,9 @@ lclpath::PairwiseProblem hostile_problem(std::size_t alpha, std::size_t beta,
 }
 
 // The CI robustness gate: every problem must either classify, fail with a
-// structured budget error, or trip its deadline — within 2x the deadline,
-// on both engines. Escaping by more than 2x means some hot loop is missing
-// a budget checkpoint; any other exception is a crash. Exit 0 = gate holds.
+// structured budget error, or trip its deadline — within 2x the deadline.
+// Escaping by more than 2x means some hot loop is missing a budget
+// checkpoint; any other exception is a crash. Exit 0 = gate holds.
 int run_deadline_suite(int argc, char** argv) {
   using namespace lclpath;
   std::size_t deadline_ms = 100;
@@ -528,41 +527,34 @@ int run_deadline_suite(int argc, char** argv) {
   std::size_t escapes = 0;
   std::size_t crashes = 0;
   std::size_t timeouts = 0;
-  for (const LinearGapEngine engine :
-       {LinearGapEngine::kFactorized, LinearGapEngine::kPairwise}) {
-    const char* engine_name =
-        engine == LinearGapEngine::kFactorized ? "factorized" : "pairwise";
-    for (const PairwiseProblem& problem : problems) {
-      ExecutionBudget budget;
-      budget.set_timeout(std::chrono::milliseconds(deadline_ms));
-      ClassifyOptions options;
-      options.budget = &budget;
-      options.linear_engine = engine;
-      const auto start = std::chrono::steady_clock::now();
-      std::string outcome = "ok";
-      try {
-        const ClassifiedProblem result = classify(problem, options);
-        outcome = to_string(result.complexity());
-      } catch (const CancelledError&) {
-        outcome = "timeout";
-        ++timeouts;
-      } catch (const MonoidBudgetError&) {
-        outcome = "budget";
-      } catch (const std::exception& e) {
-        outcome = std::string("CRASH: ") + e.what();
-        ++crashes;
-      }
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                    start)
-              .count();
-      const bool escaped = elapsed_ms > 2.0 * static_cast<double>(deadline_ms);
-      if (escaped) ++escapes;
-      std::printf("%-10s %-44s %10.2fms  %s%s\n", engine_name, problem.name().c_str(),
-                  elapsed_ms, outcome.c_str(), escaped ? "  [ESCAPED DEADLINE]" : "");
+  for (const PairwiseProblem& problem : problems) {
+    ExecutionBudget budget;
+    budget.set_timeout(std::chrono::milliseconds(deadline_ms));
+    ClassifyOptions options;
+    options.budget = &budget;
+    const auto start = std::chrono::steady_clock::now();
+    std::string outcome = "ok";
+    try {
+      const ClassifiedProblem result = classify(problem, options);
+      outcome = to_string(result.complexity());
+    } catch (const CancelledError&) {
+      outcome = "timeout";
+      ++timeouts;
+    } catch (const MonoidBudgetError&) {
+      outcome = "budget";
+    } catch (const std::exception& e) {
+      outcome = std::string("CRASH: ") + e.what();
+      ++crashes;
     }
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
+    const bool escaped = elapsed_ms > 2.0 * static_cast<double>(deadline_ms);
+    if (escaped) ++escapes;
+    std::printf("%-44s %10.2fms  %s%s\n", problem.name().c_str(), elapsed_ms,
+                outcome.c_str(), escaped ? "  [ESCAPED DEADLINE]" : "");
   }
-  std::printf("deadline-suite: %zu problem(s) x 2 engines, deadline %zums: "
+  std::printf("deadline-suite: %zu problem(s), deadline %zums: "
               "%zu timeout(s), %zu escape(s), %zu crash(es)\n",
               problems.size(), deadline_ms, timeouts, escapes, crashes);
   return (escapes == 0 && crashes == 0) ? 0 : 1;

@@ -40,17 +40,7 @@ BatchErrorKind kind_of(const CancelledError& e) {
 
 }  // namespace
 
-std::string cache_identity_suffix(LinearGapEngine engine, CertificateMode mode) {
-  std::string suffix = engine == LinearGapEngine::kPairwise
-                           ? "\nlinear-engine pairwise"
-                           : "\nlinear-engine factorized";
-  switch (mode) {
-    case CertificateMode::kAuto: suffix += "\ncertificate auto"; break;
-    case CertificateMode::kDense: suffix += "\ncertificate dense"; break;
-    case CertificateMode::kLazy: suffix += "\ncertificate lazy"; break;
-  }
-  return suffix;
-}
+std::string cache_identity_suffix(LinearGapEngine, CertificateMode) { return {}; }
 
 const std::string& BatchEntry::error() const {
   static const std::string kEmpty;
@@ -139,21 +129,16 @@ std::vector<BatchEntry> classify_batch(std::span<const PairwiseProblem> problems
 
   // Identity pass: canonical keys are cheap (text serialization of small
   // constraint tables) next to classification, but both they and the
-  // hashes are pure waste when nothing consumes them. Cache identities
-  // additionally carry the linear-gap engine and the certificate mode:
-  // every configuration agrees on the complexity class, but a caller
-  // sharing one cache across configurations must not be served the other
-  // engine's certificates — nor a dense GB-scale certificate when it
-  // asked for the lazy backend (or vice versa).
+  // hashes are pure waste when nothing consumes them.
   const bool need_keys = options.dedup || options.cache != nullptr;
-  const std::string engine_tag = cache_identity_suffix(
-      options.classify.linear_engine, options.classify.certificate_mode);
+  const std::string identity_suffix =
+      cache_identity_suffix(LinearGapEngine::kFactorized, CertificateMode::kAuto);
   std::vector<std::string> keys(need_keys ? n : 0);
   std::vector<std::uint64_t> hashes(options.cache != nullptr ? n : 0);
   for (std::size_t i = 0; i < n && need_keys; ++i) {
     keys[i] = canonical_key(problems[i]);
     if (options.cache != nullptr) {
-      keys[i] += engine_tag;
+      keys[i] += identity_suffix;
       hashes[i] = canonical_hash(keys[i]);
     }
   }

@@ -68,13 +68,10 @@ struct BatchError {
   std::string message;
 };
 
-/// The configuration suffix appended to canonical_key() to form a cache
-/// identity: every (engine, certificate mode) configuration agrees on the
-/// complexity class, but a caller sharing one cache (or one persistent
-/// store — src/store/ serializes exactly this identity) across
-/// configurations must not be served the other engine's certificates.
-/// classify_batch and the result store both build their keys through this
-/// one function, so the two can never drift apart.
+/// The suffix appended to canonical_key() to form a cache identity. There
+/// is one decider configuration, so it is empty; classify_batch and the
+/// result store both build their keys through this one function, so the
+/// two can never drift apart.
 std::string cache_identity_suffix(LinearGapEngine engine, CertificateMode mode);
 
 /// The outcome of classifying one problem: a ClassifiedProblem, or the
@@ -150,14 +147,12 @@ class BatchCache {
 struct BatchOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   std::size_t num_threads = 0;
-  /// Forwarded to every classify() call (monoid budget, linear-gap
-  /// engine, certificate mode, and whatever the decision procedure grows
-  /// next — one struct so batch callers can never drift out of sync with
-  /// classify()). Note the certificate mode matters to batch memory: with
-  /// the kAuto/kLazy backends a ClassifiedProblem of a huge feasible
-  /// domain holds the class-level solution (MBs), not the materialized
-  /// point tables (GBs), and its lazy value_at lookups are thread-safe —
-  /// workers may share one cached outcome's certificate concurrently.
+  /// Forwarded to every classify() call (monoid budget, monoid cache,
+  /// budget, and whatever the decision procedure grows next — one struct
+  /// so batch callers can never drift out of sync with classify()). A
+  /// ClassifiedProblem's linear-gap certificate holds the class-level
+  /// solution, and its value_at lookups are thread-safe — workers may
+  /// share one cached outcome's certificate concurrently.
   ClassifyOptions classify;
   /// Optional cross-call memo cache (may be shared by concurrent batches).
   BatchCache* cache = nullptr;

@@ -114,8 +114,8 @@ ClassifiedProblem classify(const PairwiseProblem& problem, const ClassifyOptions
       return result;
     }
 
-    result.linear_ = decide_linear_gap(*result.monoid_, options.linear_engine,
-                                       options.certificate_mode, options.budget);
+    result.linear_ = decide_linear_gap(*result.monoid_, LinearGapEngine::kFactorized,
+                                       CertificateMode::kAuto, options.budget);
     if (!result.linear_.feasible) {
       result.complexity_ = ComplexityClass::kLinear;
       return result;

@@ -33,19 +33,6 @@ namespace lclpath {
 struct ClassifyOptions {
   /// Budget on the reachable type space, as in classify()'s throw contract.
   std::size_t max_monoid = 500000;
-  /// Which decide_linear_gap implementation to run (the factorized default
-  /// is the only one that terminates on lifted undirected problems; the
-  /// pairwise oracle exists for differential testing).
-  LinearGapEngine linear_engine = LinearGapEngine::kFactorized;
-  /// Which backend the linear-gap certificate uses (see CertificateMode):
-  /// kAuto materializes dense tables on small domains and keeps the
-  /// factorized engine's lazy class-indexed solution on huge ones, so
-  /// classification cost scales with the monoid's context classes instead
-  /// of the |contexts|^2 * |Sigma_in|^2 point count (the lifted
-  /// shift-input certificate is MBs instead of GBs, and end-to-end
-  /// classification seconds instead of a minute). Ignored by the pairwise
-  /// oracle, which is dense by construction.
-  CertificateMode certificate_mode = CertificateMode::kAuto;
   /// Optional caller-owned monoid memo cache, keyed by the transition
   /// system's canonical_hash() (skeleton fingerprint). Problems sharing a
   /// skeleton — renamed copies, or repeat sweeps over the same family —

@@ -38,11 +38,14 @@ ConstGapCertificate decide_const_gap(const Monoid& monoid,
   cert.ell_ctx = monoid.size() + 5;
   const std::uint64_t L = cert.ell_ctx;
 
-  // Pumped-power matrices per element.
+  // Pumped-power matrices per element. The per-element loops below do
+  // O(log L) dense products or O(|monoid|) vector products per iteration,
+  // so they read the clock every iteration: an amortized checkpoint would
+  // read it once per 4096 elements — seconds apart at beta ~ 200.
   std::vector<BitMatrix> pow_l(n_elems);
   std::vector<BitMatrix> pow_l_a(n_elems);  // N^L * A(first)
   for (std::size_t e = 0; e < n_elems; ++e) {
-    budget_checkpoint(budget);
+    budget_check(budget);
     pow_l[e] = monoid.element(e).fwd.power(L);
     pow_l_a[e] = pow_l[e] * ts.step(monoid.element(e).first);
   }
@@ -68,7 +71,7 @@ ConstGapCertificate decide_const_gap(const Monoid& monoid,
     allowed_left.resize(n_elems);
     right_ok.assign(n_elems, std::vector<char>(beta, 1));
     for (std::size_t e = 0; e < n_elems; ++e) {
-      budget_checkpoint(budget);
+      budget_check(budget);
       BitVector allowed = BitVector::ones(beta);
       for (std::size_t u = 0; u < n_elems; ++u) {
         allowed = allowed & monoid.element(u).pvec.multiplied(pow_l_a[e]);
@@ -81,6 +84,7 @@ ConstGapCertificate decide_const_gap(const Monoid& monoid,
       allowed_left[e] = allowed & empty_gap;
 
       for (Label y = 0; y < beta; ++y) {
+        budget_check(budget);
         const BitVector& row = row_of[e][y];
         const BitVector& last = ts.last_mask();
         bool ok = (row & last).any();  // empty end gap
@@ -120,10 +124,10 @@ ConstGapCertificate decide_const_gap(const Monoid& monoid,
 
   std::vector<std::vector<Candidate>> candidates(n_elems);
   for (std::size_t e = 0; e < n_elems; ++e) {
-    budget_checkpoint(budget);
     const MonoidElement& elem = monoid.element(e);
     const std::size_t erev = monoid.reversed_index(e);
     for (Label x = 0; x < beta; ++x) {
+      budget_checkpoint(budget);
       for (Label y = 0; y < beta; ++y) {
         // Valid periodic labeling boundary: anchored chain x -> y plus the
         // wrap edge (y, x).
@@ -154,6 +158,7 @@ ConstGapCertificate decide_const_gap(const Monoid& monoid,
   // reach[s][u] = row(s) * fwd(u), cached.
   std::vector<std::vector<BitVector>> reach(n_sigs);
   for (std::size_t s = 0; s < n_sigs; ++s) {
+    budget_check(budget);
     reach[s].reserve(n_elems);
     for (std::size_t u = 0; u < n_elems; ++u) {
       reach[s].push_back(signatures[s].row.multiplied(monoid.element(u).fwd));

@@ -5,28 +5,18 @@
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
-#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 namespace lclpath {
 
 namespace {
 
-/// One throw site so both certificate backends report an out-of-domain
-/// lookup with the identical message (the contract tests pin it).
 [[noreturn]] void throw_point_not_in_domain() {
   throw std::logic_error("LinearGapCertificate::value_at: point not in domain");
 }
 
 }  // namespace
-
-std::size_t BlockPointHash::operator()(const BlockPoint& p) const {
-  std::size_t h = hash_mix(static_cast<std::size_t>(p.kind), p.left);
-  h = hash_mix(h, p.s0);
-  h = hash_mix(h, p.s1);
-  h = hash_mix(h, p.right);
-  return h;
-}
 
 BlockPoint BlockPoint::reversed(const Monoid& monoid) const {
   BlockKind k = kind;
@@ -39,7 +29,7 @@ BlockPoint BlockPoint::reversed(const Monoid& monoid) const {
 }
 
 // ---------------------------------------------------------------------------
-// LazyFeasibleFunction — the factorized engine's class-level solution,
+// LazyFeasibleFunction — the search's class-level solution,
 // resolved per point on demand.
 // ---------------------------------------------------------------------------
 
@@ -162,75 +152,47 @@ class LazyFeasibleFunction {
 };
 
 // ---------------------------------------------------------------------------
-// LinearGapCertificate — backend dispatch.
+// LinearGapCertificate — a shared, immutable class-level solution.
 // ---------------------------------------------------------------------------
 
 std::size_t LinearGapCertificate::domain_size() const {
-  if (lazy_ != nullptr) return lazy_->domain_size();
-  return domain_.size();
+  return function_ != nullptr ? function_->domain_size() : 0;
 }
 
 bool LinearGapCertificate::contains(const BlockPoint& point) const {
-  if (lazy_ != nullptr) return lazy_->contains(point);
-  return index_.contains(point);
+  return function_ != nullptr && function_->contains(point);
 }
 
 BlockValue LinearGapCertificate::value_at(const BlockPoint& point) const {
-  if (lazy_ != nullptr) return lazy_->value_at(point);
-  auto it = index_.find(point);
-  if (it == index_.end()) throw_point_not_in_domain();
-  return choice_[it->second];
+  if (function_ == nullptr) throw_point_not_in_domain();
+  return function_->value_at(point);
 }
 
 void LinearGapCertificate::for_each_point(
     const std::function<void(const BlockPoint&, const BlockValue&)>& fn) const {
-  if (lazy_ != nullptr) {
-    lazy_->for_each_point(fn);
-    return;
-  }
-  for (std::size_t i = 0; i < domain_.size(); ++i) fn(domain_[i], choice_[i]);
+  if (function_ != nullptr) function_->for_each_point(fn);
 }
 
-void LinearGapCertificate::adopt_dense(
-    std::vector<BlockPoint> domain, std::vector<BlockValue> choice,
-    std::unordered_map<BlockPoint, std::size_t, BlockPointHash> index) {
-  domain_ = std::move(domain);
-  choice_ = std::move(choice);
-  index_ = std::move(index);
-  if (index_.empty() && !domain_.empty()) {
-    index_.reserve(domain_.size());
-    for (std::size_t i = 0; i < domain_.size(); ++i) index_.emplace(domain_[i], i);
-  }
-  lazy_ = nullptr;
+void LinearGapCertificate::adopt(std::shared_ptr<const LazyFeasibleFunction> function) {
+  function_ = std::move(function);
 }
 
-void LinearGapCertificate::adopt_lazy(
-    std::shared_ptr<const LazyFeasibleFunction> function) {
-  domain_.clear();
-  choice_.clear();
-  index_.clear();
-  lazy_ = std::move(function);
+LinearGapContexts linear_gap_contexts(const Monoid& monoid) {
+  LinearGapContexts contexts;
+  contexts.ell_ctx = monoid.size() + 5;
+  contexts.elements = monoid.layer_at(contexts.ell_ctx);
+  const std::vector<std::size_t> next = monoid.layer_at(contexts.ell_ctx + 1);
+  contexts.elements.insert(contexts.elements.end(), next.begin(), next.end());
+  std::sort(contexts.elements.begin(), contexts.elements.end());
+  contexts.elements.erase(std::unique(contexts.elements.begin(), contexts.elements.end()),
+                          contexts.elements.end());
+  return contexts;
 }
 
 namespace {
 
-/// Context length both engines search at (and both certificates record as
-/// ell_ctx); linear_gap_domain_size must stay in lockstep with it.
-std::size_t context_length(const Monoid& monoid) { return monoid.size() + 5; }
-
-/// Context element set shared by both engines: the monoid layers at word
-/// lengths ell_ctx and ell_ctx + 1, sorted and deduplicated.
-std::vector<std::size_t> context_elements(const Monoid& monoid, std::size_t ell_ctx) {
-  std::vector<std::size_t> contexts = monoid.layer_at(ell_ctx);
-  std::vector<std::size_t> next = monoid.layer_at(ell_ctx + 1);
-  contexts.insert(contexts.end(), next.begin(), next.end());
-  std::sort(contexts.begin(), contexts.end());
-  contexts.erase(std::unique(contexts.begin(), contexts.end()), contexts.end());
-  return contexts;
-}
-
 // =====================================================================
-// Factorized engine (LinearGapEngine::kFactorized)
+// The factorized search
 //
 // The pair constraint between p1 (left role, value v1) and p2 (right role,
 // value v2) is G(p1.right, p2.left, p2.s0)[sym1][sym2] for every symbol
@@ -315,16 +277,15 @@ class FactorizedSearch {
         directed_(is_directed(problem_.topology())),
         beta_(ts_.num_outputs()),
         alpha_(ts_.num_inputs()),
-        ell_ctx_(context_length(monoid)),
-        contexts_(context_elements(monoid, ell_ctx_)),
-        n_ctx_(contexts_.size()) {
+        contexts_(linear_gap_contexts(monoid)),
+        n_ctx_(contexts_.elements.size()) {
     build_classes();
     build_tables();
   }
 
-  LinearGapCertificate run(CertificateMode mode) {
+  LinearGapCertificate run() {
     LinearGapCertificate cert;
-    cert.ell_ctx = ell_ctx_;
+    cert.ell_ctx = contexts_.ell_ctx;
 
     AggregateCaps caps;
     caps.emit.assign(n_cls_, BitVector::ones(beta_));
@@ -345,16 +306,8 @@ class FactorizedSearch {
       bool conflicted = false;
       if (alive) conflicted = first_conflict(caps, conflict);
       if (alive && !conflicted) {
-        const std::size_t points =
-            (cycle_ ? 1 : 3) * n_ctx_ * n_ctx_ * alpha_ * alpha_;
-        const bool dense = mode == CertificateMode::kDense ||
-                           (mode == CertificateMode::kAuto &&
-                            points <= kCertificateAutoDenseLimit);
-        if (dense) {
-          fill_certificate(caps, cert);
-        } else {
-          fill_lazy(caps, cert);
-        }
+        cert.feasible = true;
+        cert.adopt(solution(caps));
         return cert;
       }
       if (alive) {
@@ -381,8 +334,7 @@ class FactorizedSearch {
   const bool directed_;
   const std::size_t beta_;
   const std::size_t alpha_;
-  const std::size_t ell_ctx_;
-  const std::vector<std::size_t> contexts_;
+  LinearGapContexts contexts_;
   const std::size_t n_ctx_;
 
   /// Context quotient, two levels. Caps and glue tables live on *classes*
@@ -437,13 +389,13 @@ class FactorizedSearch {
     {
       std::unordered_map<std::size_t, std::vector<std::size_t>> buckets;
       for (std::size_t c = 0; c < n_ctx_; ++c) {
-        const MonoidElement& elem = monoid_.element(contexts_[c]);
+        const MonoidElement& elem = monoid_.element(contexts_.elements[c]);
         std::size_t h = elem.fwd.hash();
         if (!cycle_) h = hash_mix(h, elem.pvec.hash());
         auto& bucket = buckets[h];
         bool found = false;
         for (std::size_t k : bucket) {
-          const MonoidElement& rep = monoid_.element(contexts_[cls_rep_[k]]);
+          const MonoidElement& rep = monoid_.element(contexts_.elements[cls_rep_[k]]);
           if (rep.fwd == elem.fwd && (cycle_ || rep.pvec == elem.pvec)) {
             ctx_class_[c] = k;
             found = true;
@@ -472,10 +424,10 @@ class FactorizedSearch {
       return;
     }
     std::unordered_map<std::size_t, std::size_t> ctx_pos;
-    for (std::size_t c = 0; c < n_ctx_; ++c) ctx_pos.emplace(contexts_[c], c);
+    for (std::size_t c = 0; c < n_ctx_; ++c) ctx_pos.emplace(contexts_.elements[c], c);
     std::map<std::pair<std::size_t, std::size_t>, std::size_t> pair_index;
     for (std::size_t c = 0; c < n_ctx_; ++c) {
-      auto it = ctx_pos.find(monoid_.reversed_index(contexts_[c]));
+      auto it = ctx_pos.find(monoid_.reversed_index(contexts_.elements[c]));
       if (it == ctx_pos.end()) {
         throw std::logic_error("decide_linear_gap: reversed context missing");
       }
@@ -500,7 +452,7 @@ class FactorizedSearch {
     row_.resize(n_cls_);
     head_.resize(n_cls_);
     for (std::size_t k = 0; k < n_cls_; ++k) {
-      const BitMatrix& fwd = monoid_.element(contexts_[cls_rep_[k]]).fwd;
+      const BitMatrix& fwd = monoid_.element(contexts_.elements[cls_rep_[k]]).fwd;
       row_[k].reserve(beta_);
       for (Label sym = 0; sym < beta_; ++sym) {
         row_[k].push_back(BitVector::unit(beta_, sym).multiplied(fwd));
@@ -534,7 +486,7 @@ class FactorizedSearch {
                                  alpha_, std::vector<BitVector>(alpha_)));
       rend_a_ = lend_b_;
       for (std::size_t k = 0; k < n_cls_; ++k) {
-        const MonoidElement& elem = monoid_.element(contexts_[cls_rep_[k]]);
+        const MonoidElement& elem = monoid_.element(contexts_.elements[cls_rep_[k]]);
         for (Label vb = 0; vb < beta_; ++vb) {
           if (row_[k][vb].intersects(ts_.last_mask())) suffix_ok_[k].set(vb, true);
         }
@@ -764,21 +716,20 @@ class FactorizedSearch {
     return false;
   }
 
-  /// Builds the class-level solution both fill paths read: a
+  /// Builds the certificate's class-level solution: a
   /// LazyFeasibleFunction holding the final per-pair candidate filters
   /// (derive_filters of the solved caps), the endpoint filters, the local
   /// candidate matrices and the context quotient maps. This is the whole
   /// feasible function in O(|classes|^2 * |Sigma_in|^2) storage. Consumes
-  /// the search state (run() returns right after the fill), so the filter
-  /// tables move instead of copying; only the const context list (n_ctx
-  /// words) is copied.
+  /// the search state (run() returns right after), so the tables move
+  /// instead of copying.
   std::shared_ptr<LazyFeasibleFunction> solution(const AggregateCaps& caps) {
     derive_filters(caps);
     auto fn = std::make_shared<LazyFeasibleFunction>();
     fn->cycle = cycle_;
     fn->alpha = alpha_;
     fn->beta = beta_;
-    fn->contexts = contexts_;
+    fn->contexts = std::move(contexts_.elements);
     fn->ctx_pos.reserve(n_ctx_);
     for (std::size_t c = 0; c < n_ctx_; ++c) fn->ctx_pos.emplace(fn->contexts[c], c);
     fn->ctx_class = std::move(ctx_class_);
@@ -790,433 +741,21 @@ class FactorizedSearch {
     fn->cand = std::move(cand_);
     return fn;
   }
-
-  /// Lazy backend: the certificate *is* the class-level solution;
-  /// value_at resolves points on demand.
-  void fill_lazy(const AggregateCaps& caps, LinearGapCertificate& cert) {
-    cert.feasible = true;
-    cert.adopt_lazy(solution(caps));
-  }
-
-  /// Dense backend: materializes the feasible function point by point, in
-  /// the same order as the pairwise engine, each point assigned its first
-  /// (va, vb) candidate valid under the final caps — by construction the
-  /// same value the lazy backend resolves. Validity within glued caps
-  /// implies every ordered pair of points (and every orientation combo)
-  /// glues.
-  void fill_certificate(const AggregateCaps& caps, LinearGapCertificate& cert) {
-    const std::shared_ptr<LazyFeasibleFunction> fn = solution(caps);
-    std::vector<BlockPoint> domain;
-    std::vector<BlockValue> choice;
-    domain.reserve(fn->domain_size());
-    choice.reserve(fn->domain_size());
-    fn->for_each_point([&](const BlockPoint& point, const BlockValue& value) {
-      domain.push_back(point);
-      choice.push_back(value);
-    });
-    cert.feasible = true;
-    cert.adopt_dense(std::move(domain), std::move(choice), {});
-  }
 };
-
-LinearGapCertificate decide_factorized(const Monoid& monoid, CertificateMode mode,
-                                       const ExecutionBudget* budget) {
-  return FactorizedSearch(monoid, budget).run(mode);
-}
-
-// =====================================================================
-// Pairwise engine (LinearGapEngine::kPairwise) — the original point-pair
-// gluing sweep, kept as the differential-test oracle.
-// =====================================================================
-
-/// Shared search context.
-struct Search {
-  const Monoid& monoid;
-  const TransitionSystem& ts;
-  const ExecutionBudget* budget = nullptr;
-  bool cycle;
-  bool directed;
-
-  std::vector<BlockPoint> domain;
-  std::vector<std::size_t> rho;  ///< reversed point per point (undirected)
-  std::vector<std::vector<BlockValue>> candidates;
-
-  /// row_cache[element][label] = e_label * fwd(element)
-  std::vector<std::vector<BitVector>> row_cache;
-
-  /// glue_cache[(right, left, s0)] = fwd(right) * fwd(left) * A(s0); the
-  /// glue check is then a single bit lookup. Keyed by the actual triple —
-  /// a hashed key could silently alias two triples on collision.
-  std::map<std::tuple<std::size_t, std::size_t, Label>, BitMatrix> glue_cache;
-
-  explicit Search(const Monoid& m)
-      : monoid(m),
-        ts(m.transitions()),
-        cycle(is_cycle(m.transitions().problem().topology())),
-        directed(is_directed(m.transitions().problem().topology())) {}
-
-  const BitVector& row_of(std::size_t element, Label label) {
-    auto& rows = row_cache[element];
-    if (rows.empty()) {
-      rows.reserve(ts.num_outputs());
-      for (Label l = 0; l < ts.num_outputs(); ++l) {
-        rows.push_back(BitVector::unit(ts.num_outputs(), l)
-                           .multiplied(monoid.element(element).fwd));
-      }
-    }
-    return rows[label];
-  }
-
-  /// Gluing across middle = fwd(right_elem) * fwd(left_elem) * A(s0).
-  const BitMatrix& glue_matrix(std::size_t right_elem, std::size_t left_elem, Label s0) {
-    const auto key = std::tuple(right_elem, left_elem, s0);
-    auto it = glue_cache.find(key);
-    if (it == glue_cache.end()) {
-      // A miss is two dense BitMatrix multiplies — heavy enough that the
-      // amortized tick counter would hide the clock for seconds on large
-      // lifted alphabets, so read it directly.
-      budget_check(budget);
-      BitMatrix g = monoid.element(right_elem).fwd * monoid.element(left_elem).fwd *
-                    ts.step(s0);
-      it = glue_cache.emplace(key, std::move(g)).first;
-    }
-    return it->second;
-  }
-
-  bool glue(std::size_t right_elem, Label sym1, std::size_t left_elem, Label s0,
-            Label sym2) {
-    return glue_matrix(right_elem, left_elem, s0).get(sym1, sym2);
-  }
-
-  bool left_role(std::size_t p) const {
-    return domain[p].kind != BlockKind::kRightEnd;
-  }
-  bool right_role(std::size_t p) const {
-    return domain[p].kind != BlockKind::kLeftEnd;
-  }
-
-  /// Full orientation-combo pair check: with points p1 (left role) and p2
-  /// (right role) assigned values v1, v2 — and, when undirected, their
-  /// reversed points assigned rv1, rv2 — do all placements glue?
-  /// For directed problems only the (F, F) combo applies.
-  bool pair_ok(std::size_t p1, const BlockValue& v1, const BlockValue& rv1,
-               std::size_t p2, const BlockValue& v2, const BlockValue& rv2) {
-    const BlockPoint& a = domain[p1];
-    const BlockPoint& b = domain[p2];
-    // Right-facing symbol of block 1 / left-facing symbol of block 2 per
-    // orientation choice.
-    const Label sym1_f = v1.b;
-    const Label sym2_f = v2.a;
-    if (!glue(a.right, sym1_f, b.left, b.s0, sym2_f)) return false;
-    if (directed) return true;
-    const Label sym1_r = rv1.a;  // reversed placement: value of rho(p1), .a faces right
-    const Label sym2_r = rv2.b;
-    if (!glue(a.right, sym1_r, b.left, b.s0, sym2_f)) return false;
-    if (!glue(a.right, sym1_f, b.left, b.s0, sym2_r)) return false;
-    if (!glue(a.right, sym1_r, b.left, b.s0, sym2_r)) return false;
-    return true;
-  }
-};
-
-LinearGapCertificate decide_pairwise(const Monoid& monoid,
-                                     const ExecutionBudget* budget) {
-  LinearGapCertificate cert;
-  const TransitionSystem& ts = monoid.transitions();
-  const PairwiseProblem& problem = ts.problem();
-  const bool cycle = is_cycle(problem.topology());
-  const bool directed = is_directed(problem.topology());
-  const std::size_t beta = ts.num_outputs();
-
-  cert.ell_ctx = context_length(monoid);
-
-  // Context element set: layers at lengths ell_ctx and ell_ctx + 1.
-  const std::vector<std::size_t> contexts = context_elements(monoid, cert.ell_ctx);
-
-  Search search(monoid);
-  search.budget = budget;
-  search.row_cache.resize(monoid.size());
-
-  // Build the domain. The point count is cubic-ish in practice (kinds x
-  // |contexts|^2 x alpha^2) and lifted problems reach tens of millions of
-  // points, so the build itself — and the index/reversal/candidate passes
-  // below — must checkpoint and charge the budget: on such domains they
-  // dominate the wall clock before any constraint is ever probed.
-  auto add_points = [&](BlockKind kind) {
-    for (std::size_t left : contexts) {
-      for (Label s0 = 0; s0 < ts.num_inputs(); ++s0) {
-        for (Label s1 = 0; s1 < ts.num_inputs(); ++s1) {
-          for (std::size_t right : contexts) {
-            budget_checkpoint(budget);
-            search.domain.push_back(BlockPoint{kind, left, s0, s1, right});
-          }
-        }
-      }
-    }
-  };
-  budget_charge_memory(budget, linear_gap_domain_size(monoid, nullptr) *
-                                   (sizeof(BlockPoint) + sizeof(std::size_t) +
-                                    sizeof(std::vector<BlockValue>)));
-  add_points(BlockKind::kInterior);
-  if (!cycle) {
-    add_points(BlockKind::kLeftEnd);
-    add_points(BlockKind::kRightEnd);
-  }
-
-  const std::size_t n_points = search.domain.size();
-
-  // Point index: reversal map now (undirected), certificate index later —
-  // built once and moved into the dense certificate at the end.
-  std::unordered_map<BlockPoint, std::size_t, BlockPointHash> point_index;
-  point_index.reserve(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    budget_checkpoint(budget);
-    point_index.emplace(search.domain[i], i);
-  }
-  search.rho.resize(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    budget_checkpoint(budget);
-    if (directed) {
-      search.rho[i] = i;
-      continue;
-    }
-    const BlockPoint r = search.domain[i].reversed(monoid);
-    auto it = point_index.find(r);
-    if (it == point_index.end()) {
-      throw std::logic_error("decide_linear_gap: reversed point missing from domain");
-    }
-    search.rho[i] = it->second;
-  }
-
-  // Candidate filters.
-  search.candidates.resize(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const BlockPoint& p = search.domain[i];
-    for (Label va = 0; va < beta; ++va) {
-      budget_checkpoint(budget);
-      if (!problem.node_ok(p.s0, va)) continue;
-      for (Label vb = 0; vb < beta; ++vb) {
-        if (!problem.node_ok(p.s1, vb)) continue;
-        if (!problem.edge_ok(va, vb)) continue;
-        if (p.kind == BlockKind::kLeftEnd) {
-          // Prefix completability: (pvec(left) * A(s0)) [va].
-          BitVector v = monoid.element(p.left).pvec.multiplied(ts.step(p.s0));
-          if (!v.get(va)) continue;
-        }
-        if (p.kind == BlockKind::kRightEnd) {
-          // Suffix completability: the chain from vb through the suffix
-          // must reach an output allowed at the path's last node.
-          if (!(search.row_of(p.right, vb) & ts.last_mask()).any()) continue;
-        }
-        search.candidates[i].push_back(BlockValue{va, vb});
-      }
-    }
-    if (search.candidates[i].empty()) {
-      return cert;  // some block can never be labeled: infeasible
-    }
-  }
-
-  // Arc-consistency pruning on the forward/forward combo (a necessary
-  // condition for any placement): a value v1 at a left-role point p1 needs,
-  // for *every* right-role p2, some partner v2 with
-  // G(p1.right, p2.left, p2.s0)[v1.b][v2.a] — and symmetrically. Because
-  // the condition only reads (p1.right, v1.b) on one side and
-  // (p2.left, p2.s0, v2.a) on the other, supports can be aggregated per
-  // context element; iterate to a fixpoint.
-  {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      // allowed_b[elemR] = symbols sym1 such that for every right-role p2
-      // some v2 in cand(p2) glues from sym1.
-      std::unordered_map<std::size_t, BitVector> allowed_b;
-      for (std::size_t elemR : contexts) {
-        BitVector all = BitVector::ones(beta);
-        for (std::size_t p2 = 0; p2 < n_points; ++p2) {
-          budget_checkpoint(budget);
-          if (!search.right_role(p2)) continue;
-          const BlockPoint& b = search.domain[p2];
-          BitVector a_set(beta);
-          for (const BlockValue& v2 : search.candidates[p2]) a_set.set(v2.a, true);
-          const BitMatrix& g = search.glue_matrix(elemR, b.left, b.s0);
-          BitVector supported(beta);
-          for (Label sym1 = 0; sym1 < beta; ++sym1) {
-            budget_checkpoint(budget);
-            BitVector row(beta);
-            for (Label sym2 = 0; sym2 < beta; ++sym2) row.set(sym2, g.get(sym1, sym2));
-            if (row.intersects(a_set)) supported.set(sym1, true);
-          }
-          all = all & supported;
-          if (!all.any()) break;
-        }
-        allowed_b.emplace(elemR, std::move(all));
-      }
-      for (std::size_t p1 = 0; p1 < n_points; ++p1) {
-        if (!search.left_role(p1)) continue;
-        auto& cand = search.candidates[p1];
-        const BitVector& ok = allowed_b.at(search.domain[p1].right);
-        const std::size_t before = cand.size();
-        std::erase_if(cand, [&](const BlockValue& v) { return !ok.get(v.b); });
-        if (cand.size() != before) changed = true;
-        if (cand.empty()) return cert;
-      }
-      // Mirror direction: allowed_a[(elemL, s0)].
-      std::map<std::pair<std::size_t, Label>, BitVector> allowed_a;
-      for (std::size_t elemL : contexts) {
-        for (Label s0 = 0; s0 < ts.num_inputs(); ++s0) {
-          BitVector all = BitVector::ones(beta);
-          for (std::size_t p1 = 0; p1 < n_points; ++p1) {
-            budget_checkpoint(budget);
-            if (!search.left_role(p1)) continue;
-            const BlockPoint& a = search.domain[p1];
-            BitVector b_set(beta);
-            for (const BlockValue& v1 : search.candidates[p1]) b_set.set(v1.b, true);
-            const BitMatrix& g = search.glue_matrix(a.right, elemL, s0);
-            BitVector supported = b_set.multiplied(g);
-            all = all & supported;
-            if (!all.any()) break;
-          }
-          allowed_a.emplace(std::pair(elemL, s0), std::move(all));
-        }
-      }
-      for (std::size_t p2 = 0; p2 < n_points; ++p2) {
-        if (!search.right_role(p2)) continue;
-        auto& cand = search.candidates[p2];
-        const BitVector& ok =
-            allowed_a.at(std::pair(search.domain[p2].left, search.domain[p2].s0));
-        const std::size_t before = cand.size();
-        std::erase_if(cand, [&](const BlockValue& v) { return !ok.get(v.a); });
-        if (cand.size() != before) changed = true;
-        if (cand.empty()) return cert;
-      }
-    }
-  }
-
-  // The search couples each point with its reversed point; assign values
-  // jointly to the orbit {p, rho(p)}. Representatives: min index of orbit.
-  std::vector<std::size_t> rep_of(n_points);
-  std::vector<std::size_t> orbit_reps;
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const std::size_t r = std::min(i, search.rho[i]);
-    rep_of[i] = r;
-    if (r == i) orbit_reps.push_back(i);
-  }
-
-  // Assignment: value per point (both orbit members assigned together,
-  // independently chosen — the orbit grouping only orders the search).
-  std::vector<int> chosen(n_points, -1);
-
-  // Check a tentative full-pair constraint between two *assigned* points.
-  auto assigned_pair_ok = [&](std::size_t p1, std::size_t p2) {
-    if (!search.left_role(p1) || !search.right_role(p2)) return true;
-    const BlockValue v1 = search.candidates[p1][static_cast<std::size_t>(chosen[p1])];
-    const BlockValue v2 = search.candidates[p2][static_cast<std::size_t>(chosen[p2])];
-    const std::size_t r1 = search.rho[p1];
-    const std::size_t r2 = search.rho[p2];
-    if (chosen[r1] < 0 || chosen[r2] < 0) return true;  // rechecked when assigned
-    const BlockValue rv1 = search.candidates[r1][static_cast<std::size_t>(chosen[r1])];
-    const BlockValue rv2 = search.candidates[r2][static_cast<std::size_t>(chosen[r2])];
-    return search.pair_ok(p1, v1, rv1, p2, v2, rv2);
-  };
-
-  // Backtracking over orbit representatives in order; for each, try all
-  // value pairs for (rep, rho(rep)). Iterative — the search is one level
-  // deep per orbit and large domains (e.g. lifted problems) would blow the
-  // call stack with a recursive formulation.
-  const std::size_t n_orbits = orbit_reps.size();
-  std::vector<std::size_t> vi_at(n_orbits, 0);
-  std::vector<std::size_t> qi_at(n_orbits, 0);
-  std::size_t pos = 0;
-  bool entering = true;  // fresh entry at pos vs resuming after a backtrack
-  bool found = false;
-  while (true) {
-    if (pos == n_orbits) {
-      found = true;
-      break;
-    }
-    const std::size_t p = orbit_reps[pos];
-    const std::size_t q = search.rho[p];
-    const std::size_t np = search.candidates[p].size();
-    const std::size_t nq = (q == p) ? 1 : search.candidates[q].size();
-    if (entering) {
-      vi_at[pos] = 0;
-      qi_at[pos] = 0;
-    } else {
-      chosen[p] = -1;
-      if (q != p) chosen[q] = -1;
-      if (++qi_at[pos] >= nq) {
-        qi_at[pos] = 0;
-        ++vi_at[pos];
-      }
-    }
-    bool placed = false;
-    while (vi_at[pos] < np && !placed) {
-      for (; qi_at[pos] < nq; ++qi_at[pos]) {
-        budget_checkpoint(budget);
-        chosen[p] = static_cast<int>(vi_at[pos]);
-        if (q != p) chosen[q] = static_cast<int>(qi_at[pos]);
-        // Check all constraints among assigned points that involve p or q.
-        // Tick per pair-check, not per placement: a placement sweeps every
-        // assigned point, so on large lifted domains one tick per placement
-        // would put thousands of glue probes between clock reads.
-        bool ok = true;
-        for (std::size_t other = 0; other < n_points && ok; ++other) {
-          budget_checkpoint(budget);
-          if (chosen[other] < 0) continue;
-          ok = assigned_pair_ok(p, other) && assigned_pair_ok(other, p);
-          if (ok && q != p) ok = assigned_pair_ok(q, other) && assigned_pair_ok(other, q);
-        }
-        if (ok) {
-          placed = true;
-          break;
-        }
-        chosen[p] = -1;
-        if (q != p) chosen[q] = -1;
-      }
-      if (!placed) {
-        ++vi_at[pos];
-        qi_at[pos] = 0;
-      }
-    }
-    if (placed) {
-      ++pos;
-      entering = true;
-    } else {
-      if (pos == 0) break;
-      --pos;
-      entering = false;
-    }
-  }
-  if (!found) return cert;
-
-  cert.feasible = true;
-  std::vector<BlockValue> choice;
-  choice.reserve(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    choice.push_back(search.candidates[i][static_cast<std::size_t>(chosen[i])]);
-  }
-  cert.adopt_dense(std::move(search.domain), std::move(choice), std::move(point_index));
-  return cert;
-}
 
 }  // namespace
 
-LinearGapCertificate decide_linear_gap(const Monoid& monoid, LinearGapEngine engine,
-                                       CertificateMode mode,
-                                       const ExecutionBudget* budget) {
-  // The pair-wise oracle's choices come from per-point backtracking, not a
-  // class-level solution — it is dense by construction.
-  return engine == LinearGapEngine::kPairwise
-             ? decide_pairwise(monoid, budget)
-             : decide_factorized(monoid, mode, budget);
+LinearGapCertificate decide_linear_gap(const Monoid& monoid, LinearGapEngine,
+                                       CertificateMode, const ExecutionBudget* budget) {
+  return FactorizedSearch(monoid, budget).run();
 }
 
 std::size_t linear_gap_domain_size(const Monoid& monoid, std::size_t* num_contexts) {
-  const std::vector<std::size_t> contexts =
-      context_elements(monoid, context_length(monoid));
-  if (num_contexts != nullptr) *num_contexts = contexts.size();
+  const std::size_t n = linear_gap_contexts(monoid).elements.size();
+  if (num_contexts != nullptr) *num_contexts = n;
   const std::size_t alpha = monoid.transitions().num_inputs();
   const std::size_t kinds = is_cycle(monoid.transitions().problem().topology()) ? 1 : 3;
-  return kinds * contexts.size() * contexts.size() * alpha * alpha;
+  return kinds * n * n * alpha * alpha;
 }
 
 }  // namespace lclpath

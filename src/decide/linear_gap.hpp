@@ -25,10 +25,10 @@
 //     [ e_{v1.b} * N(wb) * N(wc) * A(s0 of p2) ] (v2.a)  != 0.
 //
 // Feasibility = existence of one value per domain point satisfying every
-// ordered pair constraint (including p1 == p2). The factorized engine
+// ordered pair constraint (including p1 == p2). The factorized search
 // solves this over aggregate symbol caps per context *class* (contexts
-// quotiented by their (fwd, pvec) data), so both the search and — since
-// this PR — the certificate cost O(|classes|^2), not O(points).
+// quotiented by their (fwd, pvec) data), so both the search and the
+// certificate cost O(|classes|^2), not O(points).
 //
 // Certificate contract
 // --------------------
@@ -37,26 +37,16 @@
 // block value of domain point p, and for_each_point enumerates the whole
 // domain with its values in the canonical order (kInterior, then on paths
 // kLeftEnd, kRightEnd; within a kind: left context ascending, s0, s1,
-// right context — contexts in sorted element order). Two backends store
-// the same function:
+// right context — contexts in sorted element order).
 //
-//   * kDense — explicit domain/choice tables plus a point hash index.
-//     O(points) storage; what the pair-wise oracle emits, and the
-//     factorized engine's choice for small domains.
-//   * kLazy — the factorized engine's aggregate solution itself: the
-//     element -> context-class maps, the per-class candidate filters and
-//     endpoint filters. value_at maps the point's elements to their
-//     classes and picks the first valid (va, vb) from the class solution,
-//     memoized per class tuple (thread-safe; repeated simulator lookups
-//     are O(1)). O(|classes|^2 * |Sigma_in|^2) storage — on the lifted
-//     shift-input that is MBs instead of the dense GBs, and certificate
-//     construction drops from ~30 s of table writes to milliseconds.
-//
-// Determinism: both backends (and both engines' shared domain layout)
-// report the same feasibility, enumerate the same domain in the same
-// order, and — for the factorized engine — resolve every point to the
-// same first-valid (va, vb). value_at on a point outside the domain
-// throws std::logic_error with the same message on both backends.
+// The certificate is the search's class-level solution itself: the
+// element -> context-class maps, the per-class candidate filters and the
+// endpoint filters. value_at maps the point's elements to their classes
+// and picks the first valid (va, vb) from the class solution, memoized per
+// class tuple (thread-safe; repeated simulator lookups are O(1)). Storage
+// is O(|classes|^2 * |Sigma_in|^2) — MBs on the lifted shift-input, whose
+// domain has ~3 * 10^7 points. value_at on a point outside the domain throws
+// std::logic_error.
 //
 // Undirected topologies additionally quantify over the four
 // orientation combinations of the paper's requirement; the reversal of a
@@ -67,8 +57,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/monoid.hpp"
@@ -102,26 +90,11 @@ struct BlockPoint {
   BlockPoint reversed(const Monoid& monoid) const;
 };
 
-struct BlockPointHash {
-  std::size_t operator()(const BlockPoint& p) const;
-};
+/// Kept only because pipebench/ spells it out; a benchmark change may delete it.
+enum class CertificateMode : std::uint8_t { kAuto };
 
-/// How a feasible certificate stores its function (see header comment).
-enum class CertificateBackend : std::uint8_t { kDense, kLazy };
-
-/// Which backend decide_linear_gap should emit. kAuto materializes dense
-/// tables on small domains (cheap, and the point index makes repeated
-/// lookups a single hash probe) and switches to the lazy class-indexed
-/// representation beyond kCertificateAutoDenseLimit domain points. The
-/// pair-wise oracle always emits kDense — its choices come from per-point
-/// backtracking, not from a class solution.
-enum class CertificateMode : std::uint8_t { kAuto, kDense, kLazy };
-
-/// kAuto's dense/lazy switchover, in domain points.
-inline constexpr std::size_t kCertificateAutoDenseLimit = 1u << 16;
-
-/// The factorized engine's class-level solution; opaque outside
-/// linear_gap.cpp (consume it through LinearGapCertificate).
+/// The search's class-level solution; opaque outside linear_gap.cpp
+/// (consume it through LinearGapCertificate).
 class LazyFeasibleFunction;
 
 class LinearGapCertificate {
@@ -130,12 +103,6 @@ class LinearGapCertificate {
   /// Context length used for the domain (monoid size + margin).
   std::size_t ell_ctx = 0;
 
-  /// Which representation backs this certificate (meaningful only when
-  /// feasible; an infeasible certificate stores nothing).
-  CertificateBackend backend() const {
-    return lazy_ != nullptr ? CertificateBackend::kLazy : CertificateBackend::kDense;
-  }
-
   /// Number of domain points (0 if infeasible).
   std::size_t domain_size() const;
 
@@ -143,63 +110,56 @@ class LinearGapCertificate {
   bool contains(const BlockPoint& point) const;
 
   /// Runtime lookup for the synthesized algorithm; throws std::logic_error
-  /// (same message on both backends) if the point is not in the domain —
-  /// that indicates a synthesis bug. Thread-safe on both backends.
+  /// if the point is not in the domain — that indicates a synthesis bug.
+  /// Thread-safe.
   BlockValue value_at(const BlockPoint& point) const;
 
   /// Enumerates every (point, value) of the feasible function in the
-  /// canonical domain order (identical across backends and engines).
+  /// canonical domain order.
   void for_each_point(
       const std::function<void(const BlockPoint&, const BlockValue&)>& fn) const;
 
-  /// Engine-side installers (the deciders call these; the pair-wise
-  /// oracle hands over the point index it already built for its reversal
-  /// map instead of re-hashing the domain).
-  void adopt_dense(std::vector<BlockPoint> domain, std::vector<BlockValue> choice,
-                   std::unordered_map<BlockPoint, std::size_t, BlockPointHash> index);
-  void adopt_lazy(std::shared_ptr<const LazyFeasibleFunction> function);
+  /// Installs the search's class-level solution (decide_linear_gap calls
+  /// this on success).
+  void adopt(std::shared_ptr<const LazyFeasibleFunction> function);
 
  private:
-  std::vector<BlockPoint> domain_;
-  std::vector<BlockValue> choice_;
-  std::unordered_map<BlockPoint, std::size_t, BlockPointHash> index_;
-  std::shared_ptr<const LazyFeasibleFunction> lazy_;
+  std::shared_ptr<const LazyFeasibleFunction> function_;
 };
 
-/// Which feasibility-search implementation decide_linear_gap runs.
-///
-/// The gluing constraint between two domain points reads p1 only through
-/// (right-context element, b-symbol) and p2 only through (left-context
-/// element, s0, a-symbol). kFactorized (the default) exploits that: it
-/// searches over dense aggregate symbol tables indexed by those two
-/// quotient spaces (plus the reversed-orientation combos on undirected
-/// topologies), so its cost scales with |contexts|^2 * |Sigma_in| * beta
-/// instead of with the square of the number of domain points. kPairwise is
-/// the original point-pair gluing sweep, kept as a differential-test
-/// oracle; it is asymptotically quadratic in domain points and effectively
-/// non-terminating on lifted undirected problems (~10^5 points).
-enum class LinearGapEngine : std::uint8_t { kFactorized, kPairwise };
+/// Kept only because pipebench/ spells it out; a benchmark change may delete it.
+enum class LinearGapEngine : std::uint8_t { kFactorized };
 
 /// Decides feasibility (hence the Theta(log* n) vs Theta(n) side of the
 /// gap) for a solvable problem. The problem's topology decides endpoint
-/// handling and orientation combos. Both engines decide the same predicate
-/// and enumerate certificates in the same domain order; only the search
-/// strategy (and the specific feasible function found) may differ. `mode`
-/// picks the certificate backend (see CertificateMode; ignored by the
-/// pair-wise oracle, which is dense by construction). A non-null `budget`
-/// is checkpointed throughout both engines' propagation, sweep, and
-/// branch loops, so a deadline or cancellation interrupts even the
-/// quadratic pair-wise oracle with CancelledError.
+/// handling and orientation combos. The gluing constraint between two
+/// domain points reads p1 only through (right-context element, b-symbol)
+/// and p2 only through (left-context element, s0, a-symbol), so the
+/// search runs over aggregate symbol tables indexed by those two quotient
+/// spaces (plus the reversed-orientation combos on undirected
+/// topologies): its cost scales with |contexts|^2 * |Sigma_in| * beta
+/// instead of with the square of the number of domain points. A non-null
+/// `budget` is checkpointed throughout the propagation and branch loops,
+/// so a deadline or cancellation interrupts it with CancelledError.
 LinearGapCertificate decide_linear_gap(
     const Monoid& monoid, LinearGapEngine engine = LinearGapEngine::kFactorized,
     CertificateMode mode = CertificateMode::kAuto,
     const ExecutionBudget* budget = nullptr);
 
+/// The context set every domain point draws its left and right elements
+/// from: the monoid layers at word lengths ell_ctx and ell_ctx + 1
+/// (ell_ctx = monoid size + margin), sorted and deduplicated. The one
+/// construction the decider and any independent re-check share.
+struct LinearGapContexts {
+  std::size_t ell_ctx = 0;
+  std::vector<std::size_t> elements;
+};
+LinearGapContexts linear_gap_contexts(const Monoid& monoid);
+
 /// Number of domain points decide_linear_gap enumerates for this monoid
 /// (kinds * |contexts|^2 * |Sigma_in|^2, where contexts are the layers at
 /// lengths ell_ctx and ell_ctx + 1); optionally also reports |contexts|.
-/// Exposed so tests and benchmarks can budget the quadratic pair-wise
-/// oracle without re-deriving the context-set construction.
+/// Exposed so tests and benchmarks can size a domain without searching it.
 std::size_t linear_gap_domain_size(const Monoid& monoid,
                                    std::size_t* num_contexts = nullptr);
 

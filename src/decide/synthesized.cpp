@@ -202,32 +202,10 @@ class LogStarLayout {
               [](const PlacedBlock& a, const PlacedBlock& b) { return a.anchor < b.anchor; });
   }
 
-  Label label_at(std::size_t c) const {
-    const std::size_t len = view_.size();
-    const bool path = !strategy_.cycle();
-    if (path && view_.sees_left_end && c < ell_) {
-      return end_zone_word(true).first[c];
-    }
-    if (path && view_.sees_right_end && c >= len - ell_) {
-      const auto [word, lo] = end_zone_word(false);
-      return word[c - lo];
-    }
-
-    const std::size_t lo = first_block_at_or_after(c);
-    if (lo < blocks_.size() && blocks_[lo].anchor <= c) {
-      const auto [la, lb] = block_labels(lo);
-      return c == blocks_[lo].anchor ? la : lb;
-    }
-    if (lo == 0 || lo == blocks_.size()) {
-      throw std::logic_error("logstar: no enclosing blocks in window");
-    }
-    return gap_completion(lo)[c - blocks_[lo - 1].anchor];
-  }
-
   /// Labels every window position in [begin, end) into out, computing each
   /// end-zone / inter-block completion word once and reading label runs off
-  /// it — the chunk-sweep form of label_at, bit-identical by construction
-  /// (every position routes through the same completion it would alone).
+  /// it. A single position is the one-element span, so the per-node and
+  /// chunk-sweep paths share one routing.
   void labels_span(std::size_t begin, std::size_t end, Label* out) const {
     const std::size_t len = view_.size();
     const bool path = !strategy_.cycle();
@@ -262,8 +240,8 @@ class LogStarLayout {
       }
       const std::size_t u_anchor = blocks_[lo - 1].anchor;
       const Word word = gap_completion(lo);
-      // Positions on block lo itself route through block_labels, exactly
-      // as label_at does (the completion fixes the same values there).
+      // Positions on block lo itself route through block_labels (the
+      // completion fixes the same values there).
       const std::size_t stop = std::min(end, blocks_[lo].anchor);
       for (; c < stop; ++c) out[c - begin] = word[c - u_anchor];
     }
@@ -416,7 +394,9 @@ Label SynthesizedLogStar::run(const View& view) const {
 Label SynthesizedLogStar::run_large(const View& view) const {
   const LogStarLayout layout(*monoid_, *cert_, strategy_, view, ell_, min_gap_, gap_,
                              orient_ell_);
-  return layout.label_at(view.center);
+  Label label = 0;
+  layout.labels_span(view.center, view.center + 1, &label);
+  return label;
 }
 
 bool SynthesizedLogStar::run_span(const View& window, std::size_t begin,
@@ -750,24 +730,11 @@ class ConstLayout {
     }
   }
 
-  Label label_at(std::size_t c) const {
-    for (const Interior& interior : interiors_) {
-      if (c >= interior.begin && c < interior.end) {
-        return interior_word(interior)[c - (interior.begin - 2)];
-      }
-    }
-    const std::size_t vi = v_of_real_[c];
-    if (vi == kUnmapped) {
-      throw std::logic_error("constant: center position missing from the virtual sequence");
-    }
-    return complete_gap_at(vi);
-  }
-
-  /// Labels every window position in [begin, end) into out — the
-  /// chunk-sweep form of label_at. Each virtual-gap completion and each
-  /// interior pull-back is computed once and read for every position it
-  /// covers; routing per position is identical to label_at, so the labels
-  /// are bit-identical by construction.
+  /// Labels every window position in [begin, end) into out. Each
+  /// virtual-gap completion and each interior pull-back is computed once
+  /// and read for every position it covers. A single position is the
+  /// one-element span, so the per-node and chunk-sweep paths share one
+  /// routing.
   void labels_span(std::size_t begin, std::size_t end, Label* out) const {
     GapWord gap;
     const Interior* cached_interior = nullptr;
@@ -1054,7 +1021,9 @@ Label SynthesizedConstant::run(const View& view) const {
 Label SynthesizedConstant::run_large(const View& view) const {
   const ConstLayout layout(*monoid_, *cert_, strategy_, view, scale_, domin_,
                            orient_ell_);
-  return layout.label_at(view.center);
+  Label label = 0;
+  layout.labels_span(view.center, view.center + 1, &label);
+  return label;
 }
 
 bool SynthesizedConstant::run_span(const View& window, std::size_t begin,

@@ -125,7 +125,6 @@ StudyResult classify_hardness(std::span<const PairwiseProblem> problems,
   batch.num_threads = options.num_threads;
   batch.cache = options.batch_cache;
   batch.classify.max_monoid = options.max_monoid;
-  batch.classify.certificate_mode = CertificateMode::kAuto;
   batch.classify.monoid_cache = monoids;
   batch.classify.budget = options.budget;
   batch.problem_deadline_ms = options.problem_deadline_ms;

@@ -4,9 +4,9 @@
 // The Section 3.7 lifts and the Lemma 2 product form of Pi_MB all produce
 // ordinary PairwiseProblems — so the Theorem 4/5 studies and the lift
 // regressions should not hand-roll classify() loops: classify_hardness()
-// funnels them through classify_batch with a shared MonoidCache and
-// CertificateMode::kAuto, which buys in-batch dedup, cross-call caching,
-// thread-pool parallelism and lazy certificates in one place.
+// funnels them through classify_batch with a shared MonoidCache, which
+// buys in-batch dedup, cross-call caching and thread-pool parallelism in
+// one place.
 //
 // For Pi_MB itself the interesting outcome is *failure*: deciding its
 // class is deciding LBA halting (Theorem 5, PSPACE-hard), so the generic
@@ -77,7 +77,7 @@ struct StudyResult {
 };
 
 /// classify_batch over the given problems with the hardness defaults:
-/// shared MonoidCache, CertificateMode::kAuto, per-entry failure capture.
+/// shared MonoidCache, per-entry failure capture.
 StudyResult classify_hardness(std::span<const PairwiseProblem> problems,
                               const StudyOptions& options = {});
 

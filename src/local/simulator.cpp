@@ -467,22 +467,6 @@ SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem
   return simulate(algorithm, problem, instance, SimulationOptions{});
 }
 
-SimulationResult simulate_reference(const LocalAlgorithm& algorithm,
-                                    const PairwiseProblem& problem,
-                                    const Instance& instance) {
-  instance.validate();
-  SimulationResult result;
-  const std::size_t n = instance.size();
-  result.radius = algorithm.radius(n);
-  result.outputs.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const View view = extract_view(instance, v, result.radius);
-    result.outputs.push_back(algorithm.run(view));
-  }
-  result.verdict = verify_pairwise(problem, instance.inputs, result.outputs);
-  return result;
-}
-
 Label solve_full_view(const PairwiseProblem& problem, const View& view) {
   if (is_cycle(view.topology)) {
     if (view.size() != view.n) {

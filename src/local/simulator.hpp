@@ -38,8 +38,9 @@
 //
 // Bit-identity: for every thread count and chunk size, simulate() produces
 // the same outputs, the same verdict (including failed_at and reason), and
-// the same exceptions as simulate_reference(), the preserved serial loop.
-// The simulation_engine_test suite sweeps exactly that equivalence.
+// the same exceptions as the plain serial loop (per-node extract_view +
+// run, then one whole-word verify_pairwise). The simulation_engine_test
+// suite keeps that loop as its oracle and sweeps exactly that equivalence.
 //
 // Locality validation beyond construction: tests also run the
 // view-agreement property (two instances whose windows around v coincide
@@ -178,14 +179,6 @@ SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem
 /// Default-options overload (kept so historical call sites read unchanged).
 SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem& problem,
                           const Instance& instance);
-
-/// The preserved serial reference: per-node extract_view + run, then one
-/// whole-word verify_pairwise. This is the differential oracle the chunked
-/// engine is tested bit-identical against; it is also the only path that
-/// exercises extract_view itself for every node.
-SimulationResult simulate_reference(const LocalAlgorithm& algorithm,
-                                    const PairwiseProblem& problem,
-                                    const Instance& instance);
 
 /// Canonical whole-instance solve for a view that covers everything (a
 /// full cycle, or a path window seeing both ends): every node derives the

@@ -15,19 +15,6 @@ namespace lclpath::store {
 
 namespace {
 
-const char* engine_word(LinearGapEngine engine) {
-  return engine == LinearGapEngine::kPairwise ? "pairwise" : "factorized";
-}
-
-const char* mode_word(CertificateMode mode) {
-  switch (mode) {
-    case CertificateMode::kAuto: return "auto";
-    case CertificateMode::kDense: return "dense";
-    case CertificateMode::kLazy: return "lazy";
-  }
-  return "auto";
-}
-
 const char* class_word(ComplexityClass c) {
   switch (c) {
     case ComplexityClass::kUnsolvable: return "unsolvable";
@@ -36,19 +23,6 @@ const char* class_word(ComplexityClass c) {
     case ComplexityClass::kLinear: return "linear";
   }
   return "linear";
-}
-
-bool parse_engine(const std::string& word, LinearGapEngine* out) {
-  if (word == "factorized") return *out = LinearGapEngine::kFactorized, true;
-  if (word == "pairwise") return *out = LinearGapEngine::kPairwise, true;
-  return false;
-}
-
-bool parse_mode(const std::string& word, CertificateMode* out) {
-  if (word == "auto") return *out = CertificateMode::kAuto, true;
-  if (word == "dense") return *out = CertificateMode::kDense, true;
-  if (word == "lazy") return *out = CertificateMode::kLazy, true;
-  return false;
 }
 
 bool parse_class(const std::string& word, ComplexityClass* out) {
@@ -94,13 +68,14 @@ ShardLoadResult dirty(std::string why) {
 }  // namespace
 
 std::string StoreRecord::cache_key() const {
-  return canonical_key(problem) + cache_identity_suffix(engine, mode);
+  return canonical_key(problem) +
+         cache_identity_suffix(LinearGapEngine::kFactorized, CertificateMode::kAuto);
 }
 
 std::string encode_shard(const std::vector<StoreRecord>& records) {
   std::ostringstream payload;
   for (const StoreRecord& record : records) {
-    payload << "record " << engine_word(record.engine) << " " << mode_word(record.mode);
+    payload << "record";
     if (record.ok()) {
       payload << " class " << class_word(*record.classified) << "\n";
     } else {
@@ -136,7 +111,9 @@ ShardLoadResult decode_shard(const std::string& bytes) {
   result.version = version;
   result.declared_records = declared;
   if (version != kShardFormatVersion) {
-    return dirty("unsupported format version " + std::to_string(version));
+    ShardLoadResult other = dirty("unsupported format version " + std::to_string(version));
+    other.version = version;  // lets the loader tell an older format from garbage
+    return other;
   }
   char* end = nullptr;
   result.checksum = std::strtoull(checksum_text.c_str(), &end, 16);
@@ -167,10 +144,8 @@ ShardLoadResult decode_shard(const std::string& bytes) {
                      keyword + "'");
       }
       StoreRecord record;
-      std::string engine_text, mode_text, outcome_keyword, outcome_word;
-      if (!(fields >> engine_text >> mode_text >> outcome_keyword >> outcome_word) ||
-          !parse_engine(engine_text, &record.engine) ||
-          !parse_mode(mode_text, &record.mode)) {
+      std::string outcome_keyword, outcome_word;
+      if (!(fields >> outcome_keyword >> outcome_word)) {
         return dirty("line " + std::to_string(line_no) + ": malformed record header");
       }
       if (outcome_keyword == "class") {

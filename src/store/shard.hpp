@@ -3,23 +3,25 @@
 // A shard is a plain-text file holding serialized classification records,
 // fronted by a self-describing header:
 //
-//   lclshard 1 <record-count> <payload-checksum-16hex>
-//   record factorized auto class log-star
+//   lclshard 2 <record-count> <payload-checksum-16hex>
+//   record class log-star
 //   lcl 3-coloring
 //   topology directed-cycle
 //   ...
 //   end
-//   record factorized auto error timeout
+//   record error timeout
 //   message deadline expired after 100ms
 //   lcl hostile-a4-b4-s7
 //   ...
 //   end
 //
 // Each record carries the full problem serialization (lcl/serialize.hpp)
-// plus the engine / certificate-mode configuration it was classified
-// under — together exactly the in-memory BatchCache identity
-// (canonical_key + cache_identity_suffix) — and either a complexity class
-// or a BatchError observation.
+// — from which the in-memory BatchCache identity (canonical_key +
+// cache_identity_suffix) is rebuilt — and either a complexity class or a
+// BatchError observation. Version 1 additionally named the linear-gap
+// engine and certificate mode on each record line ("record factorized
+// auto class ..."); such shards fail the version check and load dirty,
+// and ResultStore rewrites them in the current format on its next commit.
 //
 // PERSISTENCE CONTRACT
 //
@@ -55,9 +57,9 @@
 
 namespace lclpath::store {
 
-/// The shard format this build writes; decode() rejects anything newer
-/// (or older, once the format evolves) as dirty rather than guessing.
-inline constexpr std::uint32_t kShardFormatVersion = 1;
+/// The shard format this build writes; decode() rejects any other
+/// version as dirty rather than guessing.
+inline constexpr std::uint32_t kShardFormatVersion = 2;
 
 /// Thrown by the commit path on any I/O failure (open/write/fsync/
 /// rename). The store file set is still old-complete or new-complete —
@@ -67,26 +69,26 @@ class StoreIoError : public std::runtime_error {
   explicit StoreIoError(const std::string& message) : std::runtime_error(message) {}
 };
 
-/// One persisted result: a problem, the configuration it was classified
-/// under, and either a complexity class (`classified`) or a structured
-/// failure observation (`observation`). Exactly one of the two is set.
+/// One persisted result: a problem and either a complexity class
+/// (`classified`) or a structured failure observation (`observation`).
+/// Exactly one of the two is set.
 struct StoreRecord {
   PairwiseProblem problem;
-  LinearGapEngine engine = LinearGapEngine::kFactorized;
-  CertificateMode mode = CertificateMode::kAuto;
   std::optional<ComplexityClass> classified;
   std::optional<BatchError> observation;
 
   bool ok() const { return classified.has_value(); }
-  /// The full cache identity — canonical_key(problem) plus the engine/
-  /// certificate suffix — i.e. the same string classify_batch keys its
-  /// BatchCache with.
+  /// The full cache identity — canonical_key(problem) plus
+  /// cache_identity_suffix() — i.e. the same string classify_batch keys
+  /// its BatchCache with.
   std::string cache_key() const;
 };
 
 /// The outcome of decoding one shard. `ok == false` means the shard is
 /// dirty: `error` says why, `records` is empty, and the caller re-derives
-/// the shard's content instead of trusting any of it.
+/// the shard's content instead of trusting any of it. `version` is set
+/// whenever the header parsed, so a shard in another format version is
+/// distinguishable from a corrupted one.
 struct ShardLoadResult {
   bool ok = false;
   std::string error;

@@ -28,11 +28,9 @@ std::vector<std::string> list_shard_files(const std::string& directory) {
 bool retry_eligible(BatchErrorKind kind) { return kind != BatchErrorKind::kMalformed; }
 
 StoreRecord record_of(const PairwiseProblem& problem, const BatchEntry& entry,
-                      const ClassifyOptions& options) {
+                      const ClassifyOptions&) {
   StoreRecord record;
   record.problem = problem;
-  record.engine = options.linear_engine;
-  record.mode = options.certificate_mode;
   if (entry.ok()) {
     record.classified = entry.classified().complexity();
   } else if (entry.outcome != nullptr && entry.outcome->error) {
@@ -62,6 +60,12 @@ LoadReport ResultStore::load() {
     ShardLoadResult shard = load_shard(file);
     if (!shard.ok) {
       report.dirty.push_back(file + ": " + shard.error);
+      if (shard.version != 0 && shard.version < kShardFormatVersion) {
+        const fs::path name = fs::path(file).filename();
+        for (std::size_t index = 0; index < options_.shard_count; ++index) {
+          if (fs::path(shard_path(index)).filename() == name) dirty_shards_.insert(index);
+        }
+      }
       continue;
     }
     ++report.shards_ok;

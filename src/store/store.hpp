@@ -2,7 +2,7 @@
 // in-memory BatchCache.
 //
 // Records are keyed by the exact BatchCache identity (canonical problem
-// key + engine + certificate mode), sharded by key hash into
+// key + cache_identity_suffix()), sharded by key hash into
 // `shard-NNNN.lcls` files. The store is the durable side of the catalog
 // service the ROADMAP asks for: millions of classifications cold-start as
 // a directory read plus warm_start() into a BatchCache — zero decider
@@ -46,9 +46,10 @@ namespace lclpath::store {
 /// is a property of the problem text itself and is never retried.
 bool retry_eligible(BatchErrorKind kind);
 
-/// Builds the store record for one batch slot: the problem, the
-/// configuration it ran under, and its classification or failure
-/// observation. The entry must hold an outcome (classified or error).
+/// Builds the store record for one batch slot: the problem and its
+/// classification or failure observation. The entry must hold an outcome
+/// (classified or error). The options do not enter the record; the
+/// parameter stays for source compatibility.
 StoreRecord record_of(const PairwiseProblem& problem, const BatchEntry& entry,
                       const ClassifyOptions& options);
 
@@ -100,7 +101,11 @@ class ResultStore {
   const std::string& directory() const { return directory_; }
 
   /// Loads every `*.lcls` shard in the directory (creating the directory
-  /// if missing). Safe to call on an empty or half-corrupted store.
+  /// if missing). Safe to call on an empty or half-corrupted store. A
+  /// shard file of this layout written in an older format version is
+  /// marked for rewrite, so the next commit() replaces it in the current
+  /// format (its records are re-derived by whoever re-classifies them;
+  /// cache keys changed with the format, so they may land elsewhere).
   LoadReport load();
 
   /// Stages a record under its cache key. A success overwrites anything;

@@ -280,35 +280,6 @@ TEST(MonoidCache, BudgetOverflowIsNotCachedAndHitsRespectBudget) {
   EXPECT_THROW(classify(big, tight), std::runtime_error);
 }
 
-// A shared BatchCache must not serve one certificate mode's outcome to a
-// caller that asked for the other backend: the complexity class agrees,
-// but the certificate representation (lazy MBs vs dense GBs on lifted
-// problems) is exactly what the caller chose.
-TEST(Batch, CacheDoesNotServeAcrossCertificateModes) {
-  const std::vector<PairwiseProblem> problems = {catalog::coloring(3)};
-  BatchCache cache;
-  BatchOptions dense_options;
-  dense_options.cache = &cache;
-  dense_options.classify.certificate_mode = CertificateMode::kDense;
-  const auto dense = classify_batch(problems, dense_options);
-  BatchOptions lazy_options;
-  lazy_options.cache = &cache;
-  lazy_options.classify.certificate_mode = CertificateMode::kLazy;
-  const auto lazy = classify_batch(problems, lazy_options);
-  ASSERT_TRUE(dense[0].ok());
-  ASSERT_TRUE(lazy[0].ok());
-  EXPECT_FALSE(lazy[0].from_cache) << "lazy batch must not reuse the dense outcome";
-  EXPECT_EQ(dense[0].classified().linear_certificate().backend(),
-            CertificateBackend::kDense);
-  EXPECT_EQ(lazy[0].classified().linear_certificate().backend(),
-            CertificateBackend::kLazy);
-  // The same mode does hit its own earlier outcome.
-  const auto again = classify_batch(problems, lazy_options);
-  EXPECT_TRUE(again[0].from_cache);
-  EXPECT_EQ(again[0].classified().linear_certificate().backend(),
-            CertificateBackend::kLazy);
-}
-
 // ISSUE 5: the lazy certificate's memoized value_at is the hot lookup of
 // every synthesized log* algorithm a batch outcome hands out, and batch
 // consumers share one outcome (dedup, BatchCache) across worker threads.
@@ -319,19 +290,14 @@ TEST(Batch, CacheDoesNotServeAcrossCertificateModes) {
 TEST(Batch, LazyCertificateLookupsAreThreadSafeUnderThePool) {
   const PairwiseProblem lifted =
       hardness::lift_to_undirected(catalog::coloring(3, Topology::kDirectedPath));
-  ClassifyOptions options;
-  options.certificate_mode = CertificateMode::kLazy;
-  const ClassifiedProblem result = classify(lifted, options);
+  const ClassifiedProblem result = classify(lifted);
   ASSERT_TRUE(result.linear_certificate().feasible);
-  ASSERT_EQ(result.linear_certificate().backend(), CertificateBackend::kLazy);
   const LinearGapCertificate& cert = result.linear_certificate();
 
   // A deterministic sample of domain points (spread across the context
   // layers and inputs) and their expected values, resolved serially first.
   const Monoid& monoid = result.monoid();
-  std::vector<std::size_t> contexts = monoid.layer_at(cert.ell_ctx);
-  const std::vector<std::size_t> next = monoid.layer_at(cert.ell_ctx + 1);
-  contexts.insert(contexts.end(), next.begin(), next.end());
+  const std::vector<std::size_t> contexts = linear_gap_contexts(monoid).elements;
   ASSERT_FALSE(contexts.empty());
   const Label alpha = static_cast<Label>(lifted.num_inputs());
   std::vector<BlockPoint> sample;
@@ -344,7 +310,7 @@ TEST(Batch, LazyCertificateLookupsAreThreadSafeUnderThePool) {
   }
   // Fresh, un-memoized certificate for the concurrent pass, so the racing
   // threads also exercise first-resolution inserts, not only memo hits.
-  const ClassifiedProblem fresh = classify(lifted, options);
+  const ClassifiedProblem fresh = classify(lifted);
   const LinearGapCertificate& shared = fresh.linear_certificate();
   std::vector<BlockValue> expected;
   for (const BlockPoint& p : sample) expected.push_back(cert.value_at(p));

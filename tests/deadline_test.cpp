@@ -1,13 +1,15 @@
 // Deadline-aware classification: the cooperative cancellation runtime
 // (core/cancel.hpp) end to end through classify_batch.
 //
-// The acceptance scenario: one pathological problem (the undirected lift
-// of shift-input, decided by the pairwise engine — minutes of work
-// unbounded) rides in a batch with fast siblings under a per-problem
-// deadline. The pathological slot must time out promptly with a
-// structured kTimeout error, the siblings must classify bit-identically
-// to a deadline-free run, and no cache may retain anything from the
-// timed-out problem.
+// The acceptance scenario: one pathological problem (the Lemma 3 binary
+// normalization of 3-coloring on a directed path: beta' = 192, a monoid
+// of 1575 elements built in ~0.1 s, then a linear-gap search that does
+// not finish within 20 s in Release) rides in a batch with fast siblings
+// under a per-problem deadline. The pathological slot must time out
+// promptly with a structured kTimeout error, the siblings must classify
+// bit-identically to a deadline-free run, and no cache may retain anything
+// from the timed-out problem. The point-pair oracle under tests/ keeps its
+// own checkpoints, pinned here by calling it directly with a budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +20,13 @@
 #include "automata/monoid.hpp"
 #include "core/cancel.hpp"
 #include "decide/batch.hpp"
+#include "decide/const_gap.hpp"
 #include "hardness/study.hpp"
 #include "hardness/undirected.hpp"
 #include "lcl/catalog.hpp"
+#include "lcl/normalize.hpp"
 #include "lcl/serialize.hpp"
+#include "linear_gap_oracle.hpp"
 
 namespace lclpath {
 namespace {
@@ -29,11 +34,17 @@ namespace {
 // Wall-clock bound for "timed out promptly". The strict 2x-deadline gate
 // runs in Release CI (lclpath_cli deadline-suite); under sanitizers every
 // clock inflates, so the unit test only pins the order of magnitude
-// against the minutes-long unbounded runtime.
+// against the unbounded runtime.
 constexpr auto kPromptBound = std::chrono::milliseconds(20000);
 
 PairwiseProblem pathological_problem() {
-  return hardness::lift_to_undirected(catalog::shift_input());
+  return normalize_binary(catalog::coloring(3, Topology::kDirectedPath)).problem;
+}
+
+std::int64_t elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 std::vector<PairwiseProblem> sibling_problems() {
@@ -126,17 +137,57 @@ TEST(Deadline, ClassifyThrowsCancelledErrorOnDeadline) {
 
 // A cancelled classify must leave the shared MonoidCache without the
 // aborted problem's skeleton (a half-used monoid must not be published by
-// a run that failed).
+// a run that failed). The deadline is calibrated to a few monoid
+// enumerations, so it trips in the decider, after the monoid was cached.
 TEST(Deadline, TimedOutClassifyLeavesMonoidCacheClean) {
+  const PairwiseProblem problem = pathological_problem();
+  const auto enumerate_start = std::chrono::steady_clock::now();
+  (void)Monoid::enumerate(TransitionSystem::build(problem));
+  const std::int64_t enumerate_ms = elapsed_ms(enumerate_start);
+
   MonoidCache monoids;
   ExecutionBudget budget;
-  budget.set_timeout(std::chrono::milliseconds(50));
+  budget.set_timeout(std::chrono::milliseconds(std::max<std::int64_t>(50, 4 * enumerate_ms)));
   ClassifyOptions options;
   options.budget = &budget;
   options.monoid_cache = &monoids;
-  options.linear_engine = LinearGapEngine::kPairwise;
-  EXPECT_THROW(classify(pathological_problem(), options), CancelledError);
+  EXPECT_THROW(classify(problem, options), CancelledError);
   EXPECT_EQ(monoids.size(), 0u);
+}
+
+// The const-gap decider's per-element loops each do dense matrix powers or
+// O(|monoid|) vector products, so they must read the clock every
+// iteration: on the Lemma 3 normalization of 2-coloring (monoid 1601,
+// beta' = 160; the full decision takes ~13 s in Release) an amortized
+// checkpoint, one clock read per 4096 ticks, lets a 100 ms deadline run
+// for all 13 s.
+TEST(Deadline, ConstGapDeciderStopsPromptlyOnWideOutputs) {
+  const Monoid monoid = Monoid::enumerate(TransitionSystem::build(
+      normalize_binary(catalog::two_coloring(Topology::kDirectedPath)).problem));
+  ExecutionBudget budget;
+  budget.set_timeout(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)decide_const_gap(monoid, &budget), CancelledError);
+  EXPECT_LT(elapsed_ms(start), 2000);
+}
+
+// The oracle's own loops are checkpointed too: on the undirected lift of
+// 3-coloring (~1.8 * 10^5 points, quadratic work the oracle never
+// finishes) a short deadline interrupts it promptly.
+TEST(Deadline, PairwiseOracleHonorsItsBudget) {
+  const PairwiseProblem lifted =
+      hardness::lift_to_undirected(catalog::coloring(3, Topology::kDirectedPath));
+  const Monoid monoid = Monoid::enumerate(TransitionSystem::build(lifted));
+  ExecutionBudget budget;
+  budget.set_timeout(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)testing::decide_pairwise(monoid, &budget);
+    FAIL() << "expected CancelledError";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kPromptBound);
 }
 
 // The acceptance scenario.
@@ -149,21 +200,16 @@ TEST(Deadline, PathologicalProblemTimesOutWithoutDisturbingSiblings) {
   // Reference: the siblings classified with no deadline at all. Its wall
   // clock also calibrates the deadline — 100 ms in a Release build, but
   // sanitizer builds run ~10x slower and a fixed deadline would trip on
-  // the legitimate siblings; the pathological problem is minutes of work
-  // on any build, so a scaled deadline still times it out.
+  // the legitimate siblings; the pathological problem runs far past any
+  // such deadline on any build, so a scaled deadline still times it out.
   std::vector<PairwiseProblem> siblings = sibling_problems();
-  BatchOptions free_options;
-  free_options.classify.linear_engine = LinearGapEngine::kPairwise;
   const auto reference_start = std::chrono::steady_clock::now();
-  const auto reference = classify_batch(siblings, free_options);
-  const auto reference_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                std::chrono::steady_clock::now() - reference_start)
-                                .count();
+  const auto reference = classify_batch(siblings, BatchOptions{});
+  const std::int64_t reference_ms = elapsed_ms(reference_start);
   for (const auto& entry : reference) ASSERT_TRUE(entry.ok()) << entry.error();
 
   BatchCache cache;
   BatchOptions options;
-  options.classify.linear_engine = LinearGapEngine::kPairwise;
   options.problem_deadline_ms =
       std::max<std::uint64_t>(100, static_cast<std::uint64_t>(5 * reference_ms));
   options.cache = &cache;
@@ -191,7 +237,8 @@ TEST(Deadline, PathologicalProblemTimesOutWithoutDisturbingSiblings) {
   // The cache holds the siblings and nothing for the timed-out problem.
   EXPECT_EQ(cache.size(), siblings.size());
   const std::string key =
-      canonical_key(problems[pathological_at]) + "\nlinear-engine pairwise\ncertificate auto";
+      canonical_key(problems[pathological_at]) +
+      cache_identity_suffix(LinearGapEngine::kFactorized, CertificateMode::kAuto);
   EXPECT_EQ(cache.find(canonical_hash(key), key), nullptr);
 
   // The summary reports the timeout as a first-class observable.
@@ -212,7 +259,6 @@ TEST(Deadline, ExhaustedBatchDeadlineFailsQueuedEntriesAsTimeouts) {
   BatchOptions options;
   options.num_threads = 1;
   options.batch_deadline_ms = 50;
-  options.classify.linear_engine = LinearGapEngine::kPairwise;
   const auto batch = classify_batch(problems, options);
   ASSERT_EQ(batch.size(), problems.size());
   for (const auto& entry : batch) {
@@ -249,7 +295,6 @@ TEST(Deadline, ConcurrentCancellationFromSecondThread) {
   options.num_threads = 2;
   options.dedup = false;
   options.classify.budget = &budget;
-  options.classify.linear_engine = LinearGapEngine::kPairwise;
   std::thread canceller([&budget]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     budget.cancel();
@@ -272,13 +317,10 @@ TEST(Deadline, HardnessStudyReportsTimeouts) {
   const hardness::StudyResult result = hardness::classify_hardness(problems, options);
   ASSERT_EQ(result.entries.size(), 2u);
   EXPECT_TRUE(result.entries[1].ok()) << result.entries[1].error();
-  // The lifted pathological problem under the default (factorized) engine
-  // either finishes inside the deadline on a fast machine or times out;
-  // whichever happens, the census must agree with the entries.
-  const std::size_t expected_timeouts = result.entries[0].ok() ? 0u : 1u;
-  EXPECT_EQ(result.timeouts, expected_timeouts);
+  EXPECT_EQ(result.entries[0].error_kind(), BatchErrorKind::kTimeout);
+  EXPECT_EQ(result.timeouts, 1u);
   EXPECT_EQ(result.summary.by_error[static_cast<std::size_t>(BatchErrorKind::kTimeout)],
-            expected_timeouts);
+            1u);
 }
 
 TEST(BatchError, KindNamesAreStable) {

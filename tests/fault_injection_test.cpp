@@ -27,9 +27,9 @@ namespace lclpath {
 namespace {
 
 // Workloads chosen so the sweep crosses every instrumented loop family:
-// monoid BFS + factorized linear-gap (default engine), the pairwise
-// engine's domain/arc-consistency/backtracking loops, and const-gap /
-// feasibility via the cheap catalog problems.
+// monoid BFS, the factorized linear-gap search (feasible and infeasible,
+// directed and lifted undirected), and const-gap / feasibility via the
+// cheap catalog problems.
 std::vector<PairwiseProblem> sweep_problems() {
   return {catalog::coloring(3),
           catalog::agreement(),

@@ -1,39 +1,45 @@
-// Differential property tests for the two decide_linear_gap engines and
-// the two certificate backends (ISSUE 2 tentpole, extended by ISSUE 5):
-// the factorized aggregate search must agree with the legacy pair-wise
-// oracle on feasibility everywhere the oracle can run; the lazy
-// class-indexed certificate must agree with the dense materialization
-// point by point (same domain order, same first-valid value — the
-// determinism contract); and every feasible certificate — from either
-// engine, on either backend — must satisfy the paper's gluing requirement
-// and drive the synthesized Theta(log* n) algorithm to verifier-accepted
-// outputs on random instances.
+// Differential property tests for decide_linear_gap against the
+// point-pair oracle in linear_gap_oracle.hpp: the factorized search must
+// agree with the oracle on feasibility everywhere the oracle can run, its
+// certificate must enumerate the oracle's domain in the same canonical
+// order, and the values its value_at serves must pass the oracle's own
+// pair check (every ordered point pair, every orientation combo). Feasible
+// certificates must also satisfy the gluing requirement in aggregate form
+// (which scales to the lifted domains) and drive the synthesized
+// Theta(log* n) algorithm to verifier-accepted outputs on random instances.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <stdexcept>
-#include <tuple>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "decide/classifier.hpp"
 #include "hardness/undirected.hpp"
 #include "lcl/serialize.hpp"
+#include "linear_gap_oracle.hpp"
 #include "test_util.hpp"
 
 namespace lclpath {
 namespace {
 
+using testing::BlockPointHash;
+using testing::check_pairwise;
+using testing::decide_pairwise;
+using testing::PairwiseSolution;
+
 Monoid monoid_of(const PairwiseProblem& problem) {
   return Monoid::enumerate(TransitionSystem::build(problem));
 }
 
-/// The pair-wise oracle is quadratic in domain points; keep it to domains
-/// where it answers in well under a second even in Debug builds.
+/// The oracle is quadratic in domain points; keep it to domains where it
+/// answers in well under a second even in Debug builds.
 constexpr std::size_t kOracleDomainLimit = 4096;
 
 /// The feasible function as explicit (point, value) rows in the canonical
-/// enumeration order — the common currency for cross-backend comparisons.
+/// enumeration order.
 std::vector<std::pair<BlockPoint, BlockValue>> collect(const LinearGapCertificate& cert) {
   std::vector<std::pair<BlockPoint, BlockValue>> rows;
   rows.reserve(cert.domain_size());
@@ -43,67 +49,14 @@ std::vector<std::pair<BlockPoint, BlockValue>> collect(const LinearGapCertificat
   return rows;
 }
 
-/// Checks the full paper requirement on a feasible certificate by brute
-/// force: every ordered pair of domain points (left role x right role),
-/// every orientation combo on undirected topologies. Quadratic — only for
-/// small domains.
-void expect_certificate_glues_pairwise(const Monoid& monoid,
-                                       const LinearGapCertificate& cert) {
-  ASSERT_TRUE(cert.feasible);
-  const TransitionSystem& ts = monoid.transitions();
-  const bool directed = is_directed(ts.problem().topology());
-  const auto rows = collect(cert);
-  const std::size_t n = rows.size();
-  ASSERT_EQ(n, cert.domain_size());
-
-  // Value of each point's reversal (identity for directed problems): the
-  // reversed point is itself a domain point, so value_at must serve it.
-  std::vector<BlockValue> rev_value(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rev_value[i] =
-        directed ? rows[i].second : cert.value_at(rows[i].first.reversed(monoid));
-  }
-
-  std::map<std::tuple<std::size_t, std::size_t, Label>, BitMatrix> glue;
-  auto glue_of = [&](std::size_t right_elem, std::size_t left_elem, Label s0) {
-    const auto key = std::tuple(right_elem, left_elem, s0);
-    auto it = glue.find(key);
-    if (it == glue.end()) {
-      it = glue.emplace(key, monoid.element(right_elem).fwd *
-                                 monoid.element(left_elem).fwd * ts.step(s0))
-               .first;
-    }
-    return &it->second;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const BlockPoint& p1 = rows[i].first;
-    if (p1.kind == BlockKind::kRightEnd) continue;  // no left role
-    const Label sym1_f = rows[i].second.b;
-    const Label sym1_r = rev_value[i].a;
-    for (std::size_t j = 0; j < n; ++j) {
-      const BlockPoint& p2 = rows[j].first;
-      if (p2.kind == BlockKind::kLeftEnd) continue;  // no right role
-      const Label sym2_f = rows[j].second.a;
-      const Label sym2_r = rev_value[j].b;
-      const BitMatrix* g = glue_of(p1.right, p2.left, p2.s0);
-      ASSERT_TRUE(g->get(sym1_f, sym2_f)) << "pair (" << i << ", " << j << ") F/F";
-      if (directed) continue;
-      ASSERT_TRUE(g->get(sym1_r, sym2_f)) << "pair (" << i << ", " << j << ") R/F";
-      ASSERT_TRUE(g->get(sym1_f, sym2_r)) << "pair (" << i << ", " << j << ") F/R";
-      ASSERT_TRUE(g->get(sym1_r, sym2_r)) << "pair (" << i << ", " << j << ") R/R";
-    }
-  }
-}
-
-/// Aggregate form of the same requirement, linear in domain points: the
+/// The gluing requirement in aggregate form, linear in domain points: the
 /// gluing constraint reads a pair only through (right context, presented
 /// b-side symbol) x (left context, s0, presented a-side symbol), so
 /// collecting the presented symbol sets per class and checking every cross
 /// combination against G = fwd * fwd * A(s0) covers every ordered point
 /// pair — including, on undirected topologies, the symbols routed through
 /// each point's reversal. Usable on the lifted domains (~10^5 points) the
-/// pair-wise oracle cannot touch.
+/// quadratic oracle cannot touch.
 void expect_certificate_glues_aggregate(const Monoid& monoid,
                                         const LinearGapCertificate& cert) {
   ASSERT_TRUE(cert.feasible);
@@ -144,55 +97,35 @@ void expect_certificate_glues_aggregate(const Monoid& monoid,
   }
 }
 
-/// The ISSUE 5 determinism contract: the lazy certificate enumerates the
-/// same domain in the same order as the dense one, resolves every point to
-/// the same value, and serves the same values through value_at.
-void expect_backends_agree_pointwise(const LinearGapCertificate& dense,
-                                     const LinearGapCertificate& lazy) {
-  ASSERT_EQ(dense.feasible, lazy.feasible);
-  if (!dense.feasible) return;
-  ASSERT_EQ(dense.backend(), CertificateBackend::kDense);
-  ASSERT_EQ(lazy.backend(), CertificateBackend::kLazy);
-  ASSERT_EQ(dense.ell_ctx, lazy.ell_ctx);
-  ASSERT_EQ(dense.domain_size(), lazy.domain_size());
-  const auto dense_rows = collect(dense);
-  const auto lazy_rows = collect(lazy);
-  ASSERT_TRUE(dense_rows == lazy_rows);
-  for (const auto& [point, value] : dense_rows) {
-    ASSERT_TRUE(lazy.contains(point));
-    ASSERT_TRUE(lazy.value_at(point) == value);
-  }
-}
-
-/// Runs both engines (and both factorized backends) on one monoid and
-/// cross-checks everything affordable.
+/// Runs the decider and the oracle on one monoid and cross-checks
+/// everything affordable.
 void run_differential(const PairwiseProblem& problem) {
   SCOPED_TRACE(problem.name() + " on " + to_string(problem.topology()));
   const Monoid monoid = monoid_of(problem);
-  const LinearGapCertificate fac =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kDense);
-  const LinearGapCertificate lazy =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kLazy);
-  const LinearGapCertificate pair = decide_linear_gap(monoid, LinearGapEngine::kPairwise);
-  ASSERT_EQ(fac.feasible, pair.feasible);
-  expect_backends_agree_pointwise(fac, lazy);
-  if (!fac.feasible) return;
-  // Same domain, same order — the certificate layout contract (the
-  // engines' chosen values may differ; the backends' may not).
-  ASSERT_EQ(fac.ell_ctx, pair.ell_ctx);
-  const auto fac_rows = collect(fac);
-  const auto pair_rows = collect(pair);
-  ASSERT_EQ(fac_rows.size(), pair_rows.size());
-  for (std::size_t i = 0; i < fac_rows.size(); ++i) {
-    ASSERT_TRUE(fac_rows[i].first == pair_rows[i].first) << "domain order at " << i;
+  const LinearGapCertificate cert = decide_linear_gap(monoid);
+  const PairwiseSolution oracle = decide_pairwise(monoid);
+  ASSERT_EQ(cert.feasible, oracle.feasible);
+  if (!cert.feasible) return;
+  // Same domain, same order — the certificate layout contract (the chosen
+  // values may differ between the two searches).
+  ASSERT_EQ(cert.ell_ctx, oracle.ell_ctx);
+  const auto rows = collect(cert);
+  ASSERT_EQ(rows.size(), cert.domain_size());
+  ASSERT_EQ(rows.size(), oracle.domain.size());
+  std::vector<BlockValue> served;
+  served.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rows[i].first == oracle.domain[i]) << "domain order at " << i;
+    ASSERT_TRUE(cert.contains(rows[i].first));
+    served.push_back(cert.value_at(rows[i].first));
+    ASSERT_TRUE(served.back() == rows[i].second) << "value_at disagrees at " << i;
   }
-  expect_certificate_glues_aggregate(monoid, fac);
-  expect_certificate_glues_aggregate(monoid, pair);
-  if (fac.domain_size() <= kOracleDomainLimit) {
-    expect_certificate_glues_pairwise(monoid, fac);
-    expect_certificate_glues_pairwise(monoid, lazy);
-    expect_certificate_glues_pairwise(monoid, pair);
-  }
+  expect_certificate_glues_aggregate(monoid, cert);
+  if (rows.size() > kOracleDomainLimit) return;
+  const auto oracle_violation = check_pairwise(monoid, oracle.domain, oracle.choice);
+  EXPECT_FALSE(oracle_violation.has_value()) << "oracle: " << oracle_violation.value_or("");
+  const auto violation = check_pairwise(monoid, oracle.domain, served);
+  EXPECT_FALSE(violation.has_value()) << "certificate: " << violation.value_or("");
 }
 
 TEST(LinearGapDiff, EnginesAgreeOnEveryCatalogProblem) {
@@ -201,12 +134,10 @@ TEST(LinearGapDiff, EnginesAgreeOnEveryCatalogProblem) {
   }
 }
 
-// The Section 3.7 undirected lifts — the domains the pair-wise oracle
-// cannot search (the smallest is ~6 * 10^4 points, and the oracle is
-// quadratic in them), which is why the factorized certificates are instead
-// validated against the gluing requirement in aggregate form. These
-// domains are past the kAuto dense limit, so this also pins that the
-// default certificate on lifted problems is the lazy backend.
+// The Section 3.7 undirected lifts — the domains the oracle cannot search
+// (the smallest is ~6 * 10^4 points, and the oracle is quadratic in them),
+// which is why the certificates are instead validated against the gluing
+// requirement in aggregate form.
 TEST(LinearGapDiff, FactorizedCertificatesGlueOnUndirectedLifts) {
   const PairwiseProblem sources[] = {
       catalog::coloring(3, Topology::kDirectedPath),
@@ -223,90 +154,100 @@ TEST(LinearGapDiff, FactorizedCertificatesGlueOnUndirectedLifts) {
     // 2-coloring stays linear under the lift; the rest become feasible.
     ASSERT_EQ(cert.feasible, source.name() != "2-coloring");
     if (!cert.feasible) continue;
-    // kAuto picks the backend by domain size; the path lifts (~1.8 * 10^5
-    // points) land on the lazy side of the limit.
-    EXPECT_EQ(cert.backend(), linear_gap_domain_size(monoid) > kCertificateAutoDenseLimit
-                                  ? CertificateBackend::kLazy
-                                  : CertificateBackend::kDense);
     expect_certificate_glues_aggregate(monoid, cert);
   }
 }
 
-// A lazy certificate on a lifted domain must agree with the dense
-// materialization of the same class solution — the full pointwise sweep
-// over a ~10^5-point lifted domain (cheap: the dense side is one
-// enumeration, the lazy side memoized class lookups).
-TEST(LinearGapDiff, LazyAgreesWithDenseOnLiftedColoringPath) {
-  const PairwiseProblem lifted =
-      hardness::lift_to_undirected(catalog::coloring(3, Topology::kDirectedPath));
-  const Monoid monoid = monoid_of(lifted);
-  const LinearGapCertificate dense =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kDense);
-  const LinearGapCertificate lazy =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kLazy);
-  expect_backends_agree_pointwise(dense, lazy);
-}
-
 // Reversed-point lookups on undirected topologies: for every domain point
-// p, rho(p) is a domain point too, and both backends must resolve it to
-// the same value (the undirected synthesis strategies look blocks up
-// through exactly this reversal).
-TEST(LinearGapDiff, ReversedPointLookupsAgreeBetweenBackends) {
+// p, its reversal is a domain point too, and value_at must serve it the
+// value the canonical enumeration lists for it (the undirected synthesis
+// strategies look blocks up through exactly this reversal).
+TEST(LinearGapDiff, ReversedPointsResolveOnUndirectedLifts) {
   const PairwiseProblem lifted =
       hardness::lift_to_undirected(catalog::constant_output(Topology::kDirectedPath));
   const Monoid monoid = monoid_of(lifted);
-  const LinearGapCertificate dense =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kDense);
-  const LinearGapCertificate lazy =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kLazy);
-  ASSERT_TRUE(dense.feasible);
-  dense.for_each_point([&](const BlockPoint& point, const BlockValue&) {
+  const LinearGapCertificate cert = decide_linear_gap(monoid);
+  ASSERT_TRUE(cert.feasible);
+  std::unordered_map<BlockPoint, BlockValue, BlockPointHash> listed;
+  for (const auto& [point, value] : collect(cert)) listed.emplace(point, value);
+  ASSERT_EQ(listed.size(), cert.domain_size());
+  for (const auto& [point, value] : listed) {
     const BlockPoint rev = point.reversed(monoid);
-    ASSERT_TRUE(dense.contains(rev));
-    ASSERT_TRUE(lazy.contains(rev));
-    ASSERT_TRUE(dense.value_at(rev) == lazy.value_at(rev));
-  });
+    ASSERT_TRUE(cert.contains(rev));
+    const auto it = listed.find(rev);
+    ASSERT_NE(it, listed.end());
+    ASSERT_TRUE(cert.value_at(rev) == it->second);
+  }
 }
 
-// Out-of-domain lookups indicate a synthesis bug; both backends must
-// reject them with the identical std::logic_error message.
-TEST(LinearGapDiff, ValueAtUnknownPointThrowsSameMessageOnBothBackends) {
+// Out-of-domain lookups indicate a synthesis bug; value_at rejects them
+// with a std::logic_error naming the contract.
+TEST(LinearGapDiff, ValueAtUnknownPointThrowsLogicError) {
   const Monoid monoid = monoid_of(catalog::coloring(3));
-  const LinearGapCertificate dense =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kDense);
-  const LinearGapCertificate lazy =
-      decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kLazy);
-  ASSERT_TRUE(dense.feasible);
-  ASSERT_TRUE(lazy.feasible);
+  const LinearGapCertificate cert = decide_linear_gap(monoid);
+  ASSERT_TRUE(cert.feasible);
   const BlockPoint bad_element{BlockKind::kInterior, monoid.size() + 7, 0, 0, 0};
   const BlockPoint bad_input{BlockKind::kInterior, 0, 99, 0, 0};
   // Cycles have no end-block points at all.
   const BlockPoint bad_kind{BlockKind::kLeftEnd, 0, 0, 0, 0};
   for (const BlockPoint& bad : {bad_element, bad_input, bad_kind}) {
-    EXPECT_FALSE(dense.contains(bad));
-    EXPECT_FALSE(lazy.contains(bad));
-    std::string dense_message;
-    std::string lazy_message;
+    EXPECT_FALSE(cert.contains(bad));
     try {
-      dense.value_at(bad);
-      FAIL() << "dense value_at accepted an out-of-domain point";
+      cert.value_at(bad);
+      FAIL() << "value_at accepted an out-of-domain point";
     } catch (const std::logic_error& e) {
-      dense_message = e.what();
+      EXPECT_STREQ(e.what(), "LinearGapCertificate::value_at: point not in domain");
     }
-    try {
-      lazy.value_at(bad);
-      FAIL() << "lazy value_at accepted an out-of-domain point";
-    } catch (const std::logic_error& e) {
-      lazy_message = e.what();
-    }
-    EXPECT_EQ(dense_message, lazy_message);
-    EXPECT_EQ(dense_message, "LinearGapCertificate::value_at: point not in domain");
   }
+  // An infeasible certificate has an empty domain.
+  const LinearGapCertificate none =
+      decide_linear_gap(monoid_of(catalog::two_coloring(Topology::kDirectedPath)));
+  ASSERT_FALSE(none.feasible);
+  EXPECT_EQ(none.domain_size(), 0u);
+  EXPECT_FALSE(none.contains(BlockPoint{}));
+  EXPECT_THROW(none.value_at(BlockPoint{}), std::logic_error);
+}
+
+// The oracle's checks can fail. On a problem whose blocks must all agree
+// on one output, switching one block to the other output breaks the
+// gluing, and a value the edge relation forbids breaks the candidate
+// filter.
+TEST(LinearGapDiff, OracleCheckRejectsBrokenAssignments) {
+  Alphabet inputs, outputs;
+  inputs.add("i0");
+  inputs.add("i1");
+  outputs.add("x");
+  outputs.add("y");
+  PairwiseProblem agree("agree", inputs, outputs, Topology::kDirectedCycle);
+  for (Label i = 0; i < 2; ++i) {
+    agree.allow_node(i, 0);
+    agree.allow_node(i, 1);
+  }
+  agree.allow_edge(0, 0);
+  agree.allow_edge(1, 1);
+  const Monoid monoid = monoid_of(agree);
+  const PairwiseSolution oracle = decide_pairwise(monoid);
+  ASSERT_TRUE(oracle.feasible);
+  ASSERT_GE(oracle.domain.size(), 2u);
+  ASSERT_FALSE(check_pairwise(monoid, oracle.domain, oracle.choice).has_value());
+
+  std::vector<BlockValue> switched = oracle.choice;
+  const Label other = switched[0].a == 0 ? 1 : 0;
+  switched[0] = BlockValue{other, other};
+  const auto glue = check_pairwise(monoid, oracle.domain, switched);
+  ASSERT_TRUE(glue.has_value());
+  EXPECT_NE(glue->find("F/F"), std::string::npos) << *glue;
+
+  std::vector<BlockValue> forbidden = oracle.choice;
+  forbidden[0] = BlockValue{0, 1};
+  const auto local = check_pairwise(monoid, oracle.domain, forbidden);
+  ASSERT_TRUE(local.has_value());
+  EXPECT_NE(local->find("candidate filter"), std::string::npos) << *local;
 }
 
 // Random orientation-symmetric problems: the property-test sweep. Small
-// alphabets keep the pair-wise oracle affordable, so both engines run and
-// must agree everywhere, with both certificates passing the full
+// alphabets keep the oracle affordable, so both searches run and must
+// agree everywhere, with both assignments passing the oracle's full
 // quadratic pair check.
 TEST(LinearGapDiff, EnginesAgreeOnRandomProblems) {
   Rng rng(271828);
@@ -350,44 +291,22 @@ TEST(LinearGapDiff, EnginesAgreeOnRandomProblems) {
 }
 
 // "Certificates the verifier accepts": classify log*-class catalog
-// problems with each engine/backend combination and simulate the
-// synthesized algorithm built from that certificate on random instances —
-// in particular, SynthesizedLogStar must run off a *lazy* certificate.
-TEST(LinearGapDiff, AllCertificateConfigurationsDriveSynthesizedLogStar) {
-  struct Config {
-    LinearGapEngine engine;
-    CertificateMode mode;
-    const char* tag;
-  };
-  const Config configs[] = {
-      {LinearGapEngine::kFactorized, CertificateMode::kDense, " [factorized/dense]"},
-      {LinearGapEngine::kFactorized, CertificateMode::kLazy, " [factorized/lazy]"},
-      {LinearGapEngine::kPairwise, CertificateMode::kAuto, " [pairwise]"},
-  };
+// problems and simulate the synthesized algorithm built from the
+// certificate on random instances.
+TEST(LinearGapDiff, CertificatesDriveSynthesizedLogStar) {
   Rng rng(314159);
-  for (const Config& config : configs) {
-    for (PairwiseProblem problem :
-         {catalog::coloring(3), catalog::maximal_independent_set(),
-          catalog::input_gated_coloring()}) {
-      SCOPED_TRACE(problem.name() + config.tag);
-      ClassifyOptions options;
-      options.linear_engine = config.engine;
-      options.certificate_mode = config.mode;
-      const ClassifiedProblem result = classify(problem, options);
-      ASSERT_EQ(result.complexity(), ComplexityClass::kLogStar) << result.summary();
-      if (config.engine == LinearGapEngine::kFactorized) {
-        ASSERT_EQ(result.linear_certificate().backend(),
-                  config.mode == CertificateMode::kLazy ? CertificateBackend::kLazy
-                                                        : CertificateBackend::kDense);
-      }
-      const auto algorithm = result.synthesize();
-      const std::size_t r = algorithm->radius(1 << 20);
-      for (const std::size_t n : {2 * r + 5, 2 * r + 38}) {
-        Instance instance =
-            random_instance(problem.topology(), n, problem.num_inputs(), rng);
-        const auto sim = simulate(*algorithm, problem, instance);
-        EXPECT_TRUE(sim.verdict.ok) << "n=" << n << ": " << sim.verdict.reason;
-      }
+  for (PairwiseProblem problem :
+       {catalog::coloring(3), catalog::maximal_independent_set(),
+        catalog::input_gated_coloring()}) {
+    SCOPED_TRACE(problem.name());
+    const ClassifiedProblem result = classify(problem);
+    ASSERT_EQ(result.complexity(), ComplexityClass::kLogStar) << result.summary();
+    const auto algorithm = result.synthesize();
+    const std::size_t r = algorithm->radius(1 << 20);
+    for (const std::size_t n : {2 * r + 5, 2 * r + 38}) {
+      Instance instance = random_instance(problem.topology(), n, problem.num_inputs(), rng);
+      const auto sim = simulate(*algorithm, problem, instance);
+      EXPECT_TRUE(sim.verdict.ok) << "n=" << n << ": " << sim.verdict.reason;
     }
   }
 }

@@ -1,7 +1,8 @@
 // The chunked simulation engine's contract (simulator.hpp): for every
 // thread count and chunk size — including chunk_size >= n and chunk_size
-// < radius — simulate() is bit-identical to simulate_reference() (same
-// outputs, same verdict down to failed_at and reason, same exceptions),
+// < radius — simulate() is bit-identical to simulate_reference() below,
+// the plain serial loop (same outputs, same verdict down to failed_at and
+// reason, same exceptions),
 // the streaming chunk verifier agrees exactly with whole-word
 // verify_pairwise, the memoized full-view regime matches the per-node
 // gather baseline, and adversarial (bit-reversed) ID instances round-trip
@@ -25,6 +26,25 @@
 
 namespace lclpath {
 namespace {
+
+/// The serial oracle: per-node extract_view + run, then one whole-word
+/// verify_pairwise. It is also the only path that exercises extract_view
+/// itself for every node.
+SimulationResult simulate_reference(const LocalAlgorithm& algorithm,
+                                    const PairwiseProblem& problem,
+                                    const Instance& instance) {
+  instance.validate();
+  SimulationResult result;
+  const std::size_t n = instance.size();
+  result.radius = algorithm.radius(n);
+  result.outputs.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const View view = extract_view(instance, v, result.radius);
+    result.outputs.push_back(algorithm.run(view));
+  }
+  result.verdict = verify_pairwise(problem, instance.inputs, result.outputs);
+  return result;
+}
 
 constexpr Topology kAllTopologies[] = {
     Topology::kDirectedPath, Topology::kDirectedCycle, Topology::kUndirectedPath,
@@ -211,11 +231,9 @@ TEST(SimulationEngine, ReportsPlanAndAutoScalesDown) {
 // ------------------------------------------------------------------------
 
 void ExpectSynthesizedChunkedMatches(const PairwiseProblem& problem,
-                                     CertificateMode mode, std::uint64_t seed) {
+                                     std::uint64_t seed) {
   Rng rng(seed);
-  ClassifyOptions classify_options;
-  classify_options.certificate_mode = mode;
-  const ClassifiedProblem result = classify(problem, classify_options);
+  const ClassifiedProblem result = classify(problem);
   ASSERT_EQ(result.complexity(), ComplexityClass::kLogStar) << result.summary();
   const auto algorithm = result.synthesize();
   const std::size_t r = algorithm->radius(1 << 20);
@@ -235,23 +253,19 @@ void ExpectSynthesizedChunkedMatches(const PairwiseProblem& problem,
 }
 
 TEST(SimulationEngine, SynthesizedBitIdenticalDirectedPath) {
-  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kDirectedPath),
-                                  CertificateMode::kAuto, 11);
+  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kDirectedPath), 11);
 }
 
 TEST(SimulationEngine, SynthesizedBitIdenticalUndirectedPath) {
-  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kUndirectedPath),
-                                  CertificateMode::kAuto, 12);
+  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kUndirectedPath), 12);
 }
 
 TEST(SimulationEngine, SharedLazyCertificateHammerDirectedCycle) {
-  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kDirectedCycle),
-                                  CertificateMode::kLazy, 13);
+  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kDirectedCycle), 13);
 }
 
 TEST(SimulationEngine, SharedLazyCertificateHammerUndirectedCycle) {
-  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kUndirectedCycle),
-                                  CertificateMode::kLazy, 14);
+  ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kUndirectedCycle), 14);
 }
 
 // ------------------------------------------------------------------------

@@ -26,12 +26,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fault_injection.hpp"
@@ -81,13 +83,9 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-StoreRecord classified_record(PairwiseProblem problem, ComplexityClass c,
-                              LinearGapEngine engine = LinearGapEngine::kFactorized,
-                              CertificateMode mode = CertificateMode::kAuto) {
+StoreRecord classified_record(PairwiseProblem problem, ComplexityClass c) {
   StoreRecord record;
   record.problem = std::move(problem);
-  record.engine = engine;
-  record.mode = mode;
   record.classified = c;
   return record;
 }
@@ -123,10 +121,8 @@ PairwiseProblem synthetic_problem(std::size_t index) {
 TEST(Store, ShardRoundTripClassifications) {
   std::vector<StoreRecord> records;
   records.push_back(classified_record(catalog::coloring(3), ComplexityClass::kLogStar));
-  records.push_back(classified_record(catalog::constant_output(),
-                                      ComplexityClass::kConstant,
-                                      LinearGapEngine::kPairwise,
-                                      CertificateMode::kDense));
+  records.push_back(
+      classified_record(catalog::constant_output(), ComplexityClass::kConstant));
   records.push_back(
       classified_record(catalog::two_coloring(), ComplexityClass::kUnsolvable));
 
@@ -139,8 +135,6 @@ TEST(Store, ShardRoundTripClassifications) {
     EXPECT_EQ(loaded.records[i].cache_key(), records[i].cache_key()) << i;
     ASSERT_TRUE(loaded.records[i].ok()) << i;
     EXPECT_EQ(*loaded.records[i].classified, *records[i].classified) << i;
-    EXPECT_EQ(loaded.records[i].engine, records[i].engine) << i;
-    EXPECT_EQ(loaded.records[i].mode, records[i].mode) << i;
   }
 }
 
@@ -183,13 +177,22 @@ TEST(Store, ShardFlattensMultiLineMessages) {
 }
 
 TEST(Store, CacheKeyMatchesBatchIdentity) {
-  const StoreRecord record = classified_record(
-      catalog::coloring(3), ComplexityClass::kLogStar, LinearGapEngine::kPairwise,
-      CertificateMode::kLazy);
+  const StoreRecord record =
+      classified_record(catalog::coloring(3), ComplexityClass::kLogStar);
   EXPECT_EQ(record.cache_key(),
             canonical_key(record.problem) +
-                cache_identity_suffix(LinearGapEngine::kPairwise,
-                                      CertificateMode::kLazy));
+                cache_identity_suffix(LinearGapEngine::kFactorized,
+                                      CertificateMode::kAuto));
+  // A batch keyed through the same identity is served the stored record.
+  ResultStore store("unused-dir", {1});
+  store.put(record);
+  BatchCache cache;
+  ASSERT_EQ(store.warm_start(cache), 1u);
+  BatchOptions options;
+  options.cache = &cache;
+  const auto entries = classify_batch(std::vector<PairwiseProblem>{record.problem}, options);
+  ASSERT_TRUE(entries[0].ok());
+  EXPECT_TRUE(entries[0].from_cache);
 }
 
 TEST(Store, DecodeRejectsTruncatedTail) {
@@ -221,8 +224,9 @@ TEST(Store, DecodeRejectsBitFlips) {
 TEST(Store, DecodeRejectsUnknownVersion) {
   std::string bytes = encode_shard(
       {classified_record(catalog::coloring(3), ComplexityClass::kLogStar)});
-  ASSERT_EQ(bytes.rfind("lclshard 1 ", 0), 0u);
-  bytes.replace(0, std::string("lclshard 1").size(), "lclshard 99");
+  const std::string current = "lclshard " + std::to_string(kShardFormatVersion);
+  ASSERT_EQ(bytes.rfind(current + " ", 0), 0u);
+  bytes.replace(0, current.size(), "lclshard 99");
   const ShardLoadResult loaded = decode_shard(bytes);
   EXPECT_FALSE(loaded.ok);
   EXPECT_NE(loaded.error.find("version"), std::string::npos) << loaded.error;
@@ -345,8 +349,6 @@ TEST(Store, RecordOfCapturesOutcomeAndConfiguration) {
   const PairwiseProblem problem = catalog::coloring(3);
   BatchOptions options;
   options.num_threads = 1;
-  options.classify.linear_engine = LinearGapEngine::kFactorized;
-  options.classify.certificate_mode = CertificateMode::kLazy;
   const std::vector<BatchEntry> entries =
       classify_batch(std::span<const PairwiseProblem>(&problem, 1), options);
   ASSERT_EQ(entries.size(), 1u);
@@ -354,7 +356,10 @@ TEST(Store, RecordOfCapturesOutcomeAndConfiguration) {
   const StoreRecord record = record_of(problem, entries[0], options.classify);
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(*record.classified, ComplexityClass::kLogStar);
-  EXPECT_EQ(record.mode, CertificateMode::kLazy);
+  // The one decider configuration is the record's identity suffix.
+  EXPECT_EQ(record.cache_key(),
+            canonical_key(problem) + cache_identity_suffix(LinearGapEngine::kFactorized,
+                                                           CertificateMode::kAuto));
 
   // A failed entry persists as an observation.
   BatchEntry failed;
@@ -364,6 +369,115 @@ TEST(Store, RecordOfCapturesOutcomeAndConfiguration) {
   const StoreRecord observed = record_of(problem, failed, options.classify);
   EXPECT_FALSE(observed.ok());
   EXPECT_EQ(observed.observation->kind, BatchErrorKind::kTimeout);
+}
+
+// A shard in format version 1, which named the linear-gap engine and the
+// certificate mode on every record line: (class word, problem) per record.
+void write_version_one_shard(
+    const std::string& path,
+    const std::vector<std::pair<std::string, PairwiseProblem>>& records) {
+  std::ostringstream payload;
+  for (const auto& [class_word, problem] : records) {
+    payload << "record factorized auto class " << class_word << "\n";
+    serialize(problem, payload);
+  }
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(canonical_hash(payload.str())));
+  write_file(path, "lclshard 1 " + std::to_string(records.size()) + " " + checksum +
+                       "\n" + payload.str());
+}
+
+// A store written before the shard format bump. A version-1 shard takes
+// the corruption path (dirty, flagged by fsck, re-derived), version-2
+// shards beside it keep warm-starting, and the next commit rewrites the
+// dirty shard in the current format.
+TEST(Store, VersionOneShardLoadsDirtyAndIsRewrittenAsVersionTwo) {
+  ScopedDir dir("v1_upgrade");
+  const std::vector<PairwiseProblem> problems = {
+      catalog::coloring(3), catalog::constant_output(),  // in the v1 shard
+      catalog::maximal_independent_set(), catalog::always_accept()};  // in the v2 shard
+
+  write_version_one_shard(dir.path() + "/shard-0000.lcls",
+                          {{"log-star", problems[0]}, {"constant", problems[1]}});
+  write_file(dir.path() + "/shard-0001.lcls",
+             encode_shard({classified_record(problems[2], ComplexityClass::kLogStar),
+                           classified_record(problems[3], ComplexityClass::kConstant)}));
+
+  ResultStore store(dir.path(), {1});
+  const LoadReport report = store.load();
+  EXPECT_EQ(report.shards_seen, 2u);
+  EXPECT_EQ(report.shards_ok, 1u);
+  ASSERT_EQ(report.dirty.size(), 1u);
+  EXPECT_NE(report.dirty[0].find("shard-0000.lcls"), std::string::npos);
+  EXPECT_NE(report.dirty[0].find("version 1"), std::string::npos) << report.dirty[0];
+  const FsckReport before = fsck(dir.path());
+  EXPECT_FALSE(before.clean);
+  ASSERT_EQ(before.shards.size(), 2u);
+  EXPECT_FALSE(before.shards[0].ok);
+  EXPECT_EQ(before.shards[0].version, 1u);
+  EXPECT_TRUE(before.shards[1].ok);
+
+  // The v2 records warm-start; the v1 problems miss and classify fresh.
+  BatchCache cache;
+  ASSERT_EQ(store.warm_start(cache), 2u);
+  BatchOptions options;
+  options.cache = &cache;
+  const std::vector<BatchEntry> entries = classify_batch(problems, options);
+  ASSERT_EQ(entries.size(), problems.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_TRUE(entries[i].ok()) << i << ": " << entries[i].error();
+    EXPECT_EQ(entries[i].from_cache, i >= 2) << i;
+  }
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(entries[0].classified().complexity(), ComplexityClass::kLogStar);
+  EXPECT_EQ(entries[1].classified().complexity(), ComplexityClass::kConstant);
+
+  // The next commit rewrites the dirty shard as the current version.
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    store.put(record_of(problems[i], entries[i], options.classify));
+  }
+  EXPECT_EQ(store.commit(), 1u);
+  const ShardLoadResult rewritten = load_shard(dir.path() + "/shard-0000.lcls");
+  ASSERT_TRUE(rewritten.ok) << rewritten.error;
+  EXPECT_EQ(rewritten.version, kShardFormatVersion);
+  EXPECT_EQ(rewritten.records.size(), problems.size());
+  EXPECT_TRUE(fsck(dir.path()).clean);
+
+  ResultStore reloaded(dir.path(), {1});
+  EXPECT_TRUE(reloaded.load().dirty.empty());
+  EXPECT_EQ(reloaded.size(), problems.size());
+  for (const PairwiseProblem& problem : problems) {
+    const std::string key =
+        canonical_key(problem) +
+        cache_identity_suffix(LinearGapEngine::kFactorized, CertificateMode::kAuto);
+    EXPECT_NE(reloaded.find(key), nullptr) << problem.name();
+  }
+}
+
+// Keys changed with the format, so a version-1 shard of the layout may
+// receive no re-derived record at all; it is still rewritten by the next
+// commit instead of staying dirty forever. A shard from a *newer* format
+// is left alone.
+TEST(Store, OlderVersionShardIsRewrittenEvenWithoutRecords) {
+  ScopedDir dir("v1_stale");
+  write_version_one_shard(dir.path() + "/shard-0003.lcls",
+                          {{"log-star", catalog::coloring(3)}});
+  std::string newer = encode_shard({classified_record(catalog::constant_output(),
+                                                      ComplexityClass::kConstant)});
+  const std::string current = "lclshard " + std::to_string(kShardFormatVersion);
+  newer.replace(0, current.size(), "lclshard " + std::to_string(kShardFormatVersion + 1));
+  write_file(dir.path() + "/shard-0001.lcls", newer);
+
+  ResultStore store(dir.path(), {4});
+  EXPECT_EQ(store.load().dirty.size(), 2u);
+  EXPECT_EQ(store.commit(), 1u);
+  const ShardLoadResult rewritten = load_shard(dir.path() + "/shard-0003.lcls");
+  ASSERT_TRUE(rewritten.ok) << rewritten.error;
+  EXPECT_EQ(rewritten.version, kShardFormatVersion);
+  EXPECT_TRUE(rewritten.records.empty());
+  EXPECT_EQ(read_file(dir.path() + "/shard-0001.lcls"), newer);
 }
 
 // ----------------------------------------------------------- warm start
