@@ -1,11 +1,12 @@
 #include "decide/synthesized.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <map>
 #include <optional>
 #include <stdexcept>
 
 #include "local/decomposition.hpp"
+#include "local/partition.hpp"
 
 namespace lclpath {
 
@@ -462,9 +463,14 @@ SynthesizedConstant::SynthesizedConstant(const Monoid& monoid,
   radius_ = unary ? 2 * scale_ + 64 : 3 * domin_ + 6 * scale_ + 64;
   if (!strategy_.cycle()) radius_ += unary ? scale_ + 64 : 2 * scale_ + 64;
   if (!strategy_.directed()) {
-    // Runs must be long enough that each contains anchors (a periodic
-    // region or a pumpable chunk shows up in every D + O(L0) stretch), so
-    // consecutive anchors — also across flips — stay within the window.
+    // Runs must be long enough that each contains anchors, so consecutive
+    // anchors — also across flips — stay within the window. This sizing
+    // assumes a periodic region or a pumpable chunk shows up in every
+    // D + O(L0) stretch, i.e. that seeds are at most ~2D apart. The seeds
+    // are window maxima, which are independent but NOT dominating (see
+    // window_maxima in local/partition.hpp): consecutive seeds can be
+    // further apart, and README's Synthesis section records a measured
+    // directed-cycle instance where that leaves a window without anchors.
     orient_ell_ = domin_ + (unary ? 2 : 4) * scale_ + 64;
     radius_ += strategy_.orientation_margin(orient_ell_) + 2 * scale_ + 64;
   }
@@ -493,12 +499,11 @@ struct ConstAnalysis {
   std::size_t len;
   std::size_t p0, scale, domin;
 
-  /// Periodic-region claims: period[i] = claimed primitive period (0 if
-  /// none); run_begin/run_end[i] = maximal run extent (clipped at the
-  /// segment); run_margin[i] = the run's anchor margin, derived from the
-  /// pre-period of its own rotations' forward matrices.
-  std::vector<std::size_t> period, run_begin, run_end, run_margin;
-  /// anchored[i]: inside a claimed region, at least run_margin from both
+  /// Periodic-region claims per position (period 0 if none): the maximal
+  /// run extent (clipped at the segment) and the run's anchor margin,
+  /// derived from the pre-period of its own rotations' forward matrices.
+  std::vector<PeriodicRun> run;
+  /// anchored[i]: inside a claimed region, at least its margin from both
   /// visible run ends.
   std::vector<char> anchored;
   std::vector<Label> anchor_label;
@@ -571,129 +576,53 @@ struct ConstAnalysis {
   }
 
   void find_periodic_regions() {
-    period.assign(len, 0);
-    run_begin.assign(len, 0);
-    run_end.assign(len, 0);
-    run_margin.assign(len, 0);
-    for (std::size_t q = 1; q <= p0; ++q) {
-      std::size_t i = 0;
-      while (i + q < len) {
-        if (in[i] != in[i + q]) {
-          ++i;
-          continue;
-        }
-        // Maximal match run starting at i.
-        std::size_t j = i;
-        while (j + q < len && in[j] == in[j + q]) ++j;
-        const std::size_t begin = i;
-        const std::size_t end = j + q;  // exclusive: the periodic run
-        // Claim threshold and anchor margin from this run's own rotations:
-        // buffer_blocks = pre-period + 2 blocks on each side absorb into
-        // the certificate's verified powers, and the threshold leaves an
-        // anchored middle of >= 2 blocks beyond both margins.
-        if (end - begin >= 2 * q) {
-          const std::size_t a_run = run_preperiod(begin, q);
-          const std::size_t margin = (a_run + 3) * q;
-          const std::size_t threshold = 2 * margin + 2 * q;
-          if (end - begin >= threshold) {
-            for (std::size_t k = begin; k < end; ++k) {
-              if (period[k] == 0) {
-                period[k] = q;
-                run_begin[k] = begin;
-                run_end[k] = end;
-                run_margin[k] = margin;
-              }
-            }
-          }
-        }
-        i = j + 1;
-      }
-    }
+    // Claim threshold and anchor margin from each run's own rotations:
+    // buffer_blocks = pre-period + 2 blocks on each side absorb into the
+    // certificate's verified powers, and the threshold leaves an anchored
+    // middle of >= 2 blocks beyond both margins.
+    run = claim_periodic_runs(
+        in, p0, false,
+        [&](std::size_t q, std::size_t begin, std::size_t end) -> std::optional<std::size_t> {
+          if (end - begin < 2 * q) return std::nullopt;
+          const std::size_t margin = (run_preperiod(begin, q) + 3) * q;
+          if (end - begin < 2 * margin + 2 * q) return std::nullopt;
+          return margin;
+        });
   }
 
   void find_anchors() {
     anchored.assign(len, 0);
     anchor_label.assign(len, 0);
-    // Cache periodic labelings per canonical pattern.
-    std::unordered_map<std::size_t, Word> labeling_cache;  // hash of word -> labeling
-    std::unordered_map<std::size_t, Word> word_cache;
+    std::map<Word, Word> labelings;  // canonical pattern -> periodic labeling
     for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t q = period[i];
-      if (q == 0) continue;
-      const std::size_t margin = run_margin[i];
-      if (i < run_begin[i] + margin || i + margin >= run_end[i]) continue;
-      // Canonical rotation of the period and the phase of i within it.
-      Word rotation(in.begin() + static_cast<std::ptrdiff_t>(i),
-                    in.begin() + static_cast<std::ptrdiff_t>(i + q));
-      Word canon = rotation;
+      const PeriodicRun& r = run[i];
+      if (r.period == 0) continue;
+      if (i < r.begin + r.margin || i + r.margin >= r.end) continue;
+      // i sits at `phase` within the canonical rotation of its period.
       std::size_t phase = 0;
-      for (std::size_t s = 1; s < q; ++s) {
-        Word candidate;
-        candidate.reserve(q);
-        for (std::size_t k = 0; k < q; ++k) candidate.push_back(rotation[(s + k) % q]);
-        if (candidate < canon) {
-          canon = candidate;
-          phase = (q - s) % q;
-        }
-      }
-      // phase: index of i within canon. canon[k] = rotation[(s*+k) % q]
-      // where s* minimizes; i corresponds to rotation[0] = canon[phase].
-      std::size_t h = hash_mix(0xC0, q);
-      for (Label l : canon) h = hash_mix(h, l);
-      auto it = labeling_cache.find(h);
-      if (it == labeling_cache.end() || word_cache[h] != canon) {
-        labeling_cache[h] = periodic_labeling(canon);
-        word_cache[h] = canon;
-        it = labeling_cache.find(h);
-      }
+      const Word canon = canonical_rotation(
+          Word(in.begin() + static_cast<std::ptrdiff_t>(i),
+               in.begin() + static_cast<std::ptrdiff_t>(i + r.period)),
+          &phase);
+      auto it = labelings.find(canon);
+      if (it == labelings.end()) it = labelings.emplace(canon, periodic_labeling(canon)).first;
       anchored[i] = 1;
       anchor_label[i] = it->second[phase];
     }
   }
 
-  /// Lexicographic comparison of the length-scale windows at a and b.
-  int compare_windows(std::size_t a, std::size_t b) const {
-    for (std::size_t k = 0; k < scale; ++k) {
-      const Label x = in[a + k];
-      const Label y = in[b + k];
-      if (x != y) return x < y ? -1 : 1;
-    }
-    return 0;
-  }
-
   void find_seeds() {
-    seed.assign(len, 0);
     // Candidate positions: window fully inside the segment and fully
     // unclaimed (irregular zone).
     std::vector<char> candidate(len, 0);
-    {
-      std::size_t unclaimed_run = 0;
-      for (std::size_t i = 0; i < len; ++i) {
-        unclaimed_run = period[i] == 0 ? unclaimed_run + 1 : 0;
-        if (unclaimed_run >= scale && i + 1 >= scale) candidate[i + 1 - scale] = 1;
-      }
-    }
-    // Sliding-window maximum over the candidate windows (monotonic deque:
-    // O(len) amortized comparisons instead of O(len * domin)).
-    std::deque<std::size_t> deque;
-    std::size_t next_to_add = 0;
+    std::size_t unclaimed_run = 0;
     for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t hi = std::min(len - 1, i + domin);
-      while (next_to_add <= hi) {
-        if (candidate[next_to_add]) {
-          while (!deque.empty() && compare_windows(deque.back(), next_to_add) < 0) {
-            deque.pop_back();
-          }
-          deque.push_back(next_to_add);
-        }
-        ++next_to_add;
-      }
-      const std::size_t lo = i >= domin ? i - domin : 0;
-      while (!deque.empty() && deque.front() < lo) deque.pop_front();
-      if (!candidate[i]) continue;
-      // Seed iff no window in range is strictly larger.
-      seed[i] = (!deque.empty() && compare_windows(deque.front(), i) > 0) ? 0 : 1;
+      unclaimed_run = run[i].period == 0 ? unclaimed_run + 1 : 0;
+      if (unclaimed_run >= scale && i + 1 >= scale) candidate[i + 1 - scale] = 1;
     }
+    // Seeds: candidates no candidate window within domin strictly exceeds.
+    seed = window_maxima(
+        len, domin, [&](std::size_t i) { return candidate[i] != 0; }, window_less(in, scale));
   }
 };
 
@@ -821,7 +750,7 @@ class ConstLayout {
         // run's anchors and leave everything beyond the pumped middle
         // unanchored). The run's own anchors bound those gaps instead.
         bool irregular = true;
-        for (std::size_t k = cb; k < ce && irregular; ++k) irregular = az.period[k] == 0;
+        for (std::size_t k = cb; k < ce && irregular; ++k) irregular = az.run[k].period == 0;
         if (!irregular) continue;
         SubInterior interior;
         interior.begin = cb + 2;

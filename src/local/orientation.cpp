@@ -1,8 +1,9 @@
 #include "local/orientation.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
+
+#include "local/partition.hpp"
 
 namespace lclpath {
 
@@ -27,7 +28,9 @@ std::size_t orientation_radius(std::size_t ell) {
 //  * other nodes orient toward the maximum-ID node of their radius-L ball.
 // Direction flips then happen only at peak watersheds (>= (L+1)/2 > ell
 // from each peak) or at ball-max divergences whose dominating endpoint
-// forces >= L uniformly oriented nodes on each side.
+// forces >= L uniformly oriented nodes on each side. Every ball and peak
+// the center's rule reads lies within 2L of it, so the window form's edge
+// truncation never reaches them.
 Direction orient(const View& view, std::size_t ell) {
   if (!is_cycle(view.topology)) {
     throw std::invalid_argument("orient: cycles only");
@@ -37,10 +40,8 @@ Direction orient(const View& view, std::size_t ell) {
 
   if (len == view.n && view.n <= 2 * orientation_radius(ell) + 1) {
     // Whole cycle visible: canonical global orientation.
-    std::size_t max_pos = 0;
-    for (std::size_t i = 1; i < len; ++i) {
-      if (view.ids[i] > view.ids[max_pos]) max_pos = i;
-    }
+    const std::size_t max_pos = static_cast<std::size_t>(
+        std::max_element(view.ids.begin(), view.ids.end()) - view.ids.begin());
     const NodeId succ = view.ids[(max_pos + 1) % len];
     const NodeId pred = view.ids[(max_pos + len - 1) % len];
     return succ > pred ? Direction::kForward : Direction::kBackward;
@@ -50,44 +51,7 @@ Direction orient(const View& view, std::size_t ell) {
   if (c < 2 * scale || c + 2 * scale >= len) {
     throw std::invalid_argument("orient: window too small for the requested ell");
   }
-  auto is_peak = [&](std::size_t pos) {
-    for (std::size_t i = pos - scale; i <= pos + scale; ++i) {
-      if (i != pos && view.ids[i] >= view.ids[pos]) return false;
-    }
-    return true;
-  };
-  // Nearest peak within distance `scale` (larger ID wins ties).
-  std::optional<std::ptrdiff_t> toward_peak;
-  for (std::size_t d = 0; d <= scale && !toward_peak; ++d) {
-    NodeId best_id = 0;
-    std::ptrdiff_t best_dir = 0;
-    bool found = false;
-    if (is_peak(c + d) && (!found || view.ids[c + d] > best_id)) {
-      best_id = view.ids[c + d];
-      best_dir = static_cast<std::ptrdiff_t>(d);
-      found = true;
-    }
-    if (d > 0 && is_peak(c - d) && (!found || view.ids[c - d] > best_id)) {
-      best_id = view.ids[c - d];
-      best_dir = -static_cast<std::ptrdiff_t>(d);
-      found = true;
-    }
-    if (found) toward_peak = best_dir;
-  }
-  if (toward_peak) {
-    if (*toward_peak == 0) {
-      // A peak orients toward its larger neighbor (pure convergence point).
-      return view.ids[c + 1] > view.ids[c - 1] ? Direction::kForward
-                                               : Direction::kBackward;
-    }
-    return *toward_peak > 0 ? Direction::kForward : Direction::kBackward;
-  }
-  // Peakless zone: toward the ball maximum.
-  std::size_t best = c - scale;
-  for (std::size_t i = c - scale; i <= c + scale; ++i) {
-    if (view.ids[i] > view.ids[best]) best = i;
-  }
-  return best > c ? Direction::kForward : Direction::kBackward;
+  return orientation_directions_window(view.ids, ell)[c];
 }
 
 std::size_t orientation_window_margin(std::size_t ell) {
@@ -101,26 +65,13 @@ std::vector<Direction> orientation_directions_window(const std::vector<NodeId>& 
   std::vector<Direction> out(len, Direction::kForward);
   if (len == 0) return out;
 
-  // Sliding-window maxima: ball_max[p] = position of the maximum ID in
-  // [p - scale, p + scale] (clamped at array edges). O(len) amortized via
-  // a monotonic deque; IDs are distinct, so the maximum is unique.
+  // ball_max[p] = position of the maximum ID in [p - scale, p + scale]
+  // (clamped at array edges); IDs are distinct, so the maximum is unique.
   std::vector<std::size_t> ball_max(len, 0);
-  {
-    std::vector<std::size_t> deque(len);
-    std::size_t head = 0, tail = 0;  // [head, tail)
-    std::size_t next_to_add = 0;
-    for (std::size_t p = 0; p < len; ++p) {
-      const std::size_t hi = std::min(len - 1, p + scale);
-      while (next_to_add <= hi) {
-        while (tail > head && ids[deque[tail - 1]] < ids[next_to_add]) --tail;
-        deque[tail++] = next_to_add;
-        ++next_to_add;
-      }
-      const std::size_t lo = p >= scale ? p - scale : 0;
-      while (tail > head && deque[head] < lo) ++head;
-      ball_max[p] = deque[head];
-    }
-  }
+  sliding_window_argmax(
+      len, scale, [](std::size_t) { return true; },
+      [&](std::size_t a, std::size_t b) { return ids[a] < ids[b]; },
+      [&](std::size_t p, std::size_t best) { ball_max[p] = best; });
 
   // Peaks: radius-scale ball maxima. Balls truncate at the array edges —
   // exact at a real path end (no nodes exist beyond it), untrusted within

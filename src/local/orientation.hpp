@@ -29,8 +29,10 @@ enum class Direction : std::uint8_t { kForward, kBackward };
 /// Window radius used by orient().
 std::size_t orientation_radius(std::size_t ell);
 
-/// Direction of the view's center node for an ell-orientation.
-/// kForward = toward the successor in the global path order.
+/// Direction of the view's center node for an ell-orientation: the center
+/// entry of orientation_directions_window, or the canonical global rule
+/// when the whole cycle is visible. kForward = toward the successor in the
+/// global path order.
 Direction orient(const View& view, std::size_t ell);
 
 /// Convenience: orientation of every node of an instance (via views).
@@ -41,11 +43,10 @@ std::vector<Direction> orient_all(const Instance& instance, std::size_t ell);
 /// meaningful.
 std::size_t orientation_window_margin(std::size_t ell);
 
-/// Per-position directions over a whole window of IDs, computed with the
-/// same peak / nearest-peak / ball-max rule as orient() but in O(len)
-/// total via sliding-window maxima (orient() costs O(ell^2) per call —
-/// prohibitive when the synthesized undirected algorithms need every
-/// position of a large window). Directions are relative to the window's
+/// Per-position directions over a whole window of IDs by the peak /
+/// nearest-peak / ball-max rule, in O(len) total via sliding-window maxima
+/// (the synthesized undirected algorithms need every position of a large
+/// window). Directions are relative to the window's
 /// presentation order and the rule is equivariant under reversing it, so
 /// two observers with opposite presentations of the same cycle segment
 /// derive the same physical orientation. Balls are truncated at the

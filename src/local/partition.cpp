@@ -8,86 +8,68 @@ namespace lclpath {
 std::vector<char> irregular_independent_set(const Word& inputs, std::size_t gamma,
                                             std::size_t l) {
   const std::size_t n = inputs.size();
-  std::vector<char> member(n, 0);
-  if (n < l) return member;
-  // Window-lexicographic local maxima among positions with a full window.
-  auto compare = [&](std::size_t a, std::size_t b) {
-    for (std::size_t k = 0; k < l; ++k) {
-      if (inputs[a + k] != inputs[b + k]) return inputs[a + k] < inputs[b + k] ? -1 : 1;
-    }
-    return 0;
-  };
-  const std::size_t last = n - l;  // last valid window start
-  for (std::size_t i = 0; i <= last; ++i) {
-    bool best = true;
-    const std::size_t lo = i >= gamma ? i - gamma : 0;
-    const std::size_t hi = std::min(last, i + gamma);
-    for (std::size_t j = lo; j <= hi && best; ++j) {
-      if (j != i && compare(j, i) > 0) best = false;
-    }
-    member[i] = best ? 1 : 0;
-  }
+  if (n < l) return std::vector<char>(n, 0);
+  const auto all = [](std::size_t) { return true; };
+  std::vector<char> member = window_maxima(n - l + 1, gamma, all, window_less(inputs, l));
+  member.resize(n, 0);
   return member;
 }
 
-namespace {
-
-struct Claim {
-  std::size_t period = 0;
-  std::size_t begin = 0, end = 0;
-};
-
-/// Finds maximal periodic runs (smallest period first) along a linear
-/// index space; `wrap` adds cyclic comparisons.
-std::vector<Claim> claim_runs(const Word& in, bool wrap, const PartitionParams& p) {
+std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_period, bool wrap,
+                                             const ClaimRule& rule) {
   const std::size_t n = in.size();
-  std::vector<Claim> claim(n);
-  auto at = [&](std::size_t i) { return in[i % n]; };
-  for (std::size_t q = 1; q <= p.l_pattern; ++q) {
-    const std::size_t threshold = (p.l_count + 2 * p.l_width) * q;
-    const std::size_t limit = wrap ? 2 * n : n;  // scan doubled for wraps
+  std::vector<PeriodicRun> claim(n);
+  Word doubled;
+  if (wrap) {
+    doubled = in;
+    doubled.insert(doubled.end(), in.begin(), in.end());
+  }
+  const Word& text = wrap ? doubled : in;
+  const std::size_t limit = text.size();
+  for (std::size_t q = 1; q <= max_period; ++q) {
     std::size_t i = 0;
     while (i + q < limit) {
-      if (at(i) != at(i + q)) {
+      if (text[i] != text[i + q]) {
         ++i;
         continue;
       }
       std::size_t j = i;
-      while (j + q < limit && at(j) == at(j + q)) ++j;
+      while (j + q < limit && text[j] == text[j + q]) ++j;
       const std::size_t begin = i;
-      const std::size_t end = std::min(j + q, limit);  // exclusive
-      if (end - begin >= threshold) {
+      const std::size_t end = j + q;  // exclusive
+      if (const std::optional<std::size_t> margin = rule(q, begin, end)) {
         for (std::size_t k = begin; k < end && k < begin + n; ++k) {
-          Claim& c = claim[k % n];
-          if (c.period == 0) c = Claim{q, begin, end};
+          PeriodicRun& c = claim[k < n ? k : k - n];
+          if (c.period == 0) c = PeriodicRun{q, begin, end, *margin};
         }
       }
       i = j + 1;
-      if (begin == 0 && end == limit && wrap) break;  // fully periodic cycle
+      if (wrap && begin == 0 && end == limit) break;  // fully periodic cycle
     }
   }
   return claim;
 }
 
 Word canonical_rotation(const Word& w, std::size_t* phase0) {
-  Word canon = w;
-  std::size_t best_shift = 0;
   const std::size_t q = w.size();
+  std::size_t best = 0;  // shift of the least rotation found so far
   for (std::size_t s = 1; s < q; ++s) {
-    Word candidate;
-    candidate.reserve(q);
-    for (std::size_t k = 0; k < q; ++k) candidate.push_back(w[(s + k) % q]);
-    if (candidate < canon) {
-      canon = candidate;
-      best_shift = s;
+    for (std::size_t k = 0; k < q; ++k) {
+      const Label a = w[(s + k) % q];
+      const Label b = w[(best + k) % q];
+      if (a != b) {
+        if (a < b) best = s;
+        break;
+      }
     }
   }
-  // w[0] = canon[(q - best_shift) % q].
-  *phase0 = (q - best_shift) % q;
+  Word canon;
+  canon.reserve(q);
+  for (std::size_t k = 0; k < q; ++k) canon.push_back(w[(best + k) % q]);
+  // w[0] = canon[(q - best) % q].
+  *phase0 = (q - best) % q;
   return canon;
 }
-
-}  // namespace
 
 Partition partition(const Instance& instance, const PartitionParams& params) {
   if (params.l_pattern < params.l_width) {
@@ -98,7 +80,12 @@ Partition partition(const Instance& instance, const PartitionParams& params) {
   Partition out;
   out.component_of.assign(n, 0);
 
-  const std::vector<Claim> claim = claim_runs(instance.inputs, wrap, params);
+  const std::vector<PeriodicRun> claim = claim_periodic_runs(
+      instance.inputs, params.l_pattern, wrap,
+      [&](std::size_t q, std::size_t begin, std::size_t end) -> std::optional<std::size_t> {
+        if (end - begin < (params.l_count + 2 * params.l_width) * q) return std::nullopt;
+        return params.l_width * q - 1;  // trimmed from each end of the run
+      });
 
   // Whole-cycle periodic special case.
   if (wrap) {
@@ -106,7 +93,7 @@ Partition partition(const Instance& instance, const PartitionParams& params) {
     for (std::size_t v = 0; v < n && all; ++v) all = claim[v].period != 0;
     if (all) {
       // One long component spanning the cycle if a single run covers it.
-      const Claim& c0 = claim[0];
+      const PeriodicRun& c0 = claim[0];
       if (c0.end - c0.begin >= n) {
         PartitionComponent comp;
         comp.long_component = true;
@@ -122,16 +109,15 @@ Partition partition(const Instance& instance, const PartitionParams& params) {
     }
   }
 
-  // Long components: contiguous nodes sharing a claim run, trimmed by
-  // l_width * period - 1 at each open end.
+  // Long components: contiguous nodes sharing a claim run, trimmed by the
+  // run's margin (l_width * period - 1) at each open end.
   std::vector<long> long_of(n, -1);
   std::vector<PartitionComponent> longs;
   for (std::size_t v = 0; v < n; ++v) {
     if (claim[v].period == 0 || long_of[v] >= 0) continue;
-    const Claim& c = claim[v];
-    const std::size_t trim = params.l_width * c.period - 1;
-    const std::size_t begin = c.begin + trim;
-    const std::size_t end = c.end > trim ? c.end - trim : 0;
+    const PeriodicRun& c = claim[v];
+    const std::size_t begin = c.begin + c.margin;
+    const std::size_t end = c.end > c.margin ? c.end - c.margin : 0;
     if (end <= begin) continue;
     PartitionComponent comp;
     comp.long_component = true;

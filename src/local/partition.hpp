@@ -1,14 +1,21 @@
 // The (l_width, l_count, l_pattern)-partition machinery of Section 4.3
-// (Lemmas 20, 21, 22).
+// (Lemmas 20, 21, 22), and the three primitives it is built from — shared
+// with the O(1) synthesized algorithm (decide/synthesized.cpp), which runs
+// the same construction with per-run margins:
+//   * claim_periodic_runs: maximal period-q runs, shortest period first,
+//     each accepted or rejected by a caller-supplied claim rule;
+//   * window_maxima: the sliding-window argmax behind Lemma 20's
+//     independent set (and the ell-orientation's ball maxima);
+//   * canonical_rotation: a periodic run's pattern and phase.
 //
 // partition() decomposes a labeled cycle (or path) into
 //   * long components: maximal stretches whose inputs repeat a primitive
 //     pattern w with |w| <= l_pattern at least l_count times (after
 //     trimming l_width * |w| - 1 nodes from open ends), every member
 //     knowing w and its phase; and
-//   * short components: the remaining "irregular" stretches, chopped into
-//     pieces of bounded size using the Lemma 20 independent set, every
-//     member knowing its rank within its piece.
+//   * short components: the remaining "irregular" stretches, chopped at
+//     the Lemma 20 independent set, every member knowing its rank within
+//     its piece.
 //
 // Lemma 20's O(1)-round independent set exploits input irregularity: in a
 // region with no period-<= gamma run of length >= l, length-l input
@@ -16,7 +23,9 @@
 // local maxima break symmetry without IDs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -48,11 +57,93 @@ struct Partition {
   bool whole_cycle_periodic = false;
 };
 
-/// Lemma 20: a (gamma, 2gamma(+slack))-independent set of a directed path
-/// segment with no period-<=gamma run of length >= l. Returns member
-/// flags. Deterministic, O(1)-round local (window-lexicographic maxima).
+/// Sliding-window argmax. For every p in [0, n) calls visit(p, best), where
+/// best is the leftmost maximum under `less` among the eligible positions
+/// in [p - radius, p + radius] (clamped to [0, n)), or n when none is
+/// eligible. O(n) comparisons through one monotonic deque; `eligible` and
+/// `less` are inlined, and the only allocation is the deque itself.
+template <class Eligible, class Less, class Visit>
+void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible, Less less,
+                           Visit visit) {
+  std::vector<std::size_t> deque(n);  // [head, tail), non-increasing under less
+  std::size_t head = 0, tail = 0, next = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t hi = radius >= n - 1 - p ? n - 1 : p + radius;
+    for (; next <= hi; ++next) {
+      if (!eligible(next)) continue;
+      while (tail > head && less(deque[tail - 1], next)) --tail;
+      deque[tail++] = next;
+    }
+    const std::size_t lo = p >= radius ? p - radius : 0;
+    while (tail > head && deque[head] < lo) ++head;
+    visit(p, tail > head ? deque[head] : n);
+  }
+}
+
+/// Window maxima: member[p] iff p is eligible and no eligible position
+/// within distance `radius` is strictly larger under `less`.
+///
+/// The guarantee is independence only: two members within `radius` of each
+/// other compare equal, so where the compared keys are distinct within
+/// distance `radius` (Lemma 20's irregular stretches) members are more than
+/// `radius` apart. There is NO domination bound: a non-member's larger
+/// neighbor may itself be dominated, and a run of increasing keys leaves
+/// arbitrarily long stretches without a member.
+template <class Eligible, class Less>
+std::vector<char> window_maxima(std::size_t n, std::size_t radius, Eligible eligible,
+                                Less less) {
+  std::vector<char> member(n, 0);
+  sliding_window_argmax(n, radius, eligible, less, [&](std::size_t p, std::size_t best) {
+    member[p] = eligible(p) && !less(p, best) ? 1 : 0;
+  });
+  return member;
+}
+
+/// Lexicographic order on the length-l windows of `word`, by start position
+/// (both windows must fit inside the word). Captures `word` by reference.
+inline auto window_less(const Word& word, std::size_t l) {
+  return [&word, l](std::size_t a, std::size_t b) {
+    const auto at = [&word](std::size_t i) {
+      return word.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    return std::lexicographical_compare(at(a), at(a + l), at(b), at(b + l));
+  };
+}
+
+/// Lemma 20: window maxima of the length-l input windows (lexicographic
+/// order) within distance gamma. Returns member flags; positions without a
+/// full window are never members. Independent in a stretch with no
+/// period-<= gamma run of length >= l; not dominating (see window_maxima).
+/// Deterministic and O(1)-round local.
 std::vector<char> irregular_independent_set(const Word& inputs, std::size_t gamma,
                                             std::size_t l);
+
+/// A maximal periodic input run [begin, end) claimed with period `period`
+/// (0: the position is unclaimed), plus the margin its claim rule assigned.
+struct PeriodicRun {
+  std::size_t period = 0;
+  std::size_t begin = 0, end = 0;
+  std::size_t margin = 0;
+};
+
+/// Claim rule: the margin of the run [begin, end) of period q, or nullopt
+/// to leave it unclaimed.
+using ClaimRule = std::function<std::optional<std::size_t>(std::size_t q, std::size_t begin,
+                                                            std::size_t end)>;
+
+/// Lemma 21's run scan. For q = 1..max_period, finds every maximal run
+/// [begin, end) with in[i] == in[i + q] for begin <= i < end - q and asks
+/// the rule for it; an accepted run claims its still-unclaimed positions,
+/// so shorter periods claim first. Returns the claim per position. With
+/// `wrap` the word is a cycle scanned doubled: run coordinates range over
+/// [0, 2n) (position k is k mod n), and a run covering the whole doubled
+/// word ends its period's scan.
+std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_period, bool wrap,
+                                             const ClaimRule& rule);
+
+/// The lexicographically least rotation of the non-empty word w; *phase0
+/// receives the index of w[0] within it (w[0] == result[*phase0]).
+Word canonical_rotation(const Word& w, std::size_t* phase0);
 
 /// Lemmas 21-22: computes the partition of an instance. Works on directed
 /// cycles/paths; undirected inputs are first ordered by the instance's

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "local/cole_vishkin.hpp"
 #include "local/decomposition.hpp"
 #include "local/orientation.hpp"
@@ -229,8 +231,40 @@ TEST(RulingSet, WindowDelegatesToSegment) {
   EXPECT_EQ(ruling_members_window(ids, 16), ruling_members_segment(ids, 16, false, false));
 }
 
-// The O(len) sliding-window orientation must agree with the per-node
-// orient() rule wherever both have their margins.
+// Reference for the ell-orientation: the per-node O(ell^2) rule, scanning
+// the center's balls directly (peak = maximum ID within radius L = 2 ell +
+// 2; nearest peak within L, ties toward the larger ID; a peak toward its
+// larger neighbor; otherwise toward the ball maximum). Needs a view with
+// 2L nodes on both sides of the center.
+Direction naive_orient(const View& view, std::size_t ell) {
+  const std::size_t scale = 2 * ell + 2;
+  const std::size_t c = view.center;
+  auto is_peak = [&](std::size_t pos) {
+    for (std::size_t i = pos - scale; i <= pos + scale; ++i) {
+      if (i != pos && view.ids[i] >= view.ids[pos]) return false;
+    }
+    return true;
+  };
+  for (std::size_t d = 0; d <= scale; ++d) {
+    const bool right = is_peak(c + d);
+    const bool left = d > 0 && is_peak(c - d);
+    if (!right && !left) continue;
+    if (d == 0) {
+      return view.ids[c + 1] > view.ids[c - 1] ? Direction::kForward : Direction::kBackward;
+    }
+    const bool fwd = right && (!left || view.ids[c + d] > view.ids[c - d]);
+    return fwd ? Direction::kForward : Direction::kBackward;
+  }
+  std::size_t best = c - scale;
+  for (std::size_t i = c - scale; i <= c + scale; ++i) {
+    if (view.ids[i] > view.ids[best]) best = i;
+  }
+  return best > c ? Direction::kForward : Direction::kBackward;
+}
+
+// The O(len) sliding-window orientation (and orient(), its center entry)
+// must agree with the per-node reference rule wherever both have their
+// margins.
 TEST(Orientation, WindowDirectionsMatchOrient) {
   Rng rng(16);
   const std::size_t ell = 5;
@@ -241,15 +275,16 @@ TEST(Orientation, WindowDirectionsMatchOrient) {
     if (trial == 1) {
       for (std::size_t v = 0; v < n; ++v) instance.ids[v] = v;  // monotone
     }
-    const std::vector<Direction> expected = orient_all(instance, ell);
     // Evaluate the window form on each node's window and compare centers.
     const std::size_t margin = orientation_window_margin(ell);
     for (std::size_t v = 0; v < n; ++v) {
       const View view = extract_view(instance, v, radius);
       if (view.size() == view.n) break;  // orient() switches to global rule
+      const Direction expected = naive_orient(view, ell);
+      EXPECT_EQ(orient(view, ell), expected) << "node " << v << " trial " << trial;
       const auto dirs = orientation_directions_window(view.ids, ell);
       ASSERT_GE(view.center, margin);
-      EXPECT_EQ(dirs[view.center], expected[v]) << "node " << v << " trial " << trial;
+      EXPECT_EQ(dirs[view.center], expected) << "node " << v << " trial " << trial;
     }
   }
 }
@@ -314,6 +349,95 @@ TEST(Lemma20, IrregularIndependentSet) {
     }
     last = static_cast<std::ptrdiff_t>(v);
   }
+}
+
+// Reference for the shared sliding-window argmax: the naive local-maximum
+// loop over the eligible length-l windows of a word (O(n * radius * l)).
+// best[p] is the leftmost largest eligible window start within radius of p
+// (n when none), member[p] marks eligible p that no eligible window within
+// radius strictly exceeds.
+struct NaiveWindowMaxima {
+  std::vector<std::size_t> best;
+  std::vector<char> member;
+};
+
+NaiveWindowMaxima naive_window_maxima(const Word& word, std::size_t l, std::size_t radius,
+                                      const std::vector<char>& eligible) {
+  const std::size_t n = word.size();
+  const std::size_t windows = n >= l ? n - l + 1 : 0;
+  auto compare = [&](std::size_t a, std::size_t b) {
+    for (std::size_t k = 0; k < l; ++k) {
+      if (word[a + k] != word[b + k]) return word[a + k] < word[b + k] ? -1 : 1;
+    }
+    return 0;
+  };
+  NaiveWindowMaxima out{std::vector<std::size_t>(windows, windows),
+                        std::vector<char>(n, 0)};
+  for (std::size_t i = 0; i < windows; ++i) {
+    const std::size_t lo = i >= radius ? i - radius : 0;
+    const std::size_t hi = std::min(windows - 1, i + radius);
+    bool top = eligible[i] != 0;
+    for (std::size_t j = lo; j <= hi; ++j) {
+      if (!eligible[j]) continue;
+      if (out.best[i] == windows || compare(j, out.best[i]) > 0) out.best[i] = j;
+      if (j != i && compare(j, i) > 0) top = false;
+    }
+    out.member[i] = top ? 1 : 0;
+  }
+  return out;
+}
+
+TEST(WindowMaxima, MatchesNaiveReference) {
+  Rng rng(17);
+  std::size_t ties = 0, holes = 0, radius_zero = 0, short_words = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t letters = 2 + rng.next_below(2);
+    const std::size_t n = rng.next_below(90);
+    const std::size_t l = 1 + rng.next_below(6);
+    const std::size_t radius = trial % 5 == 0 ? 0 : rng.next_below(14);
+    Word word;
+    for (std::size_t i = 0; i < n; ++i) {
+      word.push_back(static_cast<Label>(rng.next_below(letters)));
+    }
+    if (trial % 3 == 1) {  // periodic words repeat windows: ties
+      const std::size_t period = 1 + rng.next_below(4);
+      for (std::size_t i = period; i < n; ++i) word[i] = word[i - period];
+    }
+    std::vector<char> eligible(n, 1);
+    if (trial % 2 == 1) {
+      for (char& e : eligible) e = rng.next_below(3) != 0 ? 1 : 0;
+    }
+    const std::size_t windows = n >= l ? n - l + 1 : 0;
+    const NaiveWindowMaxima expected = naive_window_maxima(word, l, radius, eligible);
+    const auto is_eligible = [&](std::size_t i) { return eligible[i] != 0; };
+
+    std::vector<char> member =
+        window_maxima(windows, radius, is_eligible, window_less(word, l));
+    member.resize(n, 0);
+    EXPECT_EQ(member, expected.member) << "trial " << trial;
+    std::vector<std::size_t> best;
+    sliding_window_argmax(windows, radius, is_eligible, window_less(word, l),
+                          [&](std::size_t, std::size_t b) { best.push_back(b); });
+    EXPECT_EQ(best, expected.best) << "trial " << trial;
+    if (trial % 2 == 0) {
+      EXPECT_EQ(irregular_independent_set(word, radius, l), expected.member)
+          << "trial " << trial;
+    }
+
+    for (std::size_t i = 0; i < windows; ++i) {
+      for (std::size_t j = i + 1; j < windows && j <= i + radius; ++j) {
+        if (expected.member[i] && expected.member[j]) ++ties;
+      }
+      if (!eligible[i]) ++holes;
+    }
+    radius_zero += radius == 0 ? 1 : 0;
+    short_words += n < l ? 1 : 0;
+  }
+  // Every case the helper must handle actually occurred.
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(holes, 0u);
+  EXPECT_GT(radius_zero, 0u);
+  EXPECT_GT(short_words, 0u);
 }
 
 TEST(Partition, InvariantsOnRandomAndPeriodicInputs) {
