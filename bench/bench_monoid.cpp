@@ -31,8 +31,8 @@ using clock_type = std::chrono::steady_clock;
 PairwiseProblem random_problem(std::size_t alpha, std::size_t beta, std::uint64_t seed) {
   Rng rng(seed);
   Alphabet in, out;
-  for (std::size_t i = 0; i < alpha; ++i) in.add("i" + std::to_string(i));
-  for (std::size_t o = 0; o < beta; ++o) out.add("o" + std::to_string(o));
+  for (std::size_t i = 0; i < alpha; ++i) in.add(std::string("i").append(std::to_string(i)));
+  for (std::size_t o = 0; o < beta; ++o) out.add(std::string("o").append(std::to_string(o)));
   PairwiseProblem p("rnd-a" + std::to_string(alpha) + "-b" + std::to_string(beta), in, out,
                     Topology::kDirectedCycle);
   for (Label i = 0; i < alpha; ++i)

@@ -479,8 +479,8 @@ lclpath::PairwiseProblem hostile_problem(std::size_t alpha, std::size_t beta,
   using namespace lclpath;
   Rng rng(seed);
   Alphabet in, out;
-  for (std::size_t i = 0; i < alpha; ++i) in.add("i" + std::to_string(i));
-  for (std::size_t o = 0; o < beta; ++o) out.add("o" + std::to_string(o));
+  for (std::size_t i = 0; i < alpha; ++i) in.add(std::string("i").append(std::to_string(i)));
+  for (std::size_t o = 0; o < beta; ++o) out.add(std::string("o").append(std::to_string(o)));
   PairwiseProblem p("hostile-a" + std::to_string(alpha) + "-b" + std::to_string(beta) +
                         "-s" + std::to_string(seed),
                     in, out, topology);

@@ -1,5 +1,6 @@
 #include "core/bitmatrix.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -184,7 +185,32 @@ std::size_t BitMatrix::hash() const {
   return h;
 }
 
-BitVector::BitVector(std::size_t dim) : dim_(dim), words_(words_for(dim), 0) {}
+BitVector::BitVector(std::size_t dim) : dim_(dim) {
+  if (!is_inline()) heap_ = new std::uint64_t[num_words()]();
+}
+
+BitVector::BitVector(const BitVector& other) : dim_(other.dim_) {
+  if (is_inline()) {
+    word_ = other.word_;
+  } else {
+    heap_ = new std::uint64_t[num_words()];
+    std::copy_n(other.heap_, num_words(), heap_);
+  }
+}
+
+BitVector& BitVector::operator=(const BitVector& other) {
+  if (this == &other) return *this;
+  if (other.is_inline()) {
+    release();
+    dim_ = other.dim_;
+    word_ = other.word_;
+  } else if (dim_ == other.dim_) {
+    std::copy_n(other.heap_, num_words(), heap_);  // same shape: reuse storage
+  } else {
+    *this = BitVector(other);
+  }
+  return *this;
+}
 
 BitVector BitVector::unit(std::size_t dim, std::size_t index) {
   BitVector v(dim);
@@ -200,12 +226,12 @@ BitVector BitVector::ones(std::size_t dim) {
 
 bool BitVector::get(std::size_t index) const {
   assert(index < dim_);
-  return (words_[index / kWordBits] >> (index % kWordBits)) & 1u;
+  return (words()[index / kWordBits] >> (index % kWordBits)) & 1u;
 }
 
 void BitVector::set(std::size_t index, bool value) {
   assert(index < dim_);
-  std::uint64_t& w = words_[index / kWordBits];
+  std::uint64_t& w = words()[index / kWordBits];
   const std::uint64_t bit = std::uint64_t{1} << (index % kWordBits);
   if (value) {
     w |= bit;
@@ -215,109 +241,125 @@ void BitVector::set(std::size_t index, bool value) {
 }
 
 bool BitVector::any() const {
-  for (std::uint64_t w : words_)
-    if (w != 0) return true;
+  const std::uint64_t* a = words();
+  for (std::size_t w = 0; w < num_words(); ++w)
+    if (a[w] != 0) return true;
   return false;
 }
 
 std::size_t BitVector::count() const {
+  const std::uint64_t* a = words();
   std::size_t total = 0;
-  for (std::uint64_t w : words_) total += static_cast<std::size_t>(std::popcount(w));
+  for (std::size_t w = 0; w < num_words(); ++w) {
+    total += static_cast<std::size_t>(std::popcount(a[w]));
+  }
   return total;
 }
 
 BitVector BitVector::multiplied(const BitMatrix& m) const {
-  assert(dim_ == m.dim());
   BitVector result(dim_);
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t bits = words_[w];
-    while (bits != 0) {
-      const std::size_t i = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const std::uint64_t* row = m.row_words(i);
-      for (std::size_t ww = 0; ww < result.words_.size(); ++ww) result.words_[ww] |= row[ww];
-    }
-  }
+  multiply_into(m, result);
   return result;
 }
 
 void BitVector::multiply_into(const BitMatrix& m, BitVector& out) const {
   assert(dim_ == m.dim() && out.dim_ == dim_);
   assert(&out != this);  // out is cleared before this is read
-  for (std::uint64_t& w : out.words_) w = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t bits = words_[w];
+  if (is_inline()) {
+    std::uint64_t acc = 0;
+    for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
+      acc |= m.row_words(static_cast<std::size_t>(std::countr_zero(bits)))[0];
+    }
+    out.word_ = acc;
+    return;
+  }
+  const std::size_t n = num_words();
+  std::fill_n(out.heap_, n, 0);
+  for (std::size_t w = 0; w < n; ++w) {
+    std::uint64_t bits = heap_[w];
     while (bits != 0) {
       const std::size_t i = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
       const std::uint64_t* row = m.row_words(i);
-      for (std::size_t ww = 0; ww < out.words_.size(); ++ww) out.words_[ww] |= row[ww];
+      for (std::size_t ww = 0; ww < n; ++ww) out.heap_[ww] |= row[ww];
     }
   }
 }
 
 bool BitVector::intersects(const BitVector& other) const {
   assert(dim_ == other.dim_);
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    if ((words_[w] & other.words_[w]) != 0) return true;
+  const std::uint64_t* a = words();
+  const std::uint64_t* b = other.words();
+  for (std::size_t w = 0; w < num_words(); ++w)
+    if ((a[w] & b[w]) != 0) return true;
   return false;
 }
 
 bool BitVector::subset_of(const BitVector& other) const {
   assert(dim_ == other.dim_);
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    if ((words_[w] & ~other.words_[w]) != 0) return false;
+  const std::uint64_t* a = words();
+  const std::uint64_t* b = other.words();
+  for (std::size_t w = 0; w < num_words(); ++w)
+    if ((a[w] & ~b[w]) != 0) return false;
   return true;
 }
 
 std::size_t BitVector::first_set() const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != 0) {
-      return w * kWordBits + static_cast<std::size_t>(std::countr_zero(words_[w]));
-    }
+  const std::uint64_t* a = words();
+  for (std::size_t w = 0; w < num_words(); ++w) {
+    if (a[w] != 0) return w * kWordBits + static_cast<std::size_t>(std::countr_zero(a[w]));
   }
   return dim_;
 }
 
 BitVector BitVector::operator|(const BitVector& other) const {
-  assert(dim_ == other.dim_);
   BitVector result = *this;
-  for (std::size_t w = 0; w < words_.size(); ++w) result.words_[w] |= other.words_[w];
+  result |= other;
   return result;
 }
 
 BitVector BitVector::operator&(const BitVector& other) const {
-  assert(dim_ == other.dim_);
   BitVector result = *this;
-  for (std::size_t w = 0; w < words_.size(); ++w) result.words_[w] &= other.words_[w];
+  result &= other;
   return result;
 }
 
 BitVector& BitVector::operator|=(const BitVector& other) {
   assert(dim_ == other.dim_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
+  std::uint64_t* a = words();
+  const std::uint64_t* b = other.words();
+  for (std::size_t w = 0; w < num_words(); ++w) a[w] |= b[w];
   return *this;
 }
 
 BitVector& BitVector::operator&=(const BitVector& other) {
   assert(dim_ == other.dim_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];
+  std::uint64_t* a = words();
+  const std::uint64_t* b = other.words();
+  for (std::size_t w = 0; w < num_words(); ++w) a[w] &= b[w];
   return *this;
 }
 
 BitVector& BitVector::remove(const BitVector& other) {
   assert(dim_ == other.dim_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= ~other.words_[w];
+  std::uint64_t* a = words();
+  const std::uint64_t* b = other.words();
+  for (std::size_t w = 0; w < num_words(); ++w) a[w] &= ~b[w];
   return *this;
 }
 
-void BitVector::clear() {
-  for (std::uint64_t& w : words_) w = 0;
+void BitVector::clear() { std::fill_n(words(), num_words(), 0); }
+
+bool BitVector::operator==(const BitVector& other) const {
+  return dim_ == other.dim_ && std::equal(words(), words() + num_words(), other.words());
 }
 
 std::size_t BitVector::hash() const {
+  const std::uint64_t* a = words();
   std::size_t h = hash_mix(0x5678, dim_);
-  for (std::uint64_t w : words_) h = hash_mix(h, static_cast<std::size_t>(w));
+  for (std::size_t w = 0; w < num_words(); ++w) {
+    h = hash_mix(h, static_cast<std::size_t>(a[w]));
+  }
   return h;
 }
 

@@ -84,10 +84,27 @@ class BitMatrix {
 
 /// Bit-packed boolean row vector of fixed dimension, used for
 /// reachability sweeps (vector * matrix).
+///
+/// Output alphabets are almost always small, so a vector of dim() <= 64
+/// keeps its bits in one inline word and never allocates; only a wider
+/// vector owns a heap array of ceil(dim() / 64) words. Invariant: all bits
+/// at indices >= dim() are zero, which makes operator== and hashing well
+/// defined on the raw words.
 class BitVector {
  public:
   BitVector() = default;
   explicit BitVector(std::size_t dim);
+  BitVector(const BitVector& other);
+  BitVector(BitVector&& other) noexcept { steal(other); }
+  BitVector& operator=(const BitVector& other);
+  BitVector& operator=(BitVector&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
+  ~BitVector() { release(); }
 
   static BitVector unit(std::size_t dim, std::size_t index);
   static BitVector ones(std::size_t dim);
@@ -120,14 +137,42 @@ class BitVector {
   /// Zeroes every bit, keeping the dimension.
   void clear();
 
-  bool operator==(const BitVector& other) const = default;
+  bool operator==(const BitVector& other) const;
   std::size_t hash() const;
   std::string to_string() const;
 
  private:
+  static constexpr std::size_t kInlineBits = 64;
+
+  bool is_inline() const { return dim_ <= kInlineBits; }
+  std::size_t num_words() const { return (dim_ + kInlineBits - 1) / kInlineBits; }
+  std::uint64_t* words() { return is_inline() ? &word_ : heap_; }
+  const std::uint64_t* words() const { return is_inline() ? &word_ : heap_; }
+
+  void release() {
+    if (!is_inline()) delete[] heap_;
+  }
+  /// Takes other's bits, leaving it the empty vector. *this must own no
+  /// heap words (freshly constructed or just released).
+  void steal(BitVector& other) {
+    dim_ = other.dim_;
+    if (is_inline()) {
+      word_ = other.word_;
+    } else {
+      heap_ = other.heap_;
+    }
+    other.dim_ = 0;
+    other.word_ = 0;
+  }
+
   std::size_t dim_ = 0;
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t word_ = 0;  ///< the bits, while dim_ <= 64
+    std::uint64_t* heap_;     ///< num_words() owned words, while dim_ > 64
+  };
 };
+static_assert(sizeof(BitVector) <= 2 * sizeof(std::uint64_t),
+              "BitVector is its dimension plus one word or one pointer");
 
 struct BitMatrix::Stabilization {
   BitMatrix stable_power;   ///< M^first (== M^{first + period})

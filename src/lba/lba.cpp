@@ -28,7 +28,9 @@ Machine::Machine(std::size_t num_states, State initial, State final_state,
     throw std::invalid_argument("Machine: state index out of range");
   }
   if (names_.empty()) {
-    for (std::size_t q = 0; q < num_states; ++q) names_.push_back("q" + std::to_string(q));
+    for (std::size_t q = 0; q < num_states; ++q) {
+      names_.push_back(std::string("q").append(std::to_string(q)));
+    }
   }
   if (names_.size() != num_states) {
     throw std::invalid_argument("Machine: state name count mismatch");

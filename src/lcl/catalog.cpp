@@ -17,7 +17,7 @@ namespace catalog {
 PairwiseProblem coloring(std::size_t k, Topology topology) {
   Alphabet in({"_"});
   Alphabet out;
-  for (std::size_t i = 0; i < k; ++i) out.add("c" + std::to_string(i));
+  for (std::size_t i = 0; i < k; ++i) out.add(std::string("c").append(std::to_string(i)));
   PairwiseProblem p(std::to_string(k) + "-coloring", in, out, topology);
   for (Label c = 0; c < k; ++c) p.allow_node(Label{0}, c);
   for (Label a = 0; a < k; ++a)
@@ -153,7 +153,11 @@ PairwiseProblem input_gated_coloring(Topology topology) {
   Alphabet in({"0", "1"});
   Alphabet out;
   for (int c = 0; c < 3; ++c)
-    for (int f = 0; f < 2; ++f) out.add("c" + std::to_string(c) + "f" + std::to_string(f));
+    for (int f = 0; f < 2; ++f) {
+      std::string name("c");
+      name.append(std::to_string(c)).append("f").append(std::to_string(f));
+      out.add(name);
+    }
   PairwiseProblem p("input-gated-coloring", in, out, topology);
   auto color_of = [](std::string_view name) { return name[1]; };
   auto flag_of = [](std::string_view name) { return name[3]; };

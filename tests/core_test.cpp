@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "core/alphabet.hpp"
 #include "core/bitmatrix.hpp"
@@ -168,6 +171,130 @@ TEST(BitVector, SubsetFirstSetAndInPlaceOps) {
   c.clear();
   EXPECT_FALSE(c.any());
   EXPECT_EQ(c.dim(), 130u);
+}
+
+// Vectors of dim <= 64 keep their bits in one inline word, wider ones on
+// the heap; these dims sit on both sides of that boundary.
+constexpr std::size_t kStorageBoundaryDims[] = {0, 1, 63, 64, 65, 128, 129};
+
+/// Bits 0, stride, 2*stride, ... and the last bit.
+BitVector striped(std::size_t dim, std::size_t stride) {
+  BitVector v(dim);
+  for (std::size_t i = 0; i < dim; i += stride) v.set(i, true);
+  if (dim > 0) v.set(dim - 1, true);
+  return v;
+}
+
+TEST(BitVector, StorageBoundaryBitOps) {
+  for (const std::size_t dim : kStorageBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const BitVector zero(dim);
+    EXPECT_EQ(zero.dim(), dim);
+    EXPECT_FALSE(zero.any());
+    EXPECT_EQ(zero.first_set(), dim);
+
+    const BitVector all = BitVector::ones(dim);
+    EXPECT_EQ(all.count(), dim);
+    EXPECT_EQ(all.first_set(), 0u);
+    EXPECT_EQ(all.any(), dim > 0);
+    for (std::size_t i = 0; i < dim; ++i) ASSERT_TRUE(all.get(i)) << i;
+
+    // Equal contents built in a different order: equal vectors, equal hashes.
+    const BitVector stripes = striped(dim, 3);
+    BitVector rebuilt(dim);
+    for (std::size_t i = dim; i-- > 0;) rebuilt.set(i, stripes.get(i));
+    EXPECT_EQ(rebuilt, stripes);
+    EXPECT_EQ(rebuilt.hash(), stripes.hash());
+    if (dim > 0) {
+      rebuilt.set(dim - 1, false);
+      EXPECT_NE(rebuilt, stripes);
+      EXPECT_EQ(BitVector::unit(dim, dim - 1).first_set(), dim - 1);
+    }
+
+    // remove() clears exactly the other vector's bits, up to the last one.
+    BitVector rest = all;
+    rest.remove(stripes);
+    EXPECT_EQ(rest.count(), dim - stripes.count());
+    EXPECT_FALSE(rest.intersects(stripes));
+    EXPECT_EQ(rest | stripes, all);
+    EXPECT_EQ(rest & stripes, zero);
+    if (dim > 1) {
+      EXPECT_EQ(rest.first_set(), 1u);
+    }
+    rest.clear();
+    EXPECT_EQ(rest, zero);
+  }
+  // The dimension is part of the value.
+  EXPECT_NE(BitVector(64), BitVector(65));
+  EXPECT_NE(BitVector(0), BitVector(1));
+}
+
+TEST(BitVector, CopyAndMoveAcrossStorageKinds) {
+  for (const std::size_t from : kStorageBoundaryDims) {
+    for (const std::size_t to : kStorageBoundaryDims) {
+      SCOPED_TRACE("dim " + std::to_string(from) + " into dim " + std::to_string(to));
+      const BitVector source = striped(from, 3);
+
+      BitVector assigned = striped(to, 2);
+      assigned = source;
+      EXPECT_EQ(assigned, source);
+      EXPECT_EQ(assigned.dim(), from);
+
+      BitVector copy(source);
+      BitVector moved_into = striped(to, 5);
+      moved_into = std::move(copy);
+      EXPECT_EQ(moved_into, source);
+      const BitVector constructed(std::move(moved_into));
+      EXPECT_EQ(constructed, source);
+      // A moved-from vector can be assigned again.
+      moved_into = striped(to, 2);
+      EXPECT_EQ(moved_into, striped(to, 2));
+
+      // Copies are independent of their source.
+      if (from > 0) {
+        assigned.set(0, false);
+        EXPECT_TRUE(source.get(0));
+      }
+    }
+  }
+  for (const std::size_t dim : kStorageBoundaryDims) {
+    BitVector v = striped(dim, 3);
+    BitVector& alias = v;
+    v = alias;
+    EXPECT_EQ(v, striped(dim, 3));
+    v = std::move(alias);
+    EXPECT_EQ(v, striped(dim, 3));
+  }
+  // Reallocation moves a mix of inline and heap vectors.
+  std::vector<BitVector> grown;
+  for (std::size_t k = 0; k < 50; ++k) {
+    grown.push_back(striped(kStorageBoundaryDims[k % 7], 1 + k));
+  }
+  for (std::size_t k = 0; k < 50; ++k) {
+    EXPECT_EQ(grown[k], striped(kStorageBoundaryDims[k % 7], 1 + k));
+  }
+}
+
+TEST(BitVector, MultiplyIntoMatchesNaiveAcrossStorageBoundary) {
+  Rng rng(29);
+  for (const std::size_t dim : kStorageBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    BitMatrix m(dim);
+    BitVector v(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      v.set(i, rng.next_bool());
+      for (std::size_t j = 0; j < dim; ++j) m.set(i, j, rng.next_bool(1, 4));
+    }
+    BitVector out = BitVector::ones(dim);  // stale contents must be overwritten
+    v.multiply_into(m, out);
+    const BitVector product = v.multiplied(m);
+    EXPECT_EQ(out, product);
+    for (std::size_t j = 0; j < dim; ++j) {
+      bool expect = false;
+      for (std::size_t i = 0; i < dim && !expect; ++i) expect = v.get(i) && m.get(i, j);
+      ASSERT_EQ(product.get(j), expect) << j;
+    }
+  }
 }
 
 TEST(Alphabet, AddFindRoundTrip) {

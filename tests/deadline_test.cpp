@@ -304,7 +304,9 @@ TEST(Deadline, ConcurrentCancellationFromSecondThread) {
   ASSERT_EQ(batch.size(), 4u);
   for (const auto& entry : batch) {
     ASSERT_NE(entry.outcome, nullptr);
-    if (!entry.ok()) EXPECT_EQ(entry.error_kind(), BatchErrorKind::kCancelled);
+    if (!entry.ok()) {
+      EXPECT_EQ(entry.error_kind(), BatchErrorKind::kCancelled);
+    }
   }
 }
 

@@ -70,8 +70,8 @@ TEST(Verifier, DpMatchesBruteForceOnRandomProblems) {
     const std::size_t alpha = 1 + rng.next_below(2);
     const std::size_t beta = 1 + rng.next_below(3);
     Alphabet in, out;
-    for (std::size_t i = 0; i < alpha; ++i) in.add("i" + std::to_string(i));
-    for (std::size_t o = 0; o < beta; ++o) out.add("o" + std::to_string(o));
+    for (std::size_t i = 0; i < alpha; ++i) in.add(std::string("i").append(std::to_string(i)));
+    for (std::size_t o = 0; o < beta; ++o) out.add(std::string("o").append(std::to_string(o)));
     const Topology topology =
         rng.next_bool() ? Topology::kDirectedCycle : Topology::kDirectedPath;
     PairwiseProblem p("rnd", in, out, topology);
@@ -216,9 +216,9 @@ TEST(Serialize, RandomizedRoundTripPreservesIdentityAndClass) {
     const std::size_t alpha = 1 + rng.next_below(2);
     const std::size_t beta = 2 + rng.next_below(2);
     Alphabet in;
-    for (std::size_t i = 0; i < alpha; ++i) in.add("i" + std::to_string(i));
+    for (std::size_t i = 0; i < alpha; ++i) in.add(std::string("i").append(std::to_string(i)));
     Alphabet out;
-    for (std::size_t o = 0; o < beta; ++o) out.add("o" + std::to_string(o));
+    for (std::size_t o = 0; o < beta; ++o) out.add(std::string("o").append(std::to_string(o)));
     PairwiseProblem p("rt#" + std::to_string(trial), in, out, topology);
     for (Label i = 0; i < alpha; ++i) {
       p.allow_node(i, static_cast<Label>(rng.next_below(beta)));

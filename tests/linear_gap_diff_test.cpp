@@ -259,9 +259,13 @@ TEST(LinearGapDiff, EnginesAgreeOnRandomProblems) {
     const std::size_t alpha = 1 + rng.next_below(2);
     const std::size_t beta = 2 + rng.next_below(2);
     Alphabet inputs;
-    for (std::size_t i = 0; i < alpha; ++i) inputs.add("i" + std::to_string(i));
+    for (std::size_t i = 0; i < alpha; ++i) {
+      inputs.add(std::string("i").append(std::to_string(i)));
+    }
     Alphabet outputs;
-    for (std::size_t o = 0; o < beta; ++o) outputs.add("o" + std::to_string(o));
+    for (std::size_t o = 0; o < beta; ++o) {
+      outputs.add(std::string("o").append(std::to_string(o)));
+    }
     PairwiseProblem problem("random#" + std::to_string(trial), inputs, outputs, topology);
     for (Label i = 0; i < alpha; ++i) {
       bool any = false;

@@ -104,7 +104,7 @@ StoreRecord observed_record(PairwiseProblem problem, BatchErrorKind kind,
 PairwiseProblem synthetic_problem(std::size_t index) {
   Alphabet in, out;
   in.add("a");
-  for (std::size_t o = 0; o < 4; ++o) out.add("o" + std::to_string(o));
+  for (std::size_t o = 0; o < 4; ++o) out.add(std::string("o").append(std::to_string(o)));
   PairwiseProblem p("synthetic-" + std::to_string(index), in, out,
                     Topology::kDirectedCycle);
   for (Label o = 0; o < 4; ++o) p.allow_node(0, o);
