@@ -359,15 +359,19 @@ int run_serve(int argc, char** argv) {
   // retry-eligible observations from *previous* runs are retried here.
   std::set<std::size_t> attempted;
   for (std::size_t iteration = 0; polls == 0 || iteration < polls; ++iteration) {
+    const auto poll_start = std::chrono::steady_clock::now();
     const store::ReloadReport report = server.poll();
+    const double poll_wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - poll_start)
+                               .count();
     for (const std::string& note : report.notes) {
       std::printf("serve: %s\n", note.c_str());
     }
     if (report.changed()) {
       std::printf("serve: generation %llu: %zu reloaded, %zu removed, snapshot %zu "
-                  "record(s)\n",
+                  "record(s), poll %.1f ms\n",
                   static_cast<unsigned long long>(server.generation()),
-                  report.reloaded, report.removed, server.snapshot()->size());
+                  report.reloaded, report.removed, server.snapshot()->size(), poll_wall_ms);
     }
 
     std::vector<std::size_t> todo;

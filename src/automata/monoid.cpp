@@ -70,6 +70,9 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   // hashes as the forward hash, at intern time); consumed by the reversal
   // pass below and discarded afterwards.
   std::vector<std::size_t> rev_hash;
+  // data_hash() -> element indices, for interning; also discarded once the
+  // reversal map is built, so a cached monoid does not carry it.
+  std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
 
   // One scratch element holds every probe; only *fresh* probes are moved
   // into elements_ (and the scratch re-allocated), so the ~|M| x |Sigma|
@@ -90,14 +93,14 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   // (recording hashes and the BFS parent link) and resets the scratch.
   auto intern = [&](std::size_t hash, std::size_t reversed_hash, std::size_t parent,
                     Label sigma) -> std::pair<std::size_t, bool> {
-    auto it = monoid.by_hash_.find(hash);
-    if (it != monoid.by_hash_.end()) {
+    auto it = by_hash.find(hash);
+    if (it != by_hash.end()) {
       for (std::size_t index : it->second) {
         if (monoid.elements_[index].same_data(probe)) return {index, false};
       }
     }
     const std::size_t index = monoid.elements_.size();
-    monoid.by_hash_[hash].push_back(index);
+    by_hash[hash].push_back(index);
     rev_hash.push_back(reversed_hash);
     monoid.parent_.emplace_back(parent, sigma);
     monoid.elements_.push_back(std::move(probe));
@@ -170,8 +173,8 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   for (std::size_t index = 0; index < monoid.elements_.size(); ++index) {
     const MonoidElement& e = monoid.elements_[index];
     bool found = false;
-    auto it = monoid.by_hash_.find(rev_hash[index]);
-    if (it != monoid.by_hash_.end()) {
+    auto it = by_hash.find(rev_hash[index]);
+    if (it != by_hash.end()) {
       for (std::size_t candidate : it->second) {
         if (same_data_reversed(monoid.elements_[candidate], e)) {
           monoid.reversed_[index] = candidate;
@@ -184,6 +187,9 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
       throw std::logic_error("Monoid::enumerate: reversal map hit an unknown element");
     }
   }
+  // The BFS grew these one element at a time; monoids live on in caches.
+  monoid.elements_.shrink_to_fit();
+  monoid.parent_.shrink_to_fit();
   return monoid;
 }
 

@@ -159,8 +159,6 @@ class Monoid {
   std::vector<std::pair<std::size_t, Label>> parent_;
   // Seed indices: of_symbol(sigma) == symbol_index_[sigma].
   std::vector<std::size_t> symbol_index_;
-  // data_hash() -> element indices (hash computed once, at intern time).
-  std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash_;
 };
 
 /// Thread-safe memo cache for enumerated monoids, keyed by

@@ -1,5 +1,6 @@
 #include "core/alphabet.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lclpath {
@@ -8,12 +9,25 @@ Alphabet::Alphabet(std::vector<std::string> names) {
   for (auto& n : names) add(std::move(n));
 }
 
+void Alphabet::reserve(std::size_t n) {
+  names_.reserve(n);
+  order_.reserve(n);
+}
+
+std::vector<Label>::const_iterator Alphabet::lower_bound(std::string_view name) const {
+  return std::lower_bound(order_.begin(), order_.end(), name,
+                          [this](Label label, std::string_view key) {
+                            return std::string_view(names_[label]) < key;
+                          });
+}
+
 Label Alphabet::add(std::string name) {
-  if (index_.contains(name)) {
+  const auto at = lower_bound(name);
+  if (at != order_.end() && names_[*at] == name) {
     throw std::invalid_argument("Alphabet::add: duplicate label '" + name + "'");
   }
   const Label label = static_cast<Label>(names_.size());
-  index_.emplace(name, label);
+  order_.insert(at, label);
   names_.push_back(std::move(name));
   return label;
 }
@@ -29,9 +43,9 @@ const std::string& Alphabet::name(Label label) const {
 }
 
 std::optional<Label> Alphabet::find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const auto at = lower_bound(name);
+  if (at == order_.end() || names_[*at] != name) return std::nullopt;
+  return *at;
 }
 
 Label Alphabet::at(std::string_view name) const {

@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace lclpath {
@@ -31,6 +30,9 @@ class Alphabet {
   /// Adds the label if absent; returns its index either way.
   Label add_or_get(std::string_view name);
 
+  /// Room for `n` labels, so adding them allocates nothing more.
+  void reserve(std::size_t n);
+
   std::size_t size() const { return names_.size(); }
   const std::string& name(Label label) const;
   std::optional<Label> find(std::string_view name) const;
@@ -46,8 +48,14 @@ class Alphabet {
   std::string to_string() const;
 
  private:
+  /// First position of order_ whose name is not less than `name`.
+  std::vector<Label>::const_iterator lower_bound(std::string_view name) const;
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, Label> index_;
+  /// Every label, sorted by name: find() is a binary search, and the index
+  /// costs 4 bytes per label rather than a hash node holding a second copy
+  /// of the name.
+  std::vector<Label> order_;
 };
 
 /// A word over an alphabet, stored as dense label indices. The decidability

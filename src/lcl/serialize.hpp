@@ -35,27 +35,37 @@
 
 namespace lclpath {
 
+/// The text above, allocated once at its exact size. A name
+/// parse_problem would not read back is rewritten: a blank name becomes
+/// `unnamed` (the parser's default) and '\n', '\r', '\v', '\f' become
+/// spaces. Names are cosmetic, so the problem reads back operator==-equal.
 std::string serialize(const PairwiseProblem& problem);
+/// Appends serialize(problem) to `out`.
+void serialize(const PairwiseProblem& problem, std::string& out);
+/// Writes serialize(problem) to `out`.
 void serialize(const PairwiseProblem& problem, std::ostream& out);
 
-/// Parses the format above; throws std::invalid_argument with a line
-/// number on malformed input and never crashes on hostile bytes. Malformed
-/// includes truncated blocks (no 'end'), unknown keywords or labels,
-/// duplicate 'lcl'/'topology'/'inputs'/'outputs' declarations, duplicate
-/// labels within an alphabet, and alphabets beyond an internal size cap
-/// (absurd declarations would otherwise be allocation bombs downstream).
-/// Batch pipelines surface these as BatchErrorKind::kMalformed.
-PairwiseProblem parse_problem(const std::string& text);
-PairwiseProblem parse_problem(std::istream& in);
+/// Parses the format above in one pass over `text`: lines split on '\n',
+/// tokens on the whitespace `operator>>` skips in the C locale, and a line
+/// whose first character outside " \t\r" is '#' is a comment. Throws
+/// std::invalid_argument with a line number on malformed input and never
+/// crashes on hostile bytes. Malformed includes truncated blocks (no
+/// 'end'), unknown keywords or labels, duplicate 'lcl'/'topology'/
+/// 'inputs'/'outputs' declarations, duplicate labels within an alphabet,
+/// and alphabets beyond an internal size cap (absurd declarations would
+/// otherwise be allocation bombs downstream). Batch pipelines surface
+/// these as BatchErrorKind::kMalformed.
+PairwiseProblem parse_problem(std::string_view text);
 
-/// Parses a stream of concatenated problem blocks (each terminated by
-/// `end`) until EOF. Blank lines and comments between blocks are skipped.
+/// Parses concatenated problem blocks (each terminated by `end`) until the
+/// end of the text. Blank lines and comments between blocks are skipped.
+std::vector<PairwiseProblem> parse_problems(std::string_view text);
 std::vector<PairwiseProblem> parse_problems(std::istream& in);
-std::vector<PairwiseProblem> parse_problems(const std::string& text);
 
 /// The serialized form minus the name line: two problems have the same key
 /// iff they are operator==-equal (names are cosmetic there too). Used as
-/// the memo-cache identity for batch classification.
+/// the memo-cache identity for batch classification. Allocated once at its
+/// exact size.
 std::string canonical_key(const PairwiseProblem& problem);
 
 /// FNV-1a of canonical_key(); cheap fingerprint for hash maps. Callers

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <filesystem>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 namespace lclpath::store {
@@ -47,17 +46,21 @@ ReloadReport CatalogServer::poll() {
         it->second.mtime_ns = mtime_ns;
         it->second.size = size;
       } else {
-        shards_.emplace(file, ShardState{mtime_ns, size, {}});
+        shards_.emplace(file, ShardState{mtime_ns, size, nullptr});
       }
       continue;
     }
-    shards_.insert_or_assign(file,
-                             ShardState{mtime_ns, size, std::move(loaded.records)});
+    auto keyed = std::make_shared<KeyedRecords>();
+    keyed->reserve(loaded.records.size());
+    for (StoreRecord& record : loaded.records) {
+      std::string key = record.cache_key();
+      keyed->emplace_back(std::move(key), std::move(record));
+    }
+    report.notes.push_back(file + ": reloaded (" + std::to_string(keyed->size()) +
+                           " record(s))");
+    shards_.insert_or_assign(file, ShardState{mtime_ns, size, std::move(keyed)});
     ++report.reloaded;
     reloads_.fetch_add(1, std::memory_order_relaxed);
-    report.notes.push_back(file + ": reloaded (" +
-                           std::to_string(shards_[file].records.size()) +
-                           " record(s))");
   }
 
   for (auto it = shards_.begin(); it != shards_.end();) {
@@ -74,15 +77,16 @@ ReloadReport CatalogServer::poll() {
 }
 
 void CatalogServer::publish() {
-  std::unordered_map<std::string, StoreRecord> records;
+  // shards_ iterates in path order, so the first file wins on duplicates.
+  std::vector<std::shared_ptr<const KeyedRecords>> shards;
+  shards.reserve(shards_.size());
   for (const auto& [file, state] : shards_) {
-    for (const StoreRecord& record : state.records) {
-      records.emplace(record.cache_key(), record);  // first file wins on dups
-    }
+    if (state.records) shards.push_back(state.records);
   }
-  auto next = std::make_shared<const StoreSnapshot>(std::move(records));
+  auto next = std::make_shared<const StoreSnapshot>(std::move(shards));
+  std::shared_ptr<const StoreSnapshot> previous;  // released outside the lock
   std::lock_guard<std::mutex> lock(mutex_);
-  snapshot_ = std::move(next);
+  previous = std::exchange(snapshot_, std::move(next));
   generation_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -6,6 +6,9 @@
 // off to the side, and only a shard that validates end-to-end is swapped
 // in — RCU-style, via a shared_ptr swap, so in-flight readers holding the
 // previous snapshot() keep a consistent view for as long as they need it.
+// A poll costs in proportion to the shards that changed: an unchanged
+// shard is neither re-read nor re-keyed, and the new snapshot shares its
+// records with the old one.
 // An invalid update (torn tail, bit flip, unknown version, hostile bytes,
 // injected load fault) is *rejected*: the rejection is counted and
 // reported, and the server keeps answering every lookup from the last
@@ -68,8 +71,10 @@ class CatalogServer {
   struct ShardState {
     std::int64_t mtime_ns = 0;
     std::uint64_t size = 0;
-    /// Last *validated* content; kept across rejections of newer writes.
-    std::vector<StoreRecord> records;
+    /// Last *validated* content, keyed; kept across rejections of newer
+    /// writes, and shared with every snapshot published since it loaded.
+    /// Null while the file has never validated.
+    std::shared_ptr<const KeyedRecords> records;
   };
 
   void publish();

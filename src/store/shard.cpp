@@ -3,17 +3,22 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "core/fault_injection.hpp"
 #include "lcl/serialize.hpp"
+#include "lcl/text_scan.hpp"
 
 namespace lclpath::store {
 
 namespace {
+
+using text::next_line;
+using text::next_token;
 
 const char* class_word(ComplexityClass c) {
   switch (c) {
@@ -25,7 +30,7 @@ const char* class_word(ComplexityClass c) {
   return "linear";
 }
 
-bool parse_class(const std::string& word, ComplexityClass* out) {
+bool parse_class(std::string_view word, ComplexityClass* out) {
   if (word == "unsolvable") return *out = ComplexityClass::kUnsolvable, true;
   if (word == "constant") return *out = ComplexityClass::kConstant, true;
   if (word == "log-star") return *out = ComplexityClass::kLogStar, true;
@@ -33,7 +38,7 @@ bool parse_class(const std::string& word, ComplexityClass* out) {
   return false;
 }
 
-bool parse_error_kind(const std::string& word, BatchErrorKind* out) {
+bool parse_error_kind(std::string_view word, BatchErrorKind* out) {
   for (std::size_t k = 0; k < kNumBatchErrorKinds; ++k) {
     const auto kind = static_cast<BatchErrorKind>(k);
     if (word == to_string(kind)) return *out = kind, true;
@@ -41,21 +46,21 @@ bool parse_error_kind(const std::string& word, BatchErrorKind* out) {
   return false;
 }
 
-std::string checksum_hex(std::uint64_t checksum) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(checksum));
-  return buffer;
+/// The whole token as a number in `base`, or false.
+template <typename T>
+bool parse_number(std::string_view token, T* out, int base = 10) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out, base);
+  return !token.empty() && ec == std::errc() && ptr == end;
 }
 
-/// The error message travels on one `message` line; newlines would break
-/// the framing, so they are flattened to spaces (the message is for
-/// humans and retry policy keys off the kind, never the text).
-std::string flatten(std::string message) {
-  for (char& c : message) {
-    if (c == '\n' || c == '\r') c = ' ';
+constexpr std::size_t kChecksumDigits = 16;
+
+void write_checksum_hex(std::uint64_t checksum, char* digits) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (std::size_t i = kChecksumDigits; i-- > 0; checksum >>= 4) {
+    digits[i] = kHex[checksum & 0xf];
   }
-  return message;
 }
 
 ShardLoadResult dirty(std::string why) {
@@ -63,6 +68,14 @@ ShardLoadResult dirty(std::string why) {
   result.ok = false;
   result.error = std::move(why);
   return result;
+}
+
+/// dirty("line N: " + the pieces, concatenated).
+template <typename... Pieces>
+ShardLoadResult dirty_at(std::size_t line_no, const Pieces&... pieces) {
+  std::string why = "line " + std::to_string(line_no) + ": ";
+  (why.append(pieces), ...);
+  return dirty(std::move(why));
 }
 
 }  // namespace
@@ -73,38 +86,57 @@ std::string StoreRecord::cache_key() const {
 }
 
 std::string encode_shard(const std::vector<StoreRecord>& records) {
-  std::ostringstream payload;
-  for (const StoreRecord& record : records) {
-    payload << "record";
+  std::vector<const StoreRecord*> pointers;
+  pointers.reserve(records.size());
+  for (const StoreRecord& record : records) pointers.push_back(&record);
+  return encode_shard(pointers);
+}
+
+std::string encode_shard(const std::vector<const StoreRecord*>& records) {
+  std::string out = "lclshard " + std::to_string(kShardFormatVersion) + " " +
+                    std::to_string(records.size()) + " ";
+  const std::size_t checksum_at = out.size();
+  out.append(kChecksumDigits, '0');
+  out.push_back('\n');
+  const std::size_t payload_at = out.size();
+  for (const StoreRecord* const entry : records) {
+    const StoreRecord& record = *entry;
+    out.append("record");
     if (record.ok()) {
-      payload << " class " << class_word(*record.classified) << "\n";
+      out.append(" class ").append(class_word(*record.classified)).push_back('\n');
     } else {
       const BatchError& error =
           record.observation ? *record.observation
                              : BatchError{BatchErrorKind::kInternal, "missing"};
-      payload << " error " << to_string(error.kind) << "\n";
-      payload << "message " << flatten(error.message) << "\n";
+      out.append(" error ").append(to_string(error.kind)).append("\nmessage ");
+      // The message travels on one line; newlines would break the framing,
+      // so they become spaces (the message is for humans and retry policy
+      // keys off the kind, never the text).
+      const std::size_t message_at = out.size();
+      out.append(error.message);
+      std::replace_if(out.begin() + static_cast<std::ptrdiff_t>(message_at), out.end(),
+                      [](char c) { return c == '\n' || c == '\r'; }, ' ');
+      out.push_back('\n');
     }
-    serialize(record.problem, payload);
+    serialize(record.problem, out);
   }
-  const std::string body = payload.str();
-  std::ostringstream out;
-  out << "lclshard " << kShardFormatVersion << " " << records.size() << " "
-      << checksum_hex(canonical_hash(body)) << "\n"
-      << body;
-  return out.str();
+  const std::string_view payload = std::string_view(out).substr(payload_at);
+  write_checksum_hex(canonical_hash(payload), out.data() + checksum_at);
+  return out;
 }
 
-ShardLoadResult decode_shard(const std::string& bytes) {
+ShardLoadResult decode_shard(std::string_view bytes) {
   const std::size_t header_end = bytes.find('\n');
-  if (header_end == std::string::npos) return dirty("missing header line");
-  std::istringstream header(bytes.substr(0, header_end));
-  std::string magic;
+  if (header_end == std::string_view::npos) return dirty("missing header line");
+  std::string_view header = bytes.substr(0, header_end);
+  const std::string_view magic = next_token(header);
+  const std::string_view version_text = next_token(header);
+  const std::string_view declared_text = next_token(header);
+  const std::string_view checksum_text = next_token(header);
   std::uint32_t version = 0;
   std::size_t declared = 0;
-  std::string checksum_text;
-  if (!(header >> magic >> version >> declared >> checksum_text) ||
-      magic != "lclshard") {
+  if (magic != "lclshard" || !parse_number(version_text, &version) ||
+      !parse_number(declared_text, &declared) || checksum_text.empty()) {
     return dirty("bad magic/header");
   }
   ShardLoadResult result;
@@ -115,13 +147,11 @@ ShardLoadResult decode_shard(const std::string& bytes) {
     other.version = version;  // lets the loader tell an older format from garbage
     return other;
   }
-  char* end = nullptr;
-  result.checksum = std::strtoull(checksum_text.c_str(), &end, 16);
-  if (end == checksum_text.c_str() || *end != '\0' || checksum_text.size() != 16) {
+  if (checksum_text.size() != kChecksumDigits ||
+      !parse_number(checksum_text, &result.checksum, 16)) {
     return dirty("malformed checksum field");
   }
-  const std::string_view payload(bytes.data() + header_end + 1,
-                                 bytes.size() - header_end - 1);
+  const std::string_view payload = bytes.substr(header_end + 1);
   if (canonical_hash(payload) != result.checksum) {
     return dirty("checksum mismatch (torn or corrupted payload)");
   }
@@ -129,69 +159,55 @@ ShardLoadResult decode_shard(const std::string& bytes) {
   // The payload is now authenticated, but still parsed defensively: any
   // structural surprise (hostile bytes that happened to carry a matching
   // checksum, or a writer bug) makes the shard dirty, never a crash.
+  // Records are framed in place; each problem block is parsed as a view.
   try {
-    std::istringstream in{std::string(payload)};
-    std::string line;
+    std::string_view rest = payload;
+    std::string_view line;
     std::size_t line_no = 1;  // the header was line 1 of the file
-    while (std::getline(in, line)) {
+    while (next_line(rest, line)) {
       ++line_no;
       if (line.empty() || line[0] == '#') continue;
-      std::istringstream fields(line);
-      std::string keyword;
-      fields >> keyword;
+      std::string_view fields = line;
+      const std::string_view keyword = next_token(fields);
       if (keyword != "record") {
-        return dirty("line " + std::to_string(line_no) + ": expected 'record', got '" +
-                     keyword + "'");
+        return dirty_at(line_no, "expected 'record', got '", keyword, "'");
       }
       StoreRecord record;
-      std::string outcome_keyword, outcome_word;
-      if (!(fields >> outcome_keyword >> outcome_word)) {
-        return dirty("line " + std::to_string(line_no) + ": malformed record header");
-      }
+      const std::string_view outcome_keyword = next_token(fields);
+      const std::string_view outcome_word = next_token(fields);
+      if (outcome_word.empty()) return dirty_at(line_no, "malformed record header");
       if (outcome_keyword == "class") {
         ComplexityClass c;
         if (!parse_class(outcome_word, &c)) {
-          return dirty("line " + std::to_string(line_no) + ": unknown class '" +
-                       outcome_word + "'");
+          return dirty_at(line_no, "unknown class '", outcome_word, "'");
         }
         record.classified = c;
       } else if (outcome_keyword == "error") {
         BatchError error;
         if (!parse_error_kind(outcome_word, &error.kind)) {
-          return dirty("line " + std::to_string(line_no) + ": unknown error kind '" +
-                       outcome_word + "'");
+          return dirty_at(line_no, "unknown error kind '", outcome_word, "'");
         }
-        if (!std::getline(in, line)) {
-          return dirty("line " + std::to_string(line_no) + ": truncated error record");
-        }
+        if (!next_line(rest, line)) return dirty_at(line_no, "truncated error record");
         ++line_no;
-        if (line.rfind("message", 0) != 0) {
-          return dirty("line " + std::to_string(line_no) + ": expected 'message' line");
+        if (!line.starts_with("message")) {
+          return dirty_at(line_no, "expected 'message' line");
         }
-        error.message = line.size() > 8 ? line.substr(8) : std::string();
+        if (line.size() > 8) error.message.assign(line.substr(8));
         record.observation = std::move(error);
       } else {
-        return dirty("line " + std::to_string(line_no) + ": expected 'class' or 'error'");
+        return dirty_at(line_no, "expected 'class' or 'error'");
       }
 
-      // Collect the problem block up to its own `end` terminator.
-      std::string block;
+      // The problem block runs up to its own `end` terminator.
+      const std::size_t block_at = payload.size() - rest.size();
       bool saw_end = false;
-      while (std::getline(in, line)) {
+      while (!saw_end && next_line(rest, line)) {
         ++line_no;
-        block += line;
-        block += '\n';
-        std::istringstream block_fields(line);
-        std::string first;
-        if (block_fields >> first && first == "end") {
-          saw_end = true;
-          break;
-        }
+        saw_end = next_token(line) == "end";
       }
-      if (!saw_end) {
-        return dirty("line " + std::to_string(line_no) + ": truncated problem block");
-      }
-      record.problem = parse_problem(block);
+      if (!saw_end) return dirty_at(line_no, "truncated problem block");
+      record.problem =
+          parse_problem(payload.substr(block_at, payload.size() - rest.size() - block_at));
       result.records.push_back(std::move(record));
     }
   } catch (const std::exception& e) {
@@ -209,12 +225,16 @@ ShardLoadResult load_shard(const std::string& path) {
   if (fault::io_should_fail(fault::IoPoint::kLoad)) {
     return dirty("fault injection: scripted load failure");
   }
-  std::ifstream file(path, std::ios::binary);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) return dirty("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (!file.good() && !file.eof()) return dirty("read error on " + path);
-  return decode_shard(buffer.str());
+  const std::streamoff size = file.tellg();
+  if (size < 0) return dirty("read error on " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  file.seekg(0);
+  if (!file.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    return dirty("read error on " + path);
+  }
+  return decode_shard(bytes);
 }
 
 void write_shard_atomic(const std::string& path, const std::string& bytes) {

@@ -50,6 +50,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "decide/batch.hpp"
@@ -98,11 +99,18 @@ struct ShardLoadResult {
   std::vector<StoreRecord> records;
 };
 
-/// Serializes records into shard bytes (header + payload).
+/// Serializes records into shard bytes (header + payload), appended to one
+/// string.
 std::string encode_shard(const std::vector<StoreRecord>& records);
+/// The same bytes for records held elsewhere: ResultStore::commit encodes
+/// its records where they are instead of copying them.
+std::string encode_shard(const std::vector<const StoreRecord*>& records);
 
-/// Validates + parses shard bytes; never throws on hostile input.
-ShardLoadResult decode_shard(const std::string& bytes);
+/// Validates + parses shard bytes; never throws on hostile input. Records
+/// are framed over the bytes in place and each problem block is parsed as
+/// a view. Header fields are read strictly: the version and record count
+/// as plain decimal tokens, the checksum as exactly 16 hex digits.
+ShardLoadResult decode_shard(std::string_view bytes);
 
 /// Reads and decodes one shard file. A missing/unreadable file is dirty,
 /// not an exception (the loader's callers treat every bad shard the same

@@ -41,9 +41,19 @@ StoreRecord record_of(const PairwiseProblem& problem, const BatchEntry& entry,
   return record;
 }
 
+StoreSnapshot::StoreSnapshot(std::vector<std::shared_ptr<const KeyedRecords>> shards)
+    : shards_(std::move(shards)) {
+  std::size_t records = 0;
+  for (const auto& shard : shards_) records += shard->size();
+  index_.reserve(records);
+  for (const auto& shard : shards_) {
+    for (const auto& [key, record] : *shard) index_.emplace(key, &record);
+  }
+}
+
 const StoreRecord* StoreSnapshot::find(const std::string& cache_key) const {
-  const auto it = records_.find(cache_key);
-  return it == records_.end() ? nullptr : &it->second;
+  const auto it = index_.find(cache_key);
+  return it == index_.end() ? nullptr : it->second;
 }
 
 ResultStore::ResultStore(std::string directory, StoreOptions options)
@@ -98,10 +108,10 @@ void ResultStore::put(StoreRecord record) {
 std::size_t ResultStore::commit() {
   if (dirty_shards_.empty()) return 0;
   // Group records by target shard once; only dirty shards are rewritten.
-  std::map<std::size_t, std::vector<StoreRecord>> by_shard;
+  std::map<std::size_t, std::vector<const StoreRecord*>> by_shard;
   for (const auto& [key, record] : records_) {
     const std::size_t index = shard_index(key);
-    if (dirty_shards_.count(index) != 0) by_shard[index].push_back(record);
+    if (dirty_shards_.count(index) != 0) by_shard[index].push_back(&record);
   }
   std::size_t written = 0;
   // Erase each dirty flag only after its shard landed: a commit that
@@ -114,11 +124,6 @@ std::size_t ResultStore::commit() {
     it = dirty_shards_.erase(it);
   }
   return written;
-}
-
-std::shared_ptr<const StoreSnapshot> ResultStore::snapshot() const {
-  std::unordered_map<std::string, StoreRecord> copy(records_.begin(), records_.end());
-  return std::make_shared<const StoreSnapshot>(std::move(copy));
 }
 
 std::size_t ResultStore::warm_start(BatchCache& cache) {

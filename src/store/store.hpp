@@ -32,7 +32,9 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "store/shard.hpp"
@@ -53,25 +55,32 @@ bool retry_eligible(BatchErrorKind kind);
 StoreRecord record_of(const PairwiseProblem& problem, const BatchEntry& entry,
                       const ClassifyOptions& options);
 
+/// One shard file's validated records, each beside its cache key
+/// (StoreRecord::cache_key()), keyed once when the shard is loaded.
+using KeyedRecords = std::vector<std::pair<std::string, StoreRecord>>;
+
 /// An immutable point-in-time view of the store, shared RCU-style: the
 /// serve loop swaps a new snapshot in after validating a reload while
 /// in-flight readers keep the old one alive through their shared_ptr.
+/// A snapshot shares its shards' records with the server and with the
+/// snapshots before and after it; a new snapshot copies no record and
+/// computes no key, it only indexes the shards it is given.
 class StoreSnapshot {
  public:
   StoreSnapshot() = default;
-  explicit StoreSnapshot(std::unordered_map<std::string, StoreRecord> records)
-      : records_(std::move(records)) {}
+  /// Indexes `shards` in order; on a key held by more than one shard, the
+  /// earlier shard's record is served.
+  explicit StoreSnapshot(std::vector<std::shared_ptr<const KeyedRecords>> shards);
 
   /// Lookup by full cache identity (StoreRecord::cache_key()); nullptr
   /// when the store has no record — classified or observed — for it.
   const StoreRecord* find(const std::string& cache_key) const;
-  std::size_t size() const { return records_.size(); }
-  const std::unordered_map<std::string, StoreRecord>& records() const {
-    return records_;
-  }
+  std::size_t size() const { return index_.size(); }
 
  private:
-  std::unordered_map<std::string, StoreRecord> records_;
+  std::vector<std::shared_ptr<const KeyedRecords>> shards_;
+  /// Views into shards_' keys and records.
+  std::unordered_map<std::string_view, const StoreRecord*> index_;
 };
 
 /// What load() found on disk. Dirty shards are reported, not fatal.
@@ -92,8 +101,8 @@ struct StoreOptions {
 
 /// The mutable, single-writer store handle: load a directory, stage
 /// records, commit dirty shards atomically. Not thread-safe (one writer —
-/// the serve loop or a CLI invocation); concurrent *readers* use the
-/// immutable snapshot() or the serve loop's CatalogServer instead.
+/// the serve loop or a CLI invocation); concurrent *readers* use the serve
+/// loop's CatalogServer snapshots instead.
 class ResultStore {
  public:
   explicit ResultStore(std::string directory, StoreOptions options = {});
@@ -120,9 +129,6 @@ class ResultStore {
   /// (old-complete or new-complete per file), and the failed commit may
   /// be retried verbatim.
   std::size_t commit();
-
-  /// Immutable copy of the current record set.
-  std::shared_ptr<const StoreSnapshot> snapshot() const;
 
   /// Preloads every *successful* classification into `cache` as a
   /// restored outcome (ClassifiedProblem::restore) — a warm start is a

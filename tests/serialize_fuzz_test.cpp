@@ -5,7 +5,8 @@
 // crashes, never hangs, and never lets an absurd declaration (a
 // million-label alphabet) through to become an allocation bomb in the
 // classifier. The fuzz loop mutates valid catalog serializations with a
-// seeded RNG so every CI run exercises the same corpus.
+// seeded RNG (serialize_mutations.hpp) so every CI run exercises the same
+// corpus.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,24 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "core/rng.hpp"
 #include "lcl/catalog.hpp"
 #include "lcl/serialize.hpp"
+#include "serialize_mutations.hpp"
 
 namespace lclpath {
 namespace {
-
-std::vector<std::string> corpus() {
-  std::vector<std::string> texts;
-  for (const PairwiseProblem& problem :
-       {catalog::coloring(3), catalog::constant_output(),
-        catalog::maximal_independent_set(), catalog::agreement(),
-        catalog::prefix_parity(), catalog::two_coloring(),
-        catalog::shift_input(), catalog::input_gated_coloring()}) {
-    texts.push_back(serialize(problem));
-  }
-  return texts;
-}
 
 // The only acceptable behaviors: a parse that round-trips, or a clean
 // std::invalid_argument. Anything else (other exception types, crashes)
@@ -50,51 +39,14 @@ void expect_parse_is_total(const std::string& text) {
 }
 
 TEST(SerializeFuzz, CorpusRoundTrips) {
-  for (const std::string& text : corpus()) {
+  for (const std::string& text : testing::mutation_corpus()) {
     const PairwiseProblem parsed = parse_problem(text);
     EXPECT_EQ(serialize(parsed), text);
   }
 }
 
 TEST(SerializeFuzz, SeededMutationsNeverCrashTheParser) {
-  const std::vector<std::string> texts = corpus();
-  Rng rng(0xf0220dull);
-  constexpr int kIterations = 4000;
-  // Built piecewise: a "\0..." literal would truncate at the NUL.
-  const std::string garbage =
-      std::string(1, '\0') + "\t\x7f lcl topology node edge end # 9999999999";
-  for (int iter = 0; iter < kIterations; ++iter) {
-    std::string text = texts[rng.next_below(texts.size())];
-    const int mutations = 1 + static_cast<int>(rng.next_below(4));
-    for (int m = 0; m < mutations; ++m) {
-      if (text.empty()) break;
-      switch (rng.next_below(6)) {
-        case 0:  // flip a byte
-          text[rng.next_below(text.size())] =
-              static_cast<char>(rng.next_below(256));
-          break;
-        case 1:  // delete a span
-          text.erase(rng.next_below(text.size()),
-                     1 + rng.next_below(8));
-          break;
-        case 2:  // duplicate a prefix of a line somewhere
-          text.insert(rng.next_below(text.size()),
-                      text.substr(0, rng.next_below(text.size())));
-          break;
-        case 3:  // truncate (lost 'end', mid-line cuts)
-          text.resize(rng.next_below(text.size()));
-          break;
-        case 4:  // splice in hostile bytes
-          text.insert(rng.next_below(text.size()), garbage);
-          break;
-        case 5:  // swap two lines' worth of bytes crudely
-          std::swap(text[rng.next_below(text.size())],
-                    text[rng.next_below(text.size())]);
-          break;
-      }
-    }
-    expect_parse_is_total(text);
-  }
+  for (const std::string& text : testing::seeded_mutations()) expect_parse_is_total(text);
 }
 
 TEST(SerializeFuzz, TruncatedBlockIsRejected) {

@@ -317,6 +317,32 @@ TEST(Store, LoadSkipsDirtyShardsAndKeepsGoodOnes) {
   EXPECT_EQ(verdict.shards.size(), 3u);
 }
 
+// A name parse_problem cannot read back (empty, or holding a newline) must
+// not make its whole shard dirty: serialize() writes a name the parser
+// accepts, and names are cosmetic, so every record loads clean.
+TEST(Store, UnparseableNamesDoNotPoisonTheirShard) {
+  for (const std::string& name : {std::string(), std::string("two\nlines"),
+                                 std::string(" \r\v\f ")}) {
+    ScopedDir dir("bad_name");
+    ResultStore store(dir.path(), {1});
+    PairwiseProblem renamed = catalog::constant_output();
+    renamed.set_name(name);
+    store.put(classified_record(catalog::coloring(3), ComplexityClass::kLogStar));
+    store.put(classified_record(renamed, ComplexityClass::kConstant));
+    ASSERT_EQ(store.commit(), 1u);
+
+    ResultStore reloaded(dir.path(), {1});
+    const LoadReport report = reloaded.load();
+    EXPECT_TRUE(report.dirty.empty()) << report.dirty.front();
+    EXPECT_EQ(report.records, 2u);
+    const StoreRecord* found =
+        reloaded.find(classified_record(renamed, ComplexityClass::kConstant).cache_key());
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->problem, renamed);
+    EXPECT_TRUE(fsck(dir.path()).clean);
+  }
+}
+
 TEST(Store, ObservationNeverClobbersClassification) {
   ScopedDir dir("no_clobber");
   ResultStore store(dir.path(), {2});
@@ -806,6 +832,82 @@ TEST(CatalogServer, InjectedLoadFaultIsRejectedLikeCorruption) {
   EXPECT_NE(server.snapshot()->find(extra.cache_key()), nullptr);
 }
 
+TEST(CatalogServer, DuplicateKeyIsServedFromTheFirstFile) {
+  // The same problem in two files, with different classes: the file that
+  // sorts first wins, whatever order the records were loaded in.
+  ScopedDir dir("serve_dups");
+  const PairwiseProblem problem = catalog::coloring(3);
+  write_file(dir.path() + "/b.lcls",
+             encode_shard({classified_record(problem, ComplexityClass::kLinear)}));
+  write_file(dir.path() + "/a.lcls",
+             encode_shard({classified_record(problem, ComplexityClass::kLogStar)}));
+
+  CatalogServer server(dir.path());
+  EXPECT_EQ(server.poll().reloaded, 2u);
+  const auto snapshot = server.snapshot();
+  EXPECT_EQ(snapshot->size(), 1u);
+  const StoreRecord* found =
+      snapshot->find(classified_record(problem, ComplexityClass::kLogStar).cache_key());
+  ASSERT_NE(found, nullptr);
+  ASSERT_TRUE(found->ok());
+  EXPECT_EQ(*found->classified, ComplexityClass::kLogStar);
+
+  // Rewriting the later file does not change which record is served.
+  write_file(dir.path() + "/b.lcls",
+             encode_shard({classified_record(problem, ComplexityClass::kConstant),
+                           classified_record(synthetic_problem(5),
+                                             ComplexityClass::kLinear)}));
+  EXPECT_EQ(server.poll().reloaded, 1u);
+  found = server.snapshot()->find(
+      classified_record(problem, ComplexityClass::kLogStar).cache_key());
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(*found->classified, ComplexityClass::kLogStar);
+}
+
+TEST(CatalogServer, PollSharesUnchangedShards) {
+  // A poll that reloads one shard of sixteen publishes a snapshot that
+  // serves every other shard's records from the very same objects: the
+  // poll costs the changed shard, not the store.
+  ScopedDir dir("serve_share");
+  ResultStore store(dir.path(), {16});
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < 96; ++i) {
+    StoreRecord record = classified_record(synthetic_problem(i), ComplexityClass::kLinear);
+    keys.push_back(record.cache_key());
+    store.put(std::move(record));
+  }
+  ASSERT_EQ(store.commit(), 16u);
+
+  CatalogServer server(dir.path());
+  EXPECT_EQ(server.poll().reloaded, 16u);
+  const auto before = server.snapshot();
+  const std::uint64_t generation = server.generation();
+
+  StoreRecord extra = classified_record(synthetic_problem(500), ComplexityClass::kConstant);
+  const std::size_t changed = store.shard_index(extra.cache_key());
+  store.put(extra);
+  ASSERT_EQ(store.commit(), 1u);
+  const ReloadReport report = server.poll();
+  EXPECT_EQ(report.reloaded, 1u);
+  EXPECT_EQ(report.unchanged, 15u);
+  EXPECT_EQ(server.generation(), generation + 1);
+
+  const auto after = server.snapshot();
+  ASSERT_NE(after, before);
+  EXPECT_EQ(after->size(), before->size() + 1);
+  EXPECT_NE(after->find(extra.cache_key()), nullptr);
+  std::size_t shared = 0;
+  for (const std::string& key : keys) {
+    const StoreRecord* old_record = before->find(key);
+    ASSERT_NE(old_record, nullptr);
+    ASSERT_NE(after->find(key), nullptr);
+    if (store.shard_index(key) == changed) continue;
+    EXPECT_EQ(after->find(key), old_record) << "record of an unchanged shard was copied";
+    ++shared;
+  }
+  EXPECT_GT(shared, 80u);
+}
+
 TEST(CatalogServer, ConcurrentReadersSurviveSwaps) {
   // The RCU contract under fire: reader threads hold snapshots across
   // the poller's swaps (including rejected polls) and must always see a
@@ -854,6 +956,74 @@ TEST(CatalogServer, ConcurrentReadersSurviveSwaps) {
   for (std::thread& reader : readers) reader.join();
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GT(server.generation(), 0u);
+}
+
+TEST(CatalogServer, ConcurrentReadersSurviveSwapsAcrossShards) {
+  // ConcurrentReadersSurviveSwaps on a multi-shard store: readers hold a
+  // snapshot across swaps of one shard and dereference records of the
+  // shards the poller never touches. Those records are shared between
+  // snapshots, so a reader must find them alive and intact in whatever
+  // snapshot it holds. The TSan CI job runs this.
+  ScopedDir dir("serve_rcu_shards");
+  ResultStore store(dir.path(), {4});
+  std::vector<StoreRecord> stable;
+  for (std::size_t i = 0; i < 32; ++i) {
+    stable.push_back(classified_record(synthetic_problem(i), ComplexityClass::kLinear));
+    store.put(stable.back());
+  }
+  ASSERT_EQ(store.commit(), 4u);
+  // The shard the poller rewrites; its records are dropped from `stable`.
+  const std::string churned = list_shard_files(dir.path()).at(0);
+  const ShardLoadResult original = load_shard(churned);
+  ASSERT_TRUE(original.ok);
+  std::vector<StoreRecord> grown = original.records;
+  grown.push_back(classified_record(synthetic_problem(900), ComplexityClass::kConstant));
+  const std::string small = encode_shard(original.records);
+  const std::string large = encode_shard(grown);
+  std::vector<std::string> untouched;
+  for (const StoreRecord& record : stable) {
+    if (store.shard_path(store.shard_index(record.cache_key())) != churned) {
+      untouched.push_back(record.cache_key());
+    }
+  }
+  ASSERT_FALSE(untouched.empty());
+
+  CatalogServer server(dir.path());
+  server.poll();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        const auto snapshot = server.snapshot();
+        const std::size_t size = snapshot->size();
+        EXPECT_TRUE(size == 32 || size == 33) << size;
+        for (const std::string& key : untouched) {
+          const StoreRecord* record = snapshot->find(key);
+          ASSERT_NE(record, nullptr);
+          ASSERT_TRUE(record->ok());
+          EXPECT_EQ(*record->classified, ComplexityClass::kLinear);
+          EXPECT_EQ(record->problem.num_outputs(), 4u);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  for (int round = 0; round < 30; ++round) {
+    write_file(churned, (round % 2) ? large : small);
+    server.poll();
+    if (round % 5 == 0) {
+      write_file(churned, "lclshard 1 totally bogus\n");
+      server.poll();
+    }
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(server.generation(), 1u);
 }
 
 }  // namespace
