@@ -105,6 +105,8 @@ SweepResult run_batch_sweep() {
   const auto t0 = clock_type::now();
   const auto cold = classify_batch(problems, options);
   const auto t1 = clock_type::now();
+  const std::size_t cold_monoids = cache.size();
+  const std::uint64_t cold_misses = cache.misses();
   const auto cached = classify_batch(problems, options);
   const auto t2 = clock_type::now();
   result.cold_s = std::chrono::duration<double>(t1 - t0).count();
@@ -114,12 +116,11 @@ SweepResult run_batch_sweep() {
   for (const auto& entry : cold) {
     if (!entry.ok()) std::fprintf(stderr, "sweep entry failed: %s\n", entry.error().c_str());
   }
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    // Cached classifications must alias the cold pass's monoids.
-    if (cached[i].ok() && cold[i].ok() &&
-        cached[i].classified().monoid_ptr().get() != cold[i].classified().monoid_ptr().get()) {
-      std::fprintf(stderr, "sweep entry %zu did not share its monoid\n", i);
-    }
+  // The cached pass must reuse the cold pass's monoids: no miss, no new
+  // cache entry.
+  if (cache.misses() != cold_misses || cache.size() != cold_monoids) {
+    std::fprintf(stderr, "cached sweep built %llu monoid(s) instead of sharing them\n",
+                 static_cast<unsigned long long>(cache.misses() - cold_misses));
   }
   return result;
 }

@@ -1,15 +1,19 @@
 // lclpath_cli — classify an LCL problem description from a file or stdin.
 //
 //   $ ./examples/lclpath_cli problem.lcl
-//   $ ./examples/lclpath_cli classify [--deadline-ms N] problem.lcl
+//   $ ./examples/lclpath_cli classify [--threads N] [--deadline-ms N] problem.lcl
 //   $ ./examples/lclpath_cli --demo            # classify the catalog
 //   $ cat problem.lcl | ./examples/lclpath_cli -
 //   $ ./examples/lclpath_cli classify-batch [--threads N] [--deadline-ms N]
-//         [--batch-deadline-ms N] [--store DIR] many.lcl ...
+//         [--batch-deadline-ms N] [--store DIR] [--shards N] many.lcl ...
 //   $ ./examples/lclpath_cli deadline-suite [--deadline-ms N]
-//   $ ./examples/lclpath_cli serve STORE_DIR [--classify many.lcl ...]
-//         [--poll-ms N] [--polls N] [--chunk K] [--exit-when-idle]
+//   $ ./examples/lclpath_cli serve [--classify many.lcl ...] [--poll-ms N]
+//         [--polls N] [--chunk N] [--threads N] [--shards N] [--deadline-ms N]
+//         [--exit-when-idle] STORE_DIR
 //   $ ./examples/lclpath_cli store-fsck STORE_DIR
+//
+// All modes parse through one flag table (kModes), which also generates
+// the usage text; an unknown flag or a missing value is a usage error.
 //
 // Output: the complexity class (Theorems 8+9), the certificate summary,
 // and — when the problem is solvable — a sample run of the synthesized
@@ -41,6 +45,7 @@
 // deadline, and fails when any problem escapes the deadline by more than
 // 2x (a missing checkpoint in some hot loop) or crashes outright.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,7 +55,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -76,18 +83,57 @@ std::string read_source(const char* path) {
   return buffer.str();
 }
 
-/// Parses a non-negative integer flag value; returns false (with a
-/// message) on junk.
-bool parse_count(const char* flag, const char* text, std::size_t* out) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || value < 0) {
-    std::fprintf(stderr, "%s: '%s' is not a non-negative count\n", flag, text);
-    return false;
+/// Parses every problem block of every file (`-` = stdin); nullopt, with
+/// the error printed, when a file cannot be read or parsed.
+std::optional<std::vector<lclpath::PairwiseProblem>> read_problems(
+    const std::vector<const char*>& paths) {
+  std::vector<lclpath::PairwiseProblem> problems;
+  try {
+    for (const char* path : paths) {
+      for (auto& problem : lclpath::parse_problems(read_source(path))) {
+        problems.push_back(std::move(problem));
+      }
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return std::nullopt;
   }
-  *out = static_cast<std::size_t>(value);
-  return true;
+  return problems;
 }
+
+/// Every value a mode's flags and operands set; a mode's own defaults are set first.
+struct Args {
+  std::size_t threads = 0;
+  std::size_t deadline_ms = 0;
+  std::size_t batch_deadline_ms = 0;
+  std::size_t shards = 16;
+  std::size_t poll_ms = 200;
+  std::size_t polls = 0;  // 0 = forever
+  std::size_t chunk = 4;
+  const char* store = nullptr;
+  std::vector<const char*> classify;
+  bool exit_when_idle = false;
+  std::vector<const char*> operands;
+};
+
+/// One flag: its spelling and the Args field it sets. A count takes a non-negative
+/// integer, a list collects every occurrence's value, a bool is a switch.
+struct Flag {
+  const char* name;
+  std::variant<std::size_t Args::*, const char* Args::*, std::vector<const char*> Args::*,
+               bool Args::*>
+      target;
+};
+
+/// A mode: its word on the command line, its flag table, the usage text
+/// and count of its operands (SIZE_MAX: any number), and what it runs.
+struct Mode {
+  const char* name;
+  std::vector<Flag> flags;
+  const char* operands;
+  std::size_t num_operands;
+  int (*run)(const Args&);
+};
 
 /// The per-kind failure census line (BatchSummary::by_error): persisted
 /// and fresh runs of the same inputs are diffable kind-by-kind, not just
@@ -103,41 +149,17 @@ void print_error_census(const lclpath::BatchSummary& summary) {
   std::printf("\n");
 }
 
-int run_classify_batch(int argc, char** argv) {
+int run_classify_batch(const Args& args) {
   using namespace lclpath;
   // Problems sharing a transition-system skeleton (renamed copies, sweep
   // families) build their monoid once per invocation.
   MonoidCache monoids;
   BatchOptions options;
   options.classify.monoid_cache = &monoids;
-  std::vector<const char*> paths;
-  const char* store_dir = nullptr;
-  std::size_t store_shards = 16;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      std::size_t count = 0;
-      if (i + 1 >= argc || !parse_count("--threads", argv[++i], &count)) return 2;
-      options.num_threads = count;
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      std::size_t ms = 0;
-      if (i + 1 >= argc || !parse_count("--deadline-ms", argv[++i], &ms)) return 2;
-      options.problem_deadline_ms = ms;
-    } else if (std::strcmp(argv[i], "--batch-deadline-ms") == 0) {
-      std::size_t ms = 0;
-      if (i + 1 >= argc || !parse_count("--batch-deadline-ms", argv[++i], &ms)) return 2;
-      options.batch_deadline_ms = ms;
-    } else if (std::strcmp(argv[i], "--store") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--store needs a directory\n");
-        return 2;
-      }
-      store_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (i + 1 >= argc || !parse_count("--shards", argv[++i], &store_shards)) return 2;
-    } else {
-      paths.push_back(argv[i]);
-    }
-  }
+  options.num_threads = args.threads;
+  options.problem_deadline_ms = args.deadline_ms;
+  options.batch_deadline_ms = args.batch_deadline_ms;
+  std::vector<const char*> paths = args.operands;
   if (paths.empty()) paths.push_back("-");
 
   // With --store the run is persistent: warm-start the cache from the
@@ -146,8 +168,8 @@ int run_classify_batch(int argc, char** argv) {
   std::optional<store::ResultStore> result_store;
   BatchCache cache;
   std::size_t preloaded = 0;
-  if (store_dir != nullptr) {
-    result_store.emplace(store_dir, store::StoreOptions{store_shards});
+  if (args.store != nullptr) {
+    result_store.emplace(args.store, store::StoreOptions{args.shards});
     const store::LoadReport loaded = result_store->load();
     for (const std::string& dirty : loaded.dirty) {
       std::fprintf(stderr, "store: dirty shard skipped: %s\n", dirty.c_str());
@@ -156,17 +178,9 @@ int run_classify_batch(int argc, char** argv) {
     options.cache = &cache;
   }
 
-  std::vector<PairwiseProblem> problems;
-  try {
-    for (const char* path : paths) {
-      for (PairwiseProblem& problem : parse_problems(read_source(path))) {
-        problems.push_back(std::move(problem));
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  const auto read = read_problems(paths);
+  if (!read) return 2;
+  const std::vector<PairwiseProblem>& problems = *read;
   if (problems.empty()) {
     std::fprintf(stderr, "classify-batch: no problems found\n");
     return 2;
@@ -188,7 +202,7 @@ int run_classify_batch(int argc, char** argv) {
   bool any_timeout = false;
   for (std::size_t i = 0; i < problems.size(); ++i) {
     if (batch[i].ok()) {
-      // Deduplicated slots share the representative's result; keep the
+      // Deduplicated slots share the representative's verdict; keep the
       // slot's own name in front so every input line is accounted for.
       const std::string& rep_name = batch[i].classified().problem().name();
       if (batch[i].deduplicated && problems[i].name() != rep_name) {
@@ -243,13 +257,9 @@ int run_classify_batch(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int run_store_fsck(int argc, char** argv) {
+int run_store_fsck(const Args& args) {
   using namespace lclpath;
-  if (argc != 3) {
-    std::fprintf(stderr, "usage: %s store-fsck STORE_DIR\n", argv[0]);
-    return 2;
-  }
-  const store::FsckReport report = store::fsck(argv[2]);
+  const store::FsckReport report = store::fsck(args.operands[0]);
   for (const store::FsckShard& shard : report.shards) {
     if (shard.ok) {
       std::printf("%s  v%u  %zu record(s)  checksum %016llx  ok\n",
@@ -270,76 +280,23 @@ int run_store_fsck(int argc, char** argv) {
 // any instant (the CI kill-and-recover gate SIGKILLs it mid-commit): every
 // shard write is atomic, so recovery is a reload plus an incremental
 // re-classify of whatever had not landed yet.
-int run_serve(int argc, char** argv) {
+int run_serve(const Args& args) {
   using namespace lclpath;
-  const char* dir = nullptr;
-  std::size_t poll_ms = 200;
-  std::size_t polls = 0;  // 0 = forever
-  std::size_t chunk = 4;
-  std::size_t store_shards = 16;
-  std::size_t deadline_ms = 0;
-  bool exit_when_idle = false;
+  const char* dir = args.operands[0];
+  const std::size_t chunk = args.chunk == 0 ? 1 : args.chunk;
   BatchOptions options;
-  std::vector<const char*> classify_paths;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--poll-ms") == 0) {
-      if (i + 1 >= argc || !parse_count("--poll-ms", argv[++i], &poll_ms)) return 2;
-    } else if (std::strcmp(argv[i], "--polls") == 0) {
-      if (i + 1 >= argc || !parse_count("--polls", argv[++i], &polls)) return 2;
-    } else if (std::strcmp(argv[i], "--chunk") == 0) {
-      if (i + 1 >= argc || !parse_count("--chunk", argv[++i], &chunk)) return 2;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (i + 1 >= argc || !parse_count("--shards", argv[++i], &store_shards)) return 2;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      std::size_t count = 0;
-      if (i + 1 >= argc || !parse_count("--threads", argv[++i], &count)) return 2;
-      options.num_threads = count;
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (i + 1 >= argc || !parse_count("--deadline-ms", argv[++i], &deadline_ms)) {
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--classify") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--classify needs a file\n");
-        return 2;
-      }
-      classify_paths.push_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--exit-when-idle") == 0) {
-      exit_when_idle = true;
-    } else if (dir == nullptr) {
-      dir = argv[i];
-    } else {
-      std::fprintf(stderr, "serve: unknown argument '%s'\n", argv[i]);
-      return 2;
-    }
-  }
-  if (dir == nullptr) {
-    std::fprintf(stderr, "usage: %s serve STORE_DIR [--classify FILE ...] "
-                         "[--poll-ms N] [--polls N] [--chunk K] [--threads N] "
-                         "[--shards N] [--deadline-ms N] [--exit-when-idle]\n",
-                 argv[0]);
-    return 2;
-  }
-  if (chunk == 0) chunk = 1;
-  options.problem_deadline_ms = deadline_ms;
+  options.num_threads = args.threads;
+  options.problem_deadline_ms = args.deadline_ms;
 
-  std::vector<PairwiseProblem> problems;
-  try {
-    for (const char* path : classify_paths) {
-      for (PairwiseProblem& problem : parse_problems(read_source(path))) {
-        problems.push_back(std::move(problem));
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  const auto read = read_problems(args.classify);
+  if (!read) return 2;
+  const std::vector<PairwiseProblem>& problems = *read;
 
   MonoidCache monoids;
   BatchCache cache;
   options.classify.monoid_cache = &monoids;
   options.cache = &cache;
-  store::ResultStore writer(dir, store::StoreOptions{store_shards});
+  store::ResultStore writer(dir, store::StoreOptions{args.shards});
   const store::LoadReport loaded = writer.load();
   const std::size_t preloaded = writer.warm_start(cache);
   std::printf("serve: %s: %zu shard(s) (%zu dirty), %zu record(s), %zu preloaded "
@@ -358,7 +315,7 @@ int run_serve(int argc, char** argv) {
   // deterministic failure cannot turn the loop into a hot retry spin;
   // retry-eligible observations from *previous* runs are retried here.
   std::set<std::size_t> attempted;
-  for (std::size_t iteration = 0; polls == 0 || iteration < polls; ++iteration) {
+  for (std::size_t iteration = 0; args.polls == 0 || iteration < args.polls; ++iteration) {
     const auto poll_start = std::chrono::steady_clock::now();
     const store::ReloadReport report = server.poll();
     const double poll_wall_ms = std::chrono::duration<double, std::milli>(
@@ -419,14 +376,14 @@ int run_serve(int argc, char** argv) {
         committed = false;
         std::printf("serve: commit retry failed: %s\n", e.what());
       }
-      if (exit_when_idle && committed) {
+      if (args.exit_when_idle && committed) {
         std::printf("serve: idle (nothing left to classify); exiting\n");
         break;
       }
     }
     std::fflush(stdout);
-    if (poll_ms > 0 && (polls == 0 || iteration + 1 < polls)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+    if (args.poll_ms > 0 && (args.polls == 0 || iteration + 1 < args.polls)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(args.poll_ms));
     }
   }
   std::printf("serve: done: store %zu record(s), %llu reload(s), %llu rejection(s)\n",
@@ -501,19 +458,9 @@ lclpath::PairwiseProblem hostile_problem(std::size_t alpha, std::size_t beta,
 // structured budget error, or trip its deadline — within 2x the deadline.
 // Escaping by more than 2x means some hot loop is missing a budget
 // checkpoint; any other exception is a crash. Exit 0 = gate holds.
-int run_deadline_suite(int argc, char** argv) {
+int run_deadline_suite(const Args& args) {
   using namespace lclpath;
-  std::size_t deadline_ms = 100;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (i + 1 >= argc || !parse_count("--deadline-ms", argv[++i], &deadline_ms)) {
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "deadline-suite: unknown argument '%s'\n", argv[i]);
-      return 2;
-    }
-  }
+  const std::size_t deadline_ms = args.deadline_ms;
   if (deadline_ms == 0) {
     std::fprintf(stderr, "deadline-suite: --deadline-ms must be positive\n");
     return 2;
@@ -564,76 +511,20 @@ int run_deadline_suite(int argc, char** argv) {
   return (escapes == 0 && crashes == 0) ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// Single-problem mode: --threads steers the sample run's chunked
+// simulation engine (0 = auto; classify itself stays single-threaded);
+// --deadline-ms bounds the whole classification + sample run with a
+// cooperative deadline.
+int run_classify(const Args& args) {
   using namespace lclpath;
-  if (argc >= 2 && std::strcmp(argv[1], "classify-batch") == 0) {
-    return run_classify_batch(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "deadline-suite") == 0) {
-    return run_deadline_suite(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    return run_serve(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "store-fsck") == 0) {
-    return run_store_fsck(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "--demo") == 0) {
-    for (const auto& entry : catalog::validation_catalog()) {
-      std::printf("-- %s\n", entry.note.c_str());
-      classify_and_report(entry.problem, false);
-    }
-    return 0;
-  }
-  // Single-problem mode (optionally spelled `classify`): [--threads N]
-  // steers the sample run's chunked simulation engine (0 = serial;
-  // classify itself stays single-threaded); [--deadline-ms N] bounds the
-  // whole classification + sample run with a cooperative deadline.
-  const int first_arg = (argc >= 2 && std::strcmp(argv[1], "classify") == 0) ? 2 : 1;
   SimulationOptions sim_options;
-  std::size_t deadline_ms = 0;
-  const char* path = nullptr;
-  bool usage_error = argc < first_arg + 1;
-  for (int i = first_arg; i < argc && !usage_error; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      std::size_t count = 0;
-      if (i + 1 >= argc || !parse_count("--threads", argv[++i], &count)) return 2;
-      sim_options.threads = count;
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (i + 1 >= argc || !parse_count("--deadline-ms", argv[++i], &deadline_ms)) {
-        return 2;
-      }
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      usage_error = true;
-    }
-  }
-  if (usage_error || path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: %s [classify] [--threads N] [--deadline-ms N] "
-                 "<problem.lcl | - | --demo>\n"
-                 "       %s classify-batch [--threads N] [--deadline-ms N] "
-                 "[--batch-deadline-ms N] [--store DIR [--shards N]] "
-                 "[file.lcl ... | -]\n"
-                 "       %s deadline-suite [--deadline-ms N]\n"
-                 "       %s serve STORE_DIR [--classify FILE ...] [--poll-ms N] "
-                 "[--polls N] [--chunk K] [--exit-when-idle]\n"
-                 "       %s store-fsck STORE_DIR\n"
-                 "File format: see lcl/serialize.hpp (lcl/topology/inputs/outputs/"
-                 "node/edge/first/last/end).\n"
-                 "Exit codes: 0 ok, 1 failed, 2 usage/input, 3 timeout/cancelled.\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0]);
-    return 2;
-  }
+  sim_options.threads = args.threads;
   try {
-    const PairwiseProblem problem = parse_problem(read_source(path));
+    const PairwiseProblem problem = parse_problem(read_source(args.operands[0]));
     ExecutionBudget budget;
     const ExecutionBudget* budget_ptr = nullptr;
-    if (deadline_ms > 0) {
-      budget.set_timeout(std::chrono::milliseconds(deadline_ms));
+    if (args.deadline_ms > 0) {
+      budget.set_timeout(std::chrono::milliseconds(args.deadline_ms));
       budget_ptr = &budget;
     }
     return classify_and_report(problem, true, sim_options, budget_ptr);
@@ -646,4 +537,125 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
+}
+
+/// The first mode is the default: its word may be left out.
+const Mode kModes[] = {
+    {"classify",
+     {{"--threads", &Args::threads}, {"--deadline-ms", &Args::deadline_ms}},
+     "<problem.lcl | - | --demo>", 1, run_classify},
+    {"classify-batch",
+     {{"--threads", &Args::threads}, {"--deadline-ms", &Args::deadline_ms},
+      {"--batch-deadline-ms", &Args::batch_deadline_ms}, {"--store", &Args::store},
+      {"--shards", &Args::shards}},
+     "[file.lcl ... | -]", SIZE_MAX, run_classify_batch},
+    {"deadline-suite", {{"--deadline-ms", &Args::deadline_ms}}, "", 0, run_deadline_suite},
+    {"serve",
+     {{"--classify", &Args::classify}, {"--poll-ms", &Args::poll_ms},
+      {"--polls", &Args::polls}, {"--chunk", &Args::chunk}, {"--threads", &Args::threads},
+      {"--shards", &Args::shards}, {"--deadline-ms", &Args::deadline_ms},
+      {"--exit-when-idle", &Args::exit_when_idle}},
+     "STORE_DIR", 1, run_serve},
+    {"store-fsck", {}, "STORE_DIR", 1, run_store_fsck},
+};
+
+/// Prints the usage line of `only`, or of every mode when it is null. A
+/// flag's value is named by the kind of Args field it sets.
+void print_usage(const char* program, const Mode* only) {
+  static constexpr const char* kValue[] = {" N", " DIR", " FILE ...", ""};
+  static_assert(std::size(kValue) == std::variant_size_v<decltype(Flag::target)>);
+  const char* lead = "usage:";
+  for (const Mode& mode : kModes) {
+    if (only != nullptr && only != &mode) continue;
+    std::string line = &mode == &kModes[0] ? std::string("[").append(mode.name).append("]")
+                                           : std::string(mode.name);
+    for (const Flag& flag : mode.flags) {
+      line.append(" [").append(flag.name).append(kValue[flag.target.index()]).append("]");
+    }
+    if (*mode.operands != '\0') line.append(" ").append(mode.operands);
+    std::fprintf(stderr, "%s %s %s\n", lead, program, line.c_str());
+    lead = "      ";
+  }
+  if (only != nullptr) return;
+  std::fprintf(stderr,
+               "File format: see lcl/serialize.hpp (lcl/topology/inputs/outputs/"
+               "node/edge/first/last/end).\n"
+               "Exit codes: 0 ok, 1 failed, 2 usage/input, 3 timeout/cancelled.\n");
+}
+
+/// Parses argv[first..argc) against `mode`'s flag table into `args`.
+/// Returns false, having printed why, on an unknown flag, a missing or
+/// malformed value, or the wrong number of operands. The default mode's
+/// usage errors print every mode's usage.
+bool parse_args(const Mode& mode, int first, int argc, char** argv, Args& args) {
+  const auto usage_error = [&] {
+    print_usage(argv[0], &mode == &kModes[0] ? nullptr : &mode);
+    return false;
+  };
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      args.operands.push_back(argv[i]);
+      continue;
+    }
+    const Flag* flag = nullptr;
+    for (const Flag& candidate : mode.flags) {
+      if (arg == candidate.name) flag = &candidate;
+    }
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      return usage_error();
+    }
+    if (const auto* on = std::get_if<bool Args::*>(&flag->target)) {
+      args.**on = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s needs a value\n", flag->name);
+      return usage_error();
+    }
+    const char* value = argv[++i];
+    if (const auto* count = std::get_if<std::size_t Args::*>(&flag->target)) {
+      char* end = nullptr;
+      const long long parsed = std::strtoll(value, &end, 10);
+      if (end == value || *end != '\0' || parsed < 0) {
+        std::fprintf(stderr, "%s: '%s' is not a non-negative count\n", flag->name, value);
+        return usage_error();
+      }
+      args.**count = static_cast<std::size_t>(parsed);
+    } else if (const auto* text = std::get_if<const char* Args::*>(&flag->target)) {
+      args.**text = value;
+    } else {
+      (args.*std::get<std::vector<const char*> Args::*>(flag->target)).push_back(value);
+    }
+  }
+  if (mode.num_operands != SIZE_MAX && args.operands.size() != mode.num_operands) {
+    return usage_error();
+  }
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace lclpath;
+  const Mode* mode = &kModes[0];
+  int first = 1;
+  for (const Mode& each : kModes) {
+    if (argc >= 2 && std::strcmp(argv[1], each.name) == 0) {
+      mode = &each;
+      first = 2;
+    }
+  }
+  if (mode == &kModes[0] && argc == first + 1 && std::strcmp(argv[first], "--demo") == 0) {
+    for (const auto& entry : catalog::validation_catalog()) {
+      std::printf("-- %s\n", entry.note.c_str());
+      classify_and_report(entry.problem, false);
+    }
+    return 0;
+  }
+  Args args;
+  if (mode->run == run_deadline_suite) args.deadline_ms = 100;
+  if (!parse_args(*mode, first, argc, argv, args)) return 2;
+  return mode->run(args);
 }

@@ -55,11 +55,11 @@ std::optional<BatchErrorKind> BatchEntry::error_kind() const {
   return outcome->error->kind;
 }
 
-const ClassifiedProblem& BatchEntry::classified() const {
+const Verdict& BatchEntry::classified() const {
   if (!ok()) {
     throw std::runtime_error("BatchEntry: problem failed to classify: " + error());
   }
-  return *outcome->classified;
+  return *outcome->verdict;
 }
 
 BatchCache::BatchCache(std::size_t max_entries) : max_entries_(max_entries) {}
@@ -217,7 +217,7 @@ std::vector<BatchEntry> classify_batch(std::span<const PairwiseProblem> problems
           }
           ClassifyOptions classify_options = options.classify;
           classify_options.budget = budget;
-          outcome->classified = classify(problems[i], classify_options);
+          outcome->verdict = classify(problems[i], classify_options).verdict();
         } catch (const CancelledError& e) {
           outcome->error = BatchError{kind_of(e), e.what()};
         } catch (const MonoidBudgetError& e) {

@@ -17,7 +17,9 @@
 //   * optionally shares monoids across distinct problems with equal
 //     transition-system skeletons via a caller-owned MonoidCache
 //     (options.classify.monoid_cache): the cache is thread-safe and the
-//     shared Monoid is immutable, so workers reuse it concurrently.
+//     shared Monoid is immutable, so workers reuse it concurrently;
+//   * returns Verdicts (problem + class), not certified results: a caller
+//     that needs certificates, a monoid or synthesize() calls classify().
 #pragma once
 
 #include <array>
@@ -74,14 +76,15 @@ struct BatchError {
 /// two can never drift apart.
 std::string cache_identity_suffix(LinearGapEngine engine, CertificateMode mode);
 
-/// The outcome of classifying one problem: a ClassifiedProblem, or the
-/// structured error classify() failed with. Shared (immutable once
-/// published) between duplicate batch entries and cache hits.
+/// The outcome of classifying one problem: its Verdict, or the structured
+/// error classify() failed with. Shared (immutable once published) between
+/// duplicate batch entries and cache hits. The certificates and the monoid
+/// are not kept: they are freed when the worker returns.
 struct BatchOutcome {
-  std::optional<ClassifiedProblem> classified;
+  std::optional<Verdict> verdict;
   std::optional<BatchError> error;
 
-  bool ok() const { return classified.has_value(); }
+  bool ok() const { return verdict.has_value(); }
 };
 
 /// One slot of a batch result, aligned with the input problem span.
@@ -98,8 +101,8 @@ struct BatchEntry {
   const std::string& error() const;
   /// The failure kind; nullopt for successful entries.
   std::optional<BatchErrorKind> error_kind() const;
-  /// Throws std::runtime_error carrying error() if the problem failed.
-  const ClassifiedProblem& classified() const;
+  /// The verdict; throws std::runtime_error carrying error() if the problem failed.
+  const Verdict& classified() const;
 };
 
 /// Thread-safe memo cache keyed by canonical_hash/canonical_key. Hash
@@ -149,10 +152,7 @@ struct BatchOptions {
   std::size_t num_threads = 0;
   /// Forwarded to every classify() call (monoid budget, monoid cache,
   /// budget, and whatever the decision procedure grows next — one struct
-  /// so batch callers can never drift out of sync with classify()). A
-  /// ClassifiedProblem's linear-gap certificate holds the class-level
-  /// solution, and its value_at lookups are thread-safe — workers may
-  /// share one cached outcome's certificate concurrently.
+  /// so batch callers can never drift out of sync with classify()).
   ClassifyOptions classify;
   /// Optional cross-call memo cache (may be shared by concurrent batches).
   BatchCache* cache = nullptr;

@@ -1,37 +1,23 @@
 #include "decide/classifier.hpp"
 
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "lcl/serialize.hpp"
 
 namespace lclpath {
 
-ClassifiedProblem ClassifiedProblem::restore(PairwiseProblem problem,
-                                             ComplexityClass complexity) {
-  ClassifiedProblem result;
-  result.problem_ = std::make_unique<PairwiseProblem>(std::move(problem));
-  result.complexity_ = complexity;
-  // A restored kUnsolvable has no counterexample (not persisted); the
-  // solvable flag still matches the class so summary() stays truthful.
-  result.solvability_.solvable = complexity != ComplexityClass::kUnsolvable;
-  return result;
+std::string Verdict::summary() const {
+  return problem_->name() + " on " + lclpath::to_string(problem_->topology()) + ": " +
+         lclpath::to_string(complexity_);
 }
 
 std::unique_ptr<LocalAlgorithm> ClassifiedProblem::synthesize() const {
-  if (restored() && (complexity_ == ComplexityClass::kConstant ||
-                     complexity_ == ComplexityClass::kLogStar)) {
-    // The certificates back the O(1)/log* constructions and are not
-    // persisted; kLinear falls through — gather-all needs only the problem.
-    throw std::logic_error(
-        "synthesize: result was restored from a catalog store without "
-        "certificates; re-classify the problem to synthesize");
-  }
-  switch (complexity_) {
+  switch (complexity()) {
     case ComplexityClass::kUnsolvable:
       throw std::logic_error("synthesize: problem is unsolvable (" +
                              (solvability_.counterexample
-                                  ? word_to_string(problem_->inputs(),
+                                  ? word_to_string(problem().inputs(),
                                                    *solvability_.counterexample)
                                   : std::string("?")) +
                              " has no valid labeling)");
@@ -42,23 +28,17 @@ std::unique_ptr<LocalAlgorithm> ClassifiedProblem::synthesize() const {
     case ComplexityClass::kLinear:
       break;
   }
-  return std::make_unique<GatherAllAlgorithm>(*problem_);
+  return std::make_unique<GatherAllAlgorithm>(problem());
 }
 
 std::string ClassifiedProblem::summary() const {
-  std::ostringstream out;
-  out << problem_->name() << " on " << lclpath::to_string(problem_->topology()) << ": "
-      << lclpath::to_string(complexity_);
-  if (restored()) {
-    out << " (restored from store)";
-  } else {
-    out << " (monoid " << monoid_->size() << " elements)";
-  }
+  std::string out = verdict_.summary() + " (monoid " +
+                    std::to_string(monoid_->size()) + " elements)";
   if (!solvability_.solvable && solvability_.counterexample) {
-    out << "; counterexample inputs: "
-        << word_to_string(problem_->inputs(), *solvability_.counterexample);
+    out += "; counterexample inputs: " +
+           word_to_string(problem().inputs(), *solvability_.counterexample);
   }
-  return out.str();
+  return out;
 }
 
 ClassifiedProblem classify(const PairwiseProblem& problem, std::size_t max_monoid) {
@@ -74,57 +54,57 @@ ClassifiedProblem classify(const PairwiseProblem& problem, const ClassifyOptions
         "constraint (see Section 3.7 for the lift from directed problems)");
   }
   budget_check(options.budget);
-  ClassifiedProblem result;
-  result.problem_ = std::make_unique<PairwiseProblem>(problem);
-  const TransitionSystem transitions = TransitionSystem::build(*result.problem_);
+  // On the heap for the life of the result: GatherAllAlgorithm points
+  // into it.
+  auto owned = std::make_shared<const PairwiseProblem>(problem);
+  const TransitionSystem transitions = TransitionSystem::build(*owned);
   // Tracks whether THIS call published the monoid into the shared cache,
   // so a later cancellation can de-publish it (abandoned problems must
   // leave no cache trace).
   bool published_monoid = false;
   std::string skeleton_key;
   std::uint64_t skeleton_hash = 0;
+  std::shared_ptr<const Monoid> monoid;
   if (options.monoid_cache != nullptr) {
     skeleton_key = transitions.canonical_key();
     skeleton_hash = canonical_hash(skeleton_key);
-    result.monoid_ = options.monoid_cache->find(skeleton_hash, skeleton_key);
-    if (result.monoid_ != nullptr && result.monoid_->size() > options.max_monoid) {
+    monoid = options.monoid_cache->find(skeleton_hash, skeleton_key);
+    if (monoid != nullptr && monoid->size() > options.max_monoid) {
       // Same contract as enumeration: a tighter-budget caller must see the
       // overflow, not silently receive a bigger monoid another caller paid
       // for.
       throw_monoid_budget_overflow(options.max_monoid);
     }
-    if (result.monoid_ == nullptr) {
+    if (monoid == nullptr) {
       // A budget overflow or cancellation throws here, before insert():
       // failures are never cached, so a retry recomputes.
       auto built = std::make_shared<const Monoid>(
           Monoid::enumerate(transitions, options.max_monoid, options.budget));
-      result.monoid_ =
-          options.monoid_cache->insert(skeleton_hash, skeleton_key, built);
-      published_monoid = (result.monoid_ == built);
+      monoid = options.monoid_cache->insert(skeleton_hash, skeleton_key, built);
+      published_monoid = (monoid == built);
     }
   } else {
-    result.monoid_ = std::make_shared<const Monoid>(
+    monoid = std::make_shared<const Monoid>(
         Monoid::enumerate(transitions, options.max_monoid, options.budget));
   }
 
   try {
-    result.solvability_ = check_solvability(*result.monoid_, problem.topology());
-    if (!result.solvability_.solvable) {
-      result.complexity_ = ComplexityClass::kUnsolvable;
-      return result;
+    SolvabilityReport solvability = check_solvability(*monoid, problem.topology());
+    LinearGapCertificate linear;
+    ConstGapCertificate constant;
+    ComplexityClass complexity = ComplexityClass::kUnsolvable;
+    if (solvability.solvable) {
+      linear = decide_linear_gap(*monoid, LinearGapEngine::kFactorized,
+                                 CertificateMode::kAuto, options.budget);
+      complexity = ComplexityClass::kLinear;
+      if (linear.feasible) {
+        constant = decide_const_gap(*monoid, options.budget);
+        complexity = constant.feasible ? ComplexityClass::kConstant
+                                       : ComplexityClass::kLogStar;
+      }
     }
-
-    result.linear_ = decide_linear_gap(*result.monoid_, LinearGapEngine::kFactorized,
-                                       CertificateMode::kAuto, options.budget);
-    if (!result.linear_.feasible) {
-      result.complexity_ = ComplexityClass::kLinear;
-      return result;
-    }
-
-    result.const_ = decide_const_gap(*result.monoid_, options.budget);
-    result.complexity_ = result.const_.feasible ? ComplexityClass::kConstant
-                                                : ComplexityClass::kLogStar;
-    return result;
+    return ClassifiedProblem(Verdict(std::move(owned), complexity), std::move(solvability),
+                             std::move(linear), std::move(constant), std::move(monoid));
   } catch (...) {
     // The monoid itself is sound (enumeration completed), but a run that
     // fails mid-decision must not leave the abandoned problem discoverable

@@ -10,15 +10,19 @@
 //   3. Theorem 9 (Sections 4.4-4.5): a feasible periodic-pattern function
 //      exists iff the problem is O(1).
 //
-// The result bundles the certificates, which are exactly the "description
-// of an asymptotically optimal algorithm" the paper's theorems promise:
-// synthesize() turns them into a runnable LocalAlgorithm on the problem's
-// own topology — directed or undirected, path or cycle (the per-topology
-// strategies live in decide/synthesized.hpp).
+// The procedure outputs two things, and they get two types. A Verdict is
+// the problem and its class: what a batch cache serves and a catalog
+// store persists. A ClassifiedProblem adds the certificates, which are
+// exactly the "description of an asymptotically optimal algorithm" the
+// paper's theorems promise: synthesize() turns them into a runnable
+// LocalAlgorithm on the problem's own topology — directed or undirected,
+// path or cycle (the per-topology strategies live in
+// decide/synthesized.hpp). Only classify() makes one.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "automata/monoid.hpp"
 #include "automata/solvability.hpp"
@@ -56,26 +60,35 @@ struct ClassifyOptions {
   const ExecutionBudget* budget = nullptr;
 };
 
-/// Classification result; owns everything synthesis needs (the problem
-/// copy, the transition system, the monoid and the certificates), so it
-/// can outlive the inputs of classify().
+/// A problem's complexity class: what a batch cache serves and a catalog
+/// store persists. It holds the problem and its class and nothing that
+/// can be missing, so a verdict prints the same whether it came from
+/// classify() or from a store record.
+class Verdict {
+ public:
+  Verdict(std::shared_ptr<const PairwiseProblem> problem, ComplexityClass complexity)
+      : problem_(std::move(problem)), complexity_(complexity) {}
+
+  const PairwiseProblem& problem() const { return *problem_; }
+  ComplexityClass complexity() const { return complexity_; }
+  /// `<name> on <topology>: <class>`.
+  std::string summary() const;
+
+ private:
+  std::shared_ptr<const PairwiseProblem> problem_;
+  ComplexityClass complexity_;
+};
+
+/// The certified result of classify(): the verdict plus everything
+/// synthesis needs (the solvability report, both certificates and the
+/// monoid), so it can outlive the inputs of classify(). The problem lives
+/// on the heap, so an algorithm synthesize() returns may point into it
+/// across moves of this object.
 class ClassifiedProblem {
  public:
-  /// Rebuilds a result from a persisted catalog record (src/store/): the
-  /// problem plus its complexity class, with no monoid or certificates —
-  /// those are recomputable and deliberately not serialized. A restored
-  /// result answers lookups (complexity(), problem(), summary()) exactly
-  /// like a fresh one, which is what lets a store warm-start the
-  /// BatchCache without re-running any decider; it cannot synthesize()
-  /// the sub-linear algorithms (that throws std::logic_error directing
-  /// the caller to re-classify) and has no monoid() — check restored()
-  /// before touching certificate-level accessors.
-  static ClassifiedProblem restore(PairwiseProblem problem, ComplexityClass complexity);
-
-  /// True for results rebuilt by restore() (no monoid/certificates).
-  bool restored() const { return monoid_ == nullptr; }
-
-  ComplexityClass complexity() const { return complexity_; }
+  const Verdict& verdict() const { return verdict_; }
+  ComplexityClass complexity() const { return verdict_.complexity(); }
+  const PairwiseProblem& problem() const { return verdict_.problem(); }
   const SolvabilityReport& solvability() const { return solvability_; }
   const LinearGapCertificate& linear_certificate() const { return linear_; }
   const ConstGapCertificate& const_certificate() const { return const_; }
@@ -84,10 +97,7 @@ class ClassifiedProblem {
   /// of a parameter sweep alias one Monoid — callers can keep it alive
   /// past this ClassifiedProblem or compare pointers to observe sharing.
   const std::shared_ptr<const Monoid>& monoid_ptr() const { return monoid_; }
-  const PairwiseProblem& problem() const { return *problem_; }
-  /// 0 for restored() results (the monoid is not persisted).
-  std::size_t monoid_size() const { return monoid_ ? monoid_->size() : 0; }
-  std::size_t ell_pump() const { return monoid_ ? monoid_->ell_pump() : 0; }
+  std::size_t monoid_size() const { return monoid_->size(); }
 
   /// An asymptotically optimal executable algorithm for the class, on the
   /// problem's own topology (all four are synthesized):
@@ -97,18 +107,25 @@ class ClassifiedProblem {
   /// Throws for kUnsolvable.
   std::unique_ptr<LocalAlgorithm> synthesize() const;
 
-  /// One-line human-readable summary.
+  /// verdict().summary() plus the monoid size and any counterexample.
   std::string summary() const;
 
  private:
   friend ClassifiedProblem classify(const PairwiseProblem& problem,
                                     const ClassifyOptions& options);
 
-  ComplexityClass complexity_ = ComplexityClass::kUnsolvable;
+  ClassifiedProblem(Verdict verdict, SolvabilityReport solvability, LinearGapCertificate linear,
+                    ConstGapCertificate constant, std::shared_ptr<const Monoid> monoid)
+      : verdict_(std::move(verdict)),
+        solvability_(std::move(solvability)),
+        linear_(std::move(linear)),
+        const_(std::move(constant)),
+        monoid_(std::move(monoid)) {}
+
+  Verdict verdict_;
   SolvabilityReport solvability_;
   LinearGapCertificate linear_;
   ConstGapCertificate const_;
-  std::unique_ptr<PairwiseProblem> problem_;
   std::shared_ptr<const Monoid> monoid_;
 };
 

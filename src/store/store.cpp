@@ -131,7 +131,8 @@ std::size_t ResultStore::warm_start(BatchCache& cache) {
   for (const auto& [key, record] : records_) {
     if (!record.ok()) continue;  // observations are never cache entries
     auto outcome = std::make_shared<BatchOutcome>();
-    outcome->classified = ClassifiedProblem::restore(record.problem, *record.classified);
+    outcome->verdict.emplace(std::make_shared<const PairwiseProblem>(record.problem),
+                             *record.classified);
     cache.insert(canonical_hash(key), key, std::move(outcome));
     ++preloaded_;
   }

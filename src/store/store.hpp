@@ -6,7 +6,8 @@
 // `shard-NNNN.lcls` files. The store is the durable side of the catalog
 // service the ROADMAP asks for: millions of classifications cold-start as
 // a directory read plus warm_start() into a BatchCache — zero decider
-// runs — and survive crashes because every shard commit is atomic
+// runs, and the preloaded Verdicts print exactly as fresh ones — and
+// survive crashes because every shard commit is atomic
 // (store/shard.hpp's persistence contract).
 //
 // PERSISTENCE CONTRACT (directory level)
@@ -131,7 +132,7 @@ class ResultStore {
   std::size_t commit();
 
   /// Preloads every *successful* classification into `cache` as a
-  /// restored outcome (ClassifiedProblem::restore) — a warm start is a
+  /// Verdict built straight from its record — a warm start is a
   /// directory read, not a re-classify. Failure observations are NOT
   /// preloaded (the in-memory cache never memoizes failures; the store
   /// keeps them only as observations). Returns the number preloaded and

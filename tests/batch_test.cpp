@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -31,10 +33,10 @@ TEST(Batch, MatchesSerialClassifyOnCatalog) {
   ASSERT_EQ(batch.size(), problems.size());
   for (std::size_t i = 0; i < problems.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << problems[i].name() << ": " << batch[i].error();
-    const ClassifiedProblem serial = classify(problems[i]);
-    const ClassifiedProblem& parallel = batch[i].classified();
+    const Verdict serial = classify(problems[i]).verdict();
+    const Verdict& parallel = batch[i].classified();
     EXPECT_EQ(parallel.complexity(), serial.complexity()) << problems[i].name();
-    EXPECT_EQ(parallel.monoid_size(), serial.monoid_size()) << problems[i].name();
+    EXPECT_EQ(parallel.problem(), serial.problem()) << problems[i].name();
     EXPECT_EQ(parallel.summary(), serial.summary()) << problems[i].name();
     // Slot i describes problems[i]: ordering is deterministic.
     EXPECT_EQ(parallel.problem(), problems[i]) << problems[i].name();
@@ -233,21 +235,28 @@ TEST(MonoidCache, SkeletonKeySeesTopology) {
 }
 
 TEST(MonoidCache, SharedAcrossThreadsInBatch) {
-  // dedup off + no BatchCache: every slot really classifies, and all
-  // workers must converge on one shared monoid through the cache.
+  // What a batch's workers do: concurrent classify() calls over one
+  // cache, which must all converge on one shared monoid. Batch entries
+  // hold verdicts, so the monoids are read off the certified results.
   MonoidCache cache;
-  BatchOptions options;
-  options.num_threads = 4;
-  options.dedup = false;
-  options.classify.monoid_cache = &cache;
-  std::vector<PairwiseProblem> problems(8, catalog::coloring(3));
-  const auto batch = classify_batch(problems, options);
-  ASSERT_EQ(batch.size(), 8u);
-  const Monoid* shared = batch[0].classified().monoid_ptr().get();
-  for (const BatchEntry& entry : batch) {
-    ASSERT_TRUE(entry.ok()) << entry.error();
-    EXPECT_FALSE(entry.deduplicated);
-    EXPECT_EQ(entry.classified().monoid_ptr().get(), shared);
+  ClassifyOptions options;
+  options.monoid_cache = &cache;
+  const PairwiseProblem problem = catalog::coloring(3);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 2;
+  std::vector<std::shared_ptr<const Monoid>> monoids(kThreads * kPerThread);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < kPerThread; ++k) {
+        monoids[t * kPerThread + k] = classify(problem, options).monoid_ptr();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& monoid : monoids) {
+    ASSERT_NE(monoid, nullptr);
+    EXPECT_EQ(monoid.get(), monoids[0].get());
   }
   EXPECT_EQ(cache.size(), 1u);
   // Concurrent misses may race before the first insert; at least the

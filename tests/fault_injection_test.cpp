@@ -73,16 +73,23 @@ CleanRun run_clean(const std::vector<PairwiseProblem>& problems,
   return clean;
 }
 
+/// `direct[i]` is classify(problems[i]).verdict(), computed with the
+/// harness disarmed and no shared cache.
 void expect_entries_match(const std::vector<BatchEntry>& got,
                           const std::vector<BatchEntry>& want,
+                          const std::vector<Verdict>& direct,
                           std::size_t skip_ok_check_if_failed) {
   ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), direct.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     if (i == skip_ok_check_if_failed && !got[i].ok()) continue;
     ASSERT_TRUE(got[i].ok()) << got[i].error();
-    EXPECT_EQ(got[i].classified().complexity(), want[i].classified().complexity());
-    EXPECT_EQ(got[i].classified().summary(), want[i].classified().summary());
-    EXPECT_EQ(got[i].classified().monoid_size(), want[i].classified().monoid_size());
+    const Verdict& verdict = got[i].classified();
+    EXPECT_EQ(verdict.complexity(), want[i].classified().complexity());
+    EXPECT_EQ(verdict.summary(), want[i].classified().summary());
+    EXPECT_EQ(verdict.complexity(), direct[i].complexity());
+    EXPECT_EQ(verdict.problem(), direct[i].problem());
+    EXPECT_EQ(verdict.summary(), direct[i].summary());
   }
 }
 
@@ -100,6 +107,10 @@ void sweep(fault::Kind kind, BatchErrorKind expected_kind) {
   const CleanRun clean = run_clean(problems, options);
   ASSERT_GT(clean.checkpoints, 0u)
       << "workload never hit a checkpoint — instrumentation regressed";
+  std::vector<Verdict> direct;
+  for (const PairwiseProblem& problem : problems) {
+    direct.push_back(classify(problem).verdict());
+  }
 
   for (const std::uint64_t at : sample_indices(clean.checkpoints)) {
     MonoidCache monoids;
@@ -126,14 +137,14 @@ void sweep(fault::Kind kind, BatchErrorKind expected_kind) {
     }
     ASSERT_TRUE(fault::fired()) << "armed checkpoint k=" << at << " never ran";
     ASSERT_EQ(failures, 1u) << "k=" << at;
-    expect_entries_match(entries, clean.entries, failed_at);
+    expect_entries_match(entries, clean.entries, direct, failed_at);
 
     // No poisoned cache entries: the batch cache holds exactly the ok
     // slots, and re-running with the same caches must reproduce the clean
     // results (a stale half-built monoid would corrupt them).
     EXPECT_EQ(cache.size(), entries.size() - failures) << "k=" << at;
     const auto healed = classify_batch(problems, armed_options);
-    expect_entries_match(healed, clean.entries, entries.size());
+    expect_entries_match(healed, clean.entries, direct, entries.size());
     EXPECT_TRUE(healed[failed_at].ok()) << healed[failed_at].error();
     EXPECT_FALSE(healed[failed_at].from_cache)
         << "k=" << at << ": failed slot was served from a poisoned cache";

@@ -73,8 +73,8 @@ TEST(HardnessBatch, SharedCachesServeRepeatStudies) {
 
 TEST(HardnessBatch, MonoidCacheSharesInstancesAcrossCalls) {
   // Same problems, fresh BatchCache each call: the second call must
-  // re-classify but hit the MonoidCache, ending up with the *same* shared
-  // Monoid instances.
+  // re-classify but only hit the MonoidCache, reusing the monoids the
+  // first call built instead of adding any.
   const std::vector<PairwiseProblem> problems = lift_workload();
   MonoidCache monoids;
   StudyOptions options;
@@ -82,16 +82,14 @@ TEST(HardnessBatch, MonoidCacheSharesInstancesAcrossCalls) {
   options.monoid_cache = &monoids;
 
   const StudyResult first = classify_hardness(problems, options);
+  const std::size_t monoids_after_first = monoids.size();
   const StudyResult second = classify_hardness(problems, options);
   ASSERT_EQ(first.summary.ok, problems.size());
   ASSERT_EQ(second.summary.ok, problems.size());
+  EXPECT_GT(monoids_after_first, 0u);
+  EXPECT_EQ(monoids.size(), monoids_after_first);
   EXPECT_EQ(second.monoid_misses, 0u);
   EXPECT_GT(second.monoid_hits, 0u);
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    EXPECT_EQ(first.entries[i].classified().monoid_ptr().get(),
-              second.entries[i].classified().monoid_ptr().get())
-        << problems[i].name();
-  }
 }
 
 TEST(HardnessBatch, PiPairwiseBudgetCapIsRecordedPerEntry) {

@@ -521,26 +521,42 @@ TEST(Store, WarmStartSkipsFailureObservations) {
   EXPECT_EQ(cache.size(), 1u) << "a failure observation was preloaded";
 }
 
-TEST(Store, WarmStartedEntriesAreRestoredResults) {
-  ResultStore store("unused-dir", {2});
-  store.put(classified_record(catalog::constant_output(), ComplexityClass::kConstant));
-  BatchCache cache;
-  ASSERT_EQ(store.warm_start(cache), 1u);
+TEST(Store, WarmStartedVerdictsMatchColdOnCatalog) {
+  // A verdict does not depend on its source: every catalog problem reads
+  // the same from a cold batch as from a batch served by a cache
+  // warm-started from the committed store.
+  ScopedDir dir("warm_catalog");
+  std::vector<PairwiseProblem> problems;
+  for (const auto& entry : catalog::validation_catalog()) problems.push_back(entry.problem);
+  BatchCache cold_cache;
+  BatchOptions options;
+  options.cache = &cold_cache;
+  const std::vector<BatchEntry> cold = classify_batch(problems, options);
+  {
+    ResultStore writer(dir.path(), {4});
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      ASSERT_TRUE(cold[i].ok()) << problems[i].name() << ": " << cold[i].error();
+      if (!cold[i].deduplicated) writer.put(record_of(problems[i], cold[i], options.classify));
+    }
+    writer.commit();
+  }
 
-  const std::string key =
-      canonical_key(catalog::constant_output()) +
-      cache_identity_suffix(LinearGapEngine::kFactorized, CertificateMode::kAuto);
-  const auto outcome = cache.find(canonical_hash(key), key);
-  ASSERT_NE(outcome, nullptr);
-  ASSERT_TRUE(outcome->ok());
-  const ClassifiedProblem& restored = *outcome->classified;
-  EXPECT_TRUE(restored.restored());
-  EXPECT_EQ(restored.complexity(), ComplexityClass::kConstant);
-  EXPECT_EQ(restored.monoid_size(), 0u);
-  EXPECT_NE(restored.summary().find("restored"), std::string::npos);
-  // Certificates were deliberately not persisted: sub-linear synthesis
-  // demands a re-classify instead of guessing.
-  EXPECT_THROW((void)restored.synthesize(), std::logic_error);
+  ResultStore reader(dir.path(), {4});
+  ASSERT_TRUE(reader.load().dirty.empty());
+  BatchCache warm_cache;
+  ASSERT_EQ(reader.warm_start(warm_cache), cold_cache.size());
+  options.cache = &warm_cache;
+  const std::vector<BatchEntry> warm = classify_batch(problems, options);
+  EXPECT_EQ(warm_cache.misses(), 0u);
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    ASSERT_TRUE(warm[i].ok()) << problems[i].name() << ": " << warm[i].error();
+    EXPECT_TRUE(warm[i].from_cache) << problems[i].name();
+    const Verdict& want = cold[i].classified();
+    const Verdict& got = warm[i].classified();
+    EXPECT_EQ(got.complexity(), want.complexity()) << problems[i].name();
+    EXPECT_EQ(got.problem(), want.problem()) << problems[i].name();
+    EXPECT_EQ(got.summary(), want.summary()) << problems[i].name();
+  }
 }
 
 TEST(Store, WarmStartTenThousandRecordsZeroClassifyCalls) {

@@ -9,7 +9,8 @@
 #   1. Round trip — classify-batch --store twice over a generated problem
 #      corpus (coloring k=3..8 across all four topologies): the first run
 #      classifies everything fresh, the second must be served entirely
-#      from the persisted store ("0 classified fresh").
+#      from the persisted store ("0 classified fresh") and print
+#      per-problem verdict lines byte-identical to the first run's.
 #   2. store-fsck gate — every shard header/checksum/record-count must
 #      validate (exit 0, ": clean").
 #   3. Kill-and-recover — a background serve loop is SIGKILLed while it is
@@ -82,6 +83,12 @@ out=$workdir/run2.out
 run "$cli" classify-batch --store "$store" "$corpus" > "$out" || fail "second classify-batch run"
 grep -q "preloaded $expected record(s); 0 classified fresh" "$out" \
   || fail "second run was not served entirely from the store: $(grep '^store:' "$out")"
+# The per-problem lines come before the "classified N problem(s)" totals.
+verdicts() { sed '/^classified [0-9]* problem(s) in /,$d' "$1"; }
+[ "$(verdicts "$out" | wc -l)" -eq "$expected" ] \
+  || fail "warm run printed $(verdicts "$out" | wc -l) verdict line(s), not $expected"
+diff <(verdicts "$workdir/run1.out") <(verdicts "$out") \
+  || fail "warm run's verdict lines differ from the cold run's"
 
 # ------------------------------------------------------------- fsck gate
 out=$workdir/fsck1.out
