@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace lclpath {
 
@@ -401,58 +402,6 @@ std::vector<std::vector<std::size_t>> Monoid::layers(std::size_t max_length) con
     layers.push_back(std::move(next));
   }
   return layers;
-}
-
-std::shared_ptr<const Monoid> MonoidCache::find(std::uint64_t hash,
-                                               const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [begin, end] = entries_.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.first == key) {
-      ++hits_;
-      return it->second.second;
-    }
-  }
-  ++misses_;
-  return nullptr;
-}
-
-std::shared_ptr<const Monoid> MonoidCache::insert(std::uint64_t hash, std::string key,
-                                                  std::shared_ptr<const Monoid> monoid) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [begin, end] = entries_.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.first == key) return it->second.second;  // first writer wins
-  }
-  auto it = entries_.emplace(hash, std::make_pair(std::move(key), std::move(monoid)));
-  return it->second.second;
-}
-
-bool MonoidCache::erase(std::uint64_t hash, const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [begin, end] = entries_.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.first == key) {
-      entries_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t MonoidCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t MonoidCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t MonoidCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 }  // namespace lclpath

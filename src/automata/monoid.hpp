@@ -38,15 +38,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "automata/transition.hpp"
 #include "core/cancel.hpp"
+#include "core/memo_cache.hpp"
 
 namespace lclpath {
 
@@ -161,44 +160,16 @@ class Monoid {
   std::vector<std::size_t> symbol_index_;
 };
 
-/// Thread-safe memo cache for enumerated monoids, keyed by
-/// TransitionSystem::canonical_hash()/canonical_key(). Hash collisions are
-/// resolved by comparing full keys, so a hit is always a semantically
-/// identical skeleton (same matrices and topology; label/problem names may
-/// differ — anything printed through a shared monoid's transitions()
-/// .problem() shows the first builder's cosmetic names). Budget overflows
-/// are never cached: enumerate() throws before insert(), so a retry with a
-/// bigger budget recomputes. Caller-owned so its lifetime (one CLI
-/// invocation, one server, one parameter sweep) is an explicit policy
-/// decision; see ClassifyOptions::monoid_cache.
-class MonoidCache {
- public:
-  std::shared_ptr<const Monoid> find(std::uint64_t hash, const std::string& key) const;
-  /// Inserts unless the key is already present (first writer wins) and
-  /// returns the entry now in the cache — on a lost race that is the
-  /// earlier writer's monoid, which the caller must adopt so concurrent
-  /// misses still converge on one shared instance.
-  std::shared_ptr<const Monoid> insert(std::uint64_t hash, std::string key,
-                                       std::shared_ptr<const Monoid> monoid);
-  /// Removes the entry for (hash, key) if present; returns whether one was
-  /// removed. Used by classify() to de-publish a monoid it inserted when
-  /// the classification is subsequently cancelled — cancelled runs must
-  /// leave no trace of the poisoned problem in shared caches. (Concurrent
-  /// holders of the shared_ptr keep their reference; only the cache entry
-  /// goes.)
-  bool erase(std::uint64_t hash, const std::string& key);
-
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_multimap<std::uint64_t,
-                          std::pair<std::string, std::shared_ptr<const Monoid>>>
-      entries_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-};
+/// Memo cache for enumerated monoids (core/memo_cache.hpp), keyed by
+/// TransitionSystem::canonical_hash()/canonical_key(). A hit is a
+/// semantically identical skeleton (same matrices and topology; label and
+/// problem names may differ — anything printed through a shared monoid's
+/// transitions().problem() shows the first builder's cosmetic names).
+/// Budget overflows are never cached: enumerate() throws before insert(),
+/// so a retry with a bigger budget recomputes. classify() erase()s a
+/// monoid it inserted when the classification is subsequently cancelled —
+/// cancelled runs leave no trace of the poisoned problem in shared caches.
+/// See ClassifyOptions::monoid_cache.
+using MonoidCache = MemoCache<Monoid>;
 
 }  // namespace lclpath

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "automata/monoid.hpp"
@@ -60,65 +61,6 @@ const Verdict& BatchEntry::classified() const {
     throw std::runtime_error("BatchEntry: problem failed to classify: " + error());
   }
   return *outcome->verdict;
-}
-
-BatchCache::BatchCache(std::size_t max_entries) : max_entries_(max_entries) {}
-
-std::shared_ptr<const BatchOutcome> BatchCache::find(std::uint64_t hash,
-                                                     const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [begin, end] = entries_.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.first == key) {
-      ++hits_;
-      return it->second.second;
-    }
-  }
-  ++misses_;
-  return nullptr;
-}
-
-void BatchCache::insert(std::uint64_t hash, std::string key,
-                        std::shared_ptr<const BatchOutcome> outcome) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [begin, end] = entries_.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.first == key) return;  // first writer wins
-  }
-  if (max_entries_ > 0 && entries_.size() >= max_entries_) {
-    const auto& [old_hash, old_key] = order_.front();
-    auto [ob, oe] = entries_.equal_range(old_hash);
-    for (auto it = ob; it != oe; ++it) {
-      if (it->second.first == old_key) {
-        entries_.erase(it);
-        break;
-      }
-    }
-    order_.pop_front();
-    ++evictions_;
-  }
-  if (max_entries_ > 0) order_.emplace_back(hash, key);
-  entries_.emplace(hash, std::make_pair(std::move(key), std::move(outcome)));
-}
-
-std::size_t BatchCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t BatchCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t BatchCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t BatchCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
 }
 
 std::vector<BatchEntry> classify_batch(std::span<const PairwiseProblem> problems,

@@ -24,15 +24,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/memo_cache.hpp"
 #include "decide/classifier.hpp"
 
 namespace lclpath {
@@ -105,47 +103,12 @@ struct BatchEntry {
   const Verdict& classified() const;
 };
 
-/// Thread-safe memo cache keyed by canonical_hash/canonical_key. Hash
-/// collisions are resolved by comparing full keys, so a hit is always a
+/// Memo cache of batch outcomes (core/memo_cache.hpp), keyed by
+/// canonical_hash/canonical_key plus cache_identity_suffix, so a hit is a
 /// semantically identical problem. Only successful classifications are
 /// stored (failures may depend on the per-call monoid budget, deadline, or
 /// cancellation — a timed-out problem must not poison future lookups).
-/// Caller-owned so its lifetime (one CLI invocation, one server, ...) is
-/// an explicit policy decision.
-///
-/// A non-zero max_entries caps the cache: once full, each insert evicts
-/// the oldest entry in insertion (FIFO) order. Outcomes are shared_ptrs,
-/// so eviction never invalidates an outcome a batch already holds.
-class BatchCache {
- public:
-  /// max_entries == 0 means unbounded (the historical behavior).
-  explicit BatchCache(std::size_t max_entries = 0);
-
-  std::shared_ptr<const BatchOutcome> find(std::uint64_t hash,
-                                           const std::string& key) const;
-  void insert(std::uint64_t hash, std::string key,
-              std::shared_ptr<const BatchOutcome> outcome);
-
-  std::size_t size() const;
-  std::size_t max_entries() const { return max_entries_; }
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  /// Number of entries evicted to honor max_entries.
-  std::uint64_t evictions() const;
-
- private:
-  std::size_t max_entries_ = 0;
-  mutable std::mutex mutex_;
-  std::unordered_multimap<std::uint64_t,
-                          std::pair<std::string, std::shared_ptr<const BatchOutcome>>>
-      entries_;
-  /// Insertion order of live entries (hash + key identifies the multimap
-  /// slot to drop); front() is the eviction victim.
-  std::deque<std::pair<std::uint64_t, std::string>> order_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
+using BatchCache = MemoCache<BatchOutcome>;
 
 struct BatchOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().

@@ -158,26 +158,6 @@ VerifyResult finish_chunked_verify(const PairwiseProblem& problem,
   return VerifyResult::failure(best->at, std::move(best->reason));
 }
 
-VerifyResult verify_pairwise_chunked(const PairwiseProblem& problem,
-                                     const Word& inputs, const Word& outputs,
-                                     std::size_t chunk_size) {
-  if (inputs.size() != outputs.size() || inputs.empty()) {
-    return VerifyResult::failure(0, "input/output size mismatch or empty instance");
-  }
-  require_symmetric_if_undirected(problem);
-  const std::size_t n = inputs.size();
-  const std::size_t step = std::max<std::size_t>(chunk_size, 1);
-  std::vector<ChunkVerdict> verdicts;
-  verdicts.reserve((n + step - 1) / step);
-  for (std::size_t begin = 0; begin < n; begin += step) {
-    const std::size_t end = std::min(n, begin + step);
-    PairwiseChunkVerifier chunk(problem, n, begin, end);
-    for (std::size_t v = begin; v < end; ++v) chunk.push(inputs[v], outputs[v]);
-    verdicts.push_back(chunk.verdict());
-  }
-  return finish_chunked_verify(problem, verdicts);
-}
-
 bool locally_consistent_at(const PairwiseProblem& problem, const Word& inputs,
                            const Word& outputs, std::size_t v, bool cycle) {
   assert(v < inputs.size() && inputs.size() == outputs.size());

@@ -113,14 +113,6 @@ class PairwiseChunkVerifier {
 VerifyResult finish_chunked_verify(const PairwiseProblem& problem,
                                    const std::vector<ChunkVerdict>& verdicts);
 
-/// Convenience wrapper: run the streaming verifier over `outputs` in chunks
-/// of `chunk_size` nodes and merge. Agrees exactly with verify_pairwise
-/// (same verdict, same failed_at, same reason) for every chunk size >= 1;
-/// exists as the reference point for the agreement tests.
-VerifyResult verify_pairwise_chunked(const PairwiseProblem& problem,
-                                     const Word& inputs, const Word& outputs,
-                                     std::size_t chunk_size);
-
 /// Paper Section 4 "locally consistent at v" for the pairwise (r = 1) form:
 /// node v's own (input, output) pair is allowed, and — if v has a
 /// predecessor (v > 0, or any v on a cycle) — the incoming edge pair is

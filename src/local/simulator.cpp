@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/thread_pool.hpp"
 
@@ -136,10 +138,10 @@ EnginePlan plan_run(std::size_t n, const SimulationOptions& options) {
   return plan;
 }
 
-/// Per-chunk execution: run nodes [begin, end) through `algorithm` with a
-/// reusable sliding-window View and stream every (input, output) pair into
-/// a chunk verifier. Outputs are written into `out` (disjoint ranges per
-/// chunk) when non-null.
+/// Per-chunk execution: label nodes [begin, end) with one run_span sweep
+/// when the algorithm has one, else node by node on extract_view, and
+/// stream every (input, output) pair into a chunk verifier. Outputs are
+/// written into `out` (disjoint ranges per chunk) when non-null.
 class ChunkRunner {
  public:
   ChunkRunner(const LocalAlgorithm& algorithm, const PairwiseProblem& problem,
@@ -153,58 +155,33 @@ class ChunkRunner {
         budget_(budget) {}
 
   ChunkVerdict run(std::size_t begin, std::size_t end) const {
-    const std::size_t n = instance_.size();
-    PairwiseChunkVerifier verifier(problem_, n, begin, end);
-    const bool cycle = instance_.cycle();
-    if (cycle && 2 * radius_ + 1 >= n) {
-      run_full_rotation(begin, end, verifier);
-    } else if (!try_span(begin, end, verifier)) {
-      if (cycle) {
-        run_cycle_window(begin, end, verifier);
-      } else {
-        run_path_window(begin, end, verifier);
+    PairwiseChunkVerifier verifier(problem_, instance_.size(), begin, end);
+    if (!try_span(begin, end, verifier)) {
+      for (std::size_t v = begin; v < end; ++v) {
+        emit(v, algorithm_.run(extract_view(instance_, v, radius_)), verifier);
       }
     }
     return verifier.verdict();
   }
 
  private:
-  // One checkpoint per simulated node: every execution path (span sweep,
-  // rotation, sliding windows) funnels through emit, so deadlines and
-  // cancellation interrupt chunk workers wherever the work happens.
+  // One checkpoint per simulated node: both execution paths (span sweep,
+  // per-node views) funnel through emit, so deadlines and cancellation
+  // interrupt chunk workers wherever the work happens.
   void emit(std::size_t v, Label label, PairwiseChunkVerifier& verifier) const {
     budget_checkpoint(budget_);
     verifier.push(instance_.inputs[v], label);
     if (out_ != nullptr) out_[v] = label;
   }
 
-  /// Run the view in its canonical undirected presentation: reverse in
-  /// place when the reversed ID sequence is smaller, and flip the center
-  /// for path windows (cycle windows are center-symmetric). The buffer is
-  /// restored before returning, so the sliding advance stays in storage
-  /// order.
-  Label run_canonicalized(View& view, bool flip_center) const {
-    if (!is_directed(instance_.topology) && reversed_ids_smaller(view.ids)) {
-      std::reverse(view.inputs.begin(), view.inputs.end());
-      std::reverse(view.ids.begin(), view.ids.end());
-      const std::size_t center = view.center;
-      if (flip_center) view.center = view.size() - 1 - center;
-      const Label label = algorithm_.run(view);
-      std::reverse(view.inputs.begin(), view.inputs.end());
-      std::reverse(view.ids.begin(), view.ids.end());
-      view.center = center;
-      return label;
-    }
-    return algorithm_.run(view);
-  }
-
   /// The chunk-sweep fast path: build one chunk-plus-halo window in
   /// storage order and let the algorithm label the whole span in a single
   /// run_span call (layout amortized across the chunk). Cycle sub-spans
   /// are capped so a window never covers the full cycle (span windows are
-  /// arcs, not rotations); the first run_span call happens before anything
-  /// is pushed into the verifier, so a false return falls back cleanly to
-  /// the node-by-node path.
+  /// arcs, not rotations; a radius whose views cover the whole cycle gets
+  /// cap 0 and the per-node path); the first run_span call happens before
+  /// anything is pushed into the verifier, so a false return falls back
+  /// cleanly to the node-by-node path.
   bool try_span(std::size_t begin, std::size_t end,
                 PairwiseChunkVerifier& verifier) const {
     const std::size_t n = instance_.size();
@@ -252,89 +229,6 @@ class ChunkRunner {
     return true;
   }
 
-  /// Full-view cycle regime without memoization (the honest gather
-  /// baseline): every node's view is its own whole-cycle rotation, so
-  /// there is nothing to slide — build it per node.
-  void run_full_rotation(std::size_t begin, std::size_t end,
-                         PairwiseChunkVerifier& verifier) const {
-    for (std::size_t v = begin; v < end; ++v) {
-      const View view = extract_view(instance_, v, radius_);
-      emit(v, algorithm_.run(view), verifier);
-    }
-  }
-
-  /// Structured cycle regime (2r + 1 < n): fixed-length window, center
-  /// pinned at r. Advance = pop front, push (v + r) mod n.
-  void run_cycle_window(std::size_t begin, std::size_t end,
-                        PairwiseChunkVerifier& verifier) const {
-    const std::size_t n = instance_.size();
-    const std::size_t len = 2 * radius_ + 1;
-    View view;
-    view.n = n;
-    view.topology = instance_.topology;
-    view.center = radius_;
-    view.inputs.reserve(len);
-    view.ids.reserve(len);
-    for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t idx = (begin + n + k - radius_) % n;
-      view.inputs.push_back(instance_.inputs[idx]);
-      view.ids.push_back(instance_.ids[idx]);
-    }
-    for (std::size_t v = begin; v < end; ++v) {
-      if (v > begin) {
-        view.inputs.erase(view.inputs.begin());
-        view.ids.erase(view.ids.begin());
-        const std::size_t idx = (v + radius_) % n;
-        view.inputs.push_back(instance_.inputs[idx]);
-        view.ids.push_back(instance_.ids[idx]);
-      }
-      emit(v, run_canonicalized(view, /*flip_center=*/false), verifier);
-    }
-  }
-
-  /// Path regime: variable-length window clipped at the ends. Pops start
-  /// once v > r, pushes stop once v + r passes the last node; covers the
-  /// whole-path window (r >= n - 1) as the degenerate no-op slide.
-  void run_path_window(std::size_t begin, std::size_t end,
-                       PairwiseChunkVerifier& verifier) const {
-    const std::size_t n = instance_.size();
-    View view;
-    view.n = n;
-    view.topology = instance_.topology;
-    const std::size_t cap = std::min(n, 2 * radius_ + 1);
-    view.inputs.reserve(cap);
-    view.ids.reserve(cap);
-    const std::size_t lo = begin >= radius_ ? begin - radius_ : 0;
-    const std::size_t hi = std::min(n - 1, begin + radius_);
-    for (std::size_t idx = lo; idx <= hi; ++idx) {
-      view.inputs.push_back(instance_.inputs[idx]);
-      view.ids.push_back(instance_.ids[idx]);
-    }
-    for (std::size_t v = begin; v < end; ++v) {
-      if (v > begin) {
-        if (v > radius_) {
-          view.inputs.erase(view.inputs.begin());
-          view.ids.erase(view.ids.begin());
-        }
-        if (v + radius_ <= n - 1) {
-          view.inputs.push_back(instance_.inputs[v + radius_]);
-          view.ids.push_back(instance_.ids[v + radius_]);
-        }
-      }
-      view.center = std::min(v, radius_);
-      view.sees_left_end = v <= radius_;
-      view.sees_right_end = v + radius_ >= n - 1;
-      const bool canonicalize = !view.sees_left_end && !view.sees_right_end;
-      Label label;
-      if (canonicalize) {
-        label = run_canonicalized(view, /*flip_center=*/true);
-      } else {
-        label = algorithm_.run(view);
-      }
-      emit(v, label, verifier);
-    }
-  }
-
   const LocalAlgorithm& algorithm_;
   const PairwiseProblem& problem_;
   const Instance& instance_;
@@ -343,53 +237,75 @@ class ChunkRunner {
   const ExecutionBudget* budget_;
 };
 
-/// Memoized full-view regime: derive the content-determined canonical word
-/// once (exactly as solve_full_view does per node), solve it once, and
-/// read every node's label off the shared solution. Streams the labels
-/// through one chunk verifier so keep_outputs = false still never
-/// materializes the Word.
+/// The one canonical reading of an instance-covering word. Every node of a
+/// full-view instance sees the same content, each in its own presentation
+/// (a rotation, on undirected cycles possibly reversed), so all of them
+/// must derive the same word: cycles rotate so the minimum ID comes first
+/// and, undirected, read in the direction whose next ID after that anchor
+/// is smaller; paths are presented in global order (the ends are
+/// distinguishable), so the input word is solved in place. Both rules are
+/// content-determined, so any presentation of the instance yields the
+/// same solution; at() maps a presentation position back to its label.
+class CanonicalSolution {
+ public:
+  CanonicalSolution(const PairwiseProblem& problem, Topology topology,
+                    const Word& inputs, const std::vector<NodeId>& ids)
+      : n_(inputs.size()), cycle_(is_cycle(topology)) {
+    std::optional<Word> solution;
+    if (cycle_) {
+      anchor_ = static_cast<std::size_t>(std::min_element(ids.begin(), ids.end()) -
+                                         ids.begin());
+      if (!is_directed(topology) && n_ >= 3) {
+        forward_ = ids[(anchor_ + 1) % n_] < ids[(anchor_ + n_ - 1) % n_];
+      }
+      Word canonical(n_);
+      for (std::size_t k = 0; k < n_; ++k) {
+        canonical[k] = inputs[forward_ ? (anchor_ + k) % n_ : (anchor_ + n_ - k) % n_];
+      }
+      solution = solve_by_dp(problem, canonical);
+    } else {
+      solution = solve_by_dp(problem, inputs);
+    }
+    if (!solution) {
+      throw std::runtime_error("solve_full_view: instance has no valid labeling");
+    }
+    solution_ = std::move(*solution);
+  }
+
+  /// The label of the node at position `pos` of the presentation: its
+  /// index in the canonical word inverts the rotation (and the direction).
+  Label at(std::size_t pos) const {
+    if (!cycle_) return solution_[pos];
+    return solution_[forward_ ? (pos + n_ - anchor_) % n_ : (anchor_ + n_ - pos) % n_];
+  }
+
+ private:
+  std::size_t n_;
+  bool cycle_;
+  std::size_t anchor_ = 0;
+  bool forward_ = true;
+  Word solution_;
+};
+
+/// Memoized full-view regime: solve the canonical word once and read every
+/// node's label off the shared solution. Streams the labels through one
+/// chunk verifier so keep_outputs = false still never materializes the
+/// output Word.
 SimulationResult simulate_full_view_memo(const PairwiseProblem& fvp,
                                          const PairwiseProblem& problem,
                                          const Instance& instance, std::size_t radius,
                                          bool keep_outputs,
                                          const ExecutionBudget* budget) {
   const std::size_t n = instance.size();
+  const CanonicalSolution solution(fvp, instance.topology, instance.inputs,
+                                   instance.ids);
   SimulationResult result;
   result.radius = radius;
-  std::optional<Word> solution;
-  // my_index(v) = position of node v in the canonical word.
-  std::size_t anchor = 0;
-  bool forward = true;
-  if (instance.cycle()) {
-    anchor = static_cast<std::size_t>(
-        std::min_element(instance.ids.begin(), instance.ids.end()) -
-        instance.ids.begin());
-    if (!is_directed(instance.topology) && n >= 3) {
-      forward = instance.ids[(anchor + 1) % n] < instance.ids[(anchor + n - 1) % n];
-    }
-    Word canonical(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t idx = forward ? (anchor + k) % n : (anchor + n - k) % n;
-      canonical[k] = instance.inputs[idx];
-    }
-    solution = solve_by_dp(fvp, canonical);
-  } else {
-    // Path windows seeing both ends are presented in global order, so the
-    // instance word itself is the canonical word.
-    solution = solve_by_dp(fvp, instance.inputs);
-  }
-  if (!solution) {
-    throw std::runtime_error("solve_full_view: instance has no valid labeling");
-  }
   if (keep_outputs) result.outputs.resize(n);
   PairwiseChunkVerifier verifier(problem, n, 0, n);
   for (std::size_t v = 0; v < n; ++v) {
     budget_checkpoint(budget);
-    std::size_t k = v;
-    if (instance.cycle()) {
-      k = forward ? (v + n - anchor) % n : (anchor + n - v) % n;
-    }
-    const Label label = (*solution)[k];
+    const Label label = solution.at(v);
     verifier.push(instance.inputs[v], label);
     if (keep_outputs) result.outputs[v] = label;
   }
@@ -462,55 +378,15 @@ SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem
   return result;
 }
 
-SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem& problem,
-                          const Instance& instance) {
-  return simulate(algorithm, problem, instance, SimulationOptions{});
-}
-
 Label solve_full_view(const PairwiseProblem& problem, const View& view) {
   if (is_cycle(view.topology)) {
     if (view.size() != view.n) {
       throw std::logic_error("solve_full_view: radius did not cover the whole cycle");
     }
-    // All nodes must agree on one labeling although each sees a different
-    // rotation (and, undirected, a possibly reversed one): canonicalize by
-    // rotating so the minimum ID comes first, and on undirected cycles
-    // additionally read in the direction whose next ID after the anchor is
-    // smaller. Both rules are content-determined, so every node solves the
-    // same word.
-    const std::size_t n = view.n;
-    const std::size_t anchor = static_cast<std::size_t>(
-        std::min_element(view.ids.begin(), view.ids.end()) - view.ids.begin());
-    bool forward = true;
-    if (!is_directed(view.topology) && n >= 3) {
-      forward = view.ids[(anchor + 1) % n] < view.ids[(anchor + n - 1) % n];
-    }
-    Word canonical(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t idx = forward ? (anchor + k) % n : (anchor + n - k) % n;
-      canonical[k] = view.inputs[idx];
-    }
-    auto solution = solve_by_dp(problem, canonical);
-    if (!solution) {
-      throw std::runtime_error("solve_full_view: instance has no valid labeling");
-    }
-    // The observing node sits at presentation position center; its index
-    // in the canonical word inverts the rotation (and the direction).
-    const std::size_t my_pos = forward ? (n - anchor + view.center) % n
-                                       : (anchor + n - view.center) % n;
-    return (*solution)[my_pos];
-  }
-  if (!view.sees_left_end || !view.sees_right_end) {
+  } else if (!view.sees_left_end || !view.sees_right_end) {
     throw std::logic_error("solve_full_view: radius did not cover the whole path");
   }
-  // Paths present end-anchored windows in global order (both for directed
-  // topologies and for undirected ones, where the ends are
-  // distinguishable), so the presentation is already canonical.
-  auto solution = solve_by_dp(problem, view.inputs);
-  if (!solution) {
-    throw std::runtime_error("solve_full_view: instance has no valid labeling");
-  }
-  return (*solution)[view.center];
+  return CanonicalSolution(problem, view.topology, view.inputs, view.ids).at(view.center);
 }
 
 Label GatherAllAlgorithm::run(const View& view) const {

@@ -13,12 +13,12 @@
 // straight from the instance arrays (the radius-r halo is the index range
 // [begin - r, end + r), wrapping on cycles), so chunking at any
 // granularity — including chunk_size < radius — is safe by construction.
-// Within a chunk the worker reuses one sliding-window View buffer:
-// advancing from node v to v+1 pops the front element, pushes the next
-// halo element, and shifts the center, so the hot loop performs zero
-// allocations. Undirected windows are re-canonicalized in place (reverse
-// if the reversed ID sequence is lexicographically smaller, run, reverse
-// back), which keeps the presentation bit-identical to extract_view.
+// Within a chunk the worker either hands the algorithm one
+// chunk-plus-halo window through run_span (the batched sweep every
+// synthesized algorithm takes) or, when the algorithm has none, runs it
+// node by node on extract_view — the one definition of a view, so the
+// per-node presentation, undirected canonicalization included, is
+// extract_view's by construction.
 //
 // Verification is streaming: each chunk feeds its (input, output) pairs
 // into a PairwiseChunkVerifier as they are produced, and the per-chunk
@@ -174,11 +174,7 @@ struct SimulationResult {
 /// Runs the algorithm on every node and verifies the global output with
 /// the chunked streaming engine described above.
 SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem& problem,
-                          const Instance& instance, const SimulationOptions& options);
-
-/// Default-options overload (kept so historical call sites read unchanged).
-SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem& problem,
-                          const Instance& instance);
+                          const Instance& instance, const SimulationOptions& options = {});
 
 /// Canonical whole-instance solve for a view that covers everything (a
 /// full cycle, or a path window seeing both ends): every node derives the

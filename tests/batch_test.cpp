@@ -152,36 +152,6 @@ TEST(Batch, EmptyBatchIsEmpty) {
   EXPECT_TRUE(batch.empty());
 }
 
-// A capped BatchCache evicts in FIFO insertion order; outcomes already
-// handed to a batch stay valid (shared_ptr), and the evicted problem
-// recomputes on the next call while the survivors still hit.
-TEST(Batch, CacheCapsEntriesWithFifoEviction) {
-  BatchCache cache(2);
-  EXPECT_EQ(cache.max_entries(), 2u);
-  BatchOptions options;
-  options.cache = &cache;
-
-  const std::vector<PairwiseProblem> first = {catalog::coloring(3)};
-  const std::vector<PairwiseProblem> second = {catalog::constant_output()};
-  const std::vector<PairwiseProblem> third = {catalog::maximal_independent_set()};
-  const auto kept = classify_batch(first, options);
-  classify_batch(second, options);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  // Third insert evicts the oldest entry (coloring(3)).
-  classify_batch(third, options);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  const auto recomputed = classify_batch(first, options);
-  EXPECT_FALSE(recomputed[0].from_cache);
-  // The pre-eviction outcome the first batch holds is still usable.
-  EXPECT_EQ(kept[0].classified().complexity(), ComplexityClass::kLogStar);
-  // Survivors of the eviction still hit.
-  const auto hit = classify_batch(third, options);
-  EXPECT_TRUE(hit[0].from_cache);
-}
-
 TEST(MonoidCache, HitMissCountersAndSharedPointer) {
   MonoidCache cache;
   ClassifyOptions options;

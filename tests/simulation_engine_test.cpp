@@ -14,8 +14,10 @@
 // certificate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "decide/classifier.hpp"
@@ -56,8 +58,8 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// A deterministic function of the *entire* view content (inputs, IDs,
-/// center, boundary flags, n). Any divergence between the sliding-window
-/// presentation and extract_view — one element, one flag, a center off by
+/// center, boundary flags, n). Any divergence between what the engine
+/// presents and extract_view — one element, one flag, a center off by
 /// one — changes the output label, which makes this the sharpest possible
 /// probe for presentation bit-identity.
 class ViewHashAlgorithm final : public LocalAlgorithm {
@@ -147,23 +149,67 @@ TEST(SimulationEngine, BitIdenticalOnAdversarialIds) {
 TEST(SimulationEngine, GatherAllMemoMatchesReference) {
   Rng rng(99);
   for (Topology topology : kAllTopologies) {
+    // A one-node cycle's wrap edge is a self-loop, which no proper
+    // coloring allows; always_accept keeps n = 1 solvable there.
+    const PairwiseProblem coloring = catalog::coloring(3, topology);
+    const PairwiseProblem accept = catalog::always_accept(topology);
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{5}, std::size_t{9}, std::size_t{24}}) {
+      const PairwiseProblem& problem = n == 1 && is_cycle(topology) ? accept : coloring;
+      const GatherAllAlgorithm algorithm(problem);
+      // Random IDs, and bit-reversed ones whose neighbours differ in the
+      // top bits, so the canonical anchor and direction vary a lot.
+      for (const Instance& instance :
+           {random_instance(topology, n, problem.num_inputs(), rng),
+            adversarial_instance(topology, n, problem.num_inputs(), rng)}) {
+        const std::string what =
+            std::string(to_string(topology)) + " n=" + std::to_string(n);
+        const SimulationResult want = simulate_reference(algorithm, problem, instance);
+        ASSERT_TRUE(want.verdict.ok) << want.verdict.reason;
+        // Memoized canonical solve (the default).
+        const SimulationResult memo = simulate(algorithm, problem, instance);
+        ExpectSameResult(memo, want, "memo " + what);
+        // Honest per-node gather (memo disabled) through the chunked engine.
+        SimulationOptions honest;
+        honest.full_view_memo = false;
+        honest.threads = 2;
+        honest.chunk_size = 4;
+        const SimulationResult per_node = simulate(algorithm, problem, instance, honest);
+        ExpectSameResult(per_node, want, "honest " + what);
+      }
+    }
+  }
+}
+
+/// The what() of the std::logic_error `solve_full_view` throws on `view`,
+/// or "" if it throws none.
+std::string full_view_logic_error(const PairwiseProblem& problem, const View& view) {
+  try {
+    solve_full_view(problem, view);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimulationEngine, SolveFullViewRejectsViewsShortOfTheInstance) {
+  Rng rng(21);
+  for (Topology topology : kAllTopologies) {
     const PairwiseProblem problem = catalog::coloring(3, topology);
-    const GatherAllAlgorithm algorithm(problem);
-    for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{5},
-                          std::size_t{9}, std::size_t{24}}) {
-      const Instance instance = random_instance(topology, n, problem.num_inputs(), rng);
-      const SimulationResult want = simulate_reference(algorithm, problem, instance);
-      ASSERT_TRUE(want.verdict.ok) << want.verdict.reason;
-      // Memoized canonical solve (the default).
-      const SimulationResult memo = simulate(algorithm, problem, instance);
-      ExpectSameResult(memo, want, "memo " + std::string(to_string(topology)));
-      // Honest per-node gather (memo disabled) through the chunked engine.
-      SimulationOptions honest;
-      honest.full_view_memo = false;
-      honest.threads = 2;
-      honest.chunk_size = 4;
-      const SimulationResult per_node = simulate(algorithm, problem, instance, honest);
-      ExpectSameResult(per_node, want, "honest " + std::string(to_string(topology)));
+    const Instance instance = random_instance(topology, 9, problem.num_inputs(), rng);
+    if (is_cycle(topology)) {
+      // 2r + 1 = 7 < 9: the window misses two nodes.
+      EXPECT_EQ(full_view_logic_error(problem, extract_view(instance, 4, 3)),
+                "solve_full_view: radius did not cover the whole cycle");
+      EXPECT_EQ(full_view_logic_error(problem, extract_view(instance, 4, 4)), "");
+    } else {
+      // Node 2 with radius 5 sees the left end but not the right one,
+      // node 6 the right end but not the left one.
+      EXPECT_EQ(full_view_logic_error(problem, extract_view(instance, 2, 5)),
+                "solve_full_view: radius did not cover the whole path");
+      EXPECT_EQ(full_view_logic_error(problem, extract_view(instance, 6, 5)),
+                "solve_full_view: radius did not cover the whole path");
+      EXPECT_EQ(full_view_logic_error(problem, extract_view(instance, 4, 4)), "");
     }
   }
 }
@@ -271,6 +317,22 @@ TEST(SimulationEngine, SharedLazyCertificateHammerUndirectedCycle) {
 // ------------------------------------------------------------------------
 // Streaming verification vs whole-word verify_pairwise.
 // ------------------------------------------------------------------------
+
+/// The streaming verifier run over `outputs` in chunks of `chunk_size`
+/// nodes and merged: the engine's verification path without the engine.
+VerifyResult verify_pairwise_chunked(const PairwiseProblem& problem,
+                                     const Word& inputs, const Word& outputs,
+                                     std::size_t chunk_size) {
+  const std::size_t n = inputs.size();
+  std::vector<ChunkVerdict> verdicts;
+  for (std::size_t begin = 0; begin < n; begin += chunk_size) {
+    const std::size_t end = std::min(n, begin + chunk_size);
+    PairwiseChunkVerifier chunk(problem, n, begin, end);
+    for (std::size_t v = begin; v < end; ++v) chunk.push(inputs[v], outputs[v]);
+    verdicts.push_back(chunk.verdict());
+  }
+  return finish_chunked_verify(problem, verdicts);
+}
 
 void ExpectChunkedVerifyAgrees(const PairwiseProblem& problem, const Word& inputs,
                                const Word& outputs) {

@@ -11,8 +11,8 @@
 // records the message instead: that is the recorded behavior, defects
 // included. kGapNotEnclosed is the seed-domination defect (README,
 // Synthesis); copy_input on the directed cycle with seed 1270 is its
-// documented instance. The partition cases hash the components for the
-// inputs of bench/bench_partition.cpp, plus periodic-block inputs.
+// documented instance. The partition cases hash the components of random
+// directed-cycle instances over two inputs, plus periodic-block inputs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -242,7 +242,7 @@ std::string partition_golden(const Instance& instance,
   return hash.hex();
 }
 
-// WholePartition's instances: a fresh Rng(3) per n.
+// Random directed-cycle instances over two inputs, a fresh Rng(3) per n.
 TEST(PartitionGolden, BenchWholePartitionInputs) {
   const std::vector<std::pair<std::size_t, const char*>> cases = {
       {1024, "de9a161d6b0800d1"},
@@ -255,8 +255,7 @@ TEST(PartitionGolden, BenchWholePartitionInputs) {
   }
 }
 
-// The E11 structure table: one Rng(4) drawing a random then a periodic
-// instance per n.
+// One Rng(4) drawing a random then a periodic instance per n.
 TEST(PartitionGolden, BenchStructureTableInputs) {
   const std::vector<std::pair<const char*, const char*>> goldens = {
       {"1b0a50645dc83749", "73c117c99d940a95"},
