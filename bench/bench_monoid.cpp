@@ -48,7 +48,7 @@ PairwiseProblem random_problem(std::size_t alpha, std::size_t beta, std::uint64_
 /// google-benchmark cases below.
 const std::vector<std::pair<std::size_t, std::size_t>>& e10_grid() {
   static const std::vector<std::pair<std::size_t, std::size_t>> grid = {
-      {2, 2}, {2, 3}, {2, 4}, {3, 3}, {3, 4}, {2, 5}};
+      {2, 2}, {2, 3}, {2, 4}, {3, 3}, {3, 4}, {2, 5}, {2, 8}, {2, 9}};
   return grid;
 }
 

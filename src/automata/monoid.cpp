@@ -61,11 +61,14 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   const std::size_t num_inputs = ts.num_inputs();
   const std::size_t beta = ts.num_outputs();
 
-  // Per-element storage charged against a memory-limited budget: four
-  // beta x beta bit matrices, two beta bit vectors, bookkeeping.
+  // Per-element storage charged against a memory-limited budget: the
+  // element itself, plus the heap words of its four beta x beta bit
+  // matrices (only beyond 8 outputs) and two beta bit vectors (only beyond
+  // 64); smaller ones live inline.
   const std::size_t words_per_row = (beta + 63) / 64;
-  const std::size_t element_bytes = 4 * beta * words_per_row * 8 +
-                                    2 * words_per_row * 8 + sizeof(MonoidElement);
+  const std::size_t element_bytes =
+      sizeof(MonoidElement) + (beta > 8 ? 4 * beta * words_per_row * 8 : 0) +
+      (beta > 64 ? 2 * words_per_row * 8 : 0);
 
   // Reversed-data hash of each element (combined from the same component
   // hashes as the forward hash, at intern time); consumed by the reversal

@@ -11,15 +11,97 @@ namespace lclpath {
 namespace {
 constexpr std::size_t kWordBits = 64;
 
-std::size_t words_for(std::size_t dim) { return (dim + kWordBits - 1) / kWordBits; }
+// Inline (dim <= 8) kernels. Entry (i, j) of a packed matrix is bit 8i + j.
+constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
+constexpr std::uint64_t kDiagonal = 0x8040201008040201ull;
+
+/// The dim x dim entries of a packed matrix: the low dim bits of the low
+/// dim bytes.
+std::uint64_t packed_mask(std::size_t dim) {
+  const std::uint64_t rows =
+      dim == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * dim)) - 1;
+  const std::uint64_t cols = ((std::uint64_t{1} << dim) - 1) * kByteLowBits;
+  return rows & cols;
+}
+
+/// Packed product: row i of a*b is the OR of rows k of b over the set bits
+/// k of row i of a. Column k of a, spread to the low bit of each row byte,
+/// times row k of b places that row in exactly the bytes whose rows have
+/// bit k set; the terms occupy disjoint bytes, so the sum never carries.
+std::uint64_t packed_product(std::uint64_t a, std::uint64_t b, std::size_t dim) {
+  std::uint64_t out = 0;
+  for (std::size_t k = 0; k < dim; ++k) {
+    out |= ((a >> k) & kByteLowBits) * ((b >> (8 * k)) & 0xFF);
+  }
+  return out;
+}
+
+/// 8x8 bit-matrix transpose by three delta swaps (2x2, 4x4, then 8x8
+/// blocks); unused rows and columns stay zero because they map onto each
+/// other.
+std::uint64_t packed_transpose(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+/// out (zeroed here) = a * b over heap rows of `n` words each.
+void heap_product(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
+                  std::size_t dim, std::size_t n) {
+  std::fill_n(out, dim * n, 0);
+  // Row-by-row: for every set bit k in row i of a, OR in row k of b.
+  for (std::size_t i = 0; i < dim; ++i) {
+    std::uint64_t* dst = out + i * n;
+    const std::uint64_t* row = a + i * n;
+    for (std::size_t w = 0; w < n; ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t k = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+        const std::uint64_t* b_row = b + k * n;
+        for (std::size_t ww = 0; ww < n; ++ww) dst[ww] |= b_row[ww];
+      }
+    }
+  }
+}
 }  // namespace
 
-BitMatrix::BitMatrix(std::size_t dim)
-    : dim_(dim), words_per_row_(words_for(dim)), words_(dim * words_per_row_, 0) {}
+BitMatrix::BitMatrix(std::size_t dim) : dim_(dim) {
+  if (!is_inline()) heap_ = new std::uint64_t[num_words()]();
+}
+
+BitMatrix::BitMatrix(const BitMatrix& other) : dim_(other.dim_) {
+  if (is_inline()) {
+    word_ = other.word_;
+  } else {
+    heap_ = new std::uint64_t[num_words()];
+    std::copy_n(other.heap_, num_words(), heap_);
+  }
+}
+
+BitMatrix& BitMatrix::operator=(const BitMatrix& other) {
+  if (this == &other) return *this;
+  if (other.is_inline()) {
+    release();
+    dim_ = other.dim_;
+    word_ = other.word_;
+  } else if (dim_ == other.dim_) {
+    std::copy_n(other.heap_, num_words(), heap_);  // same shape: reuse storage
+  } else {
+    *this = BitMatrix(other);
+  }
+  return *this;
+}
 
 BitMatrix BitMatrix::identity(std::size_t dim) {
   BitMatrix m(dim);
-  for (std::size_t i = 0; i < dim; ++i) m.set(i, i, true);
+  if (m.is_inline()) {
+    m.word_ = kDiagonal & packed_mask(dim);
+  } else {
+    for (std::size_t i = 0; i < dim; ++i) m.set(i, i, true);
+  }
   return m;
 }
 
@@ -27,87 +109,90 @@ BitMatrix BitMatrix::zero(std::size_t dim) { return BitMatrix(dim); }
 
 BitMatrix BitMatrix::ones(std::size_t dim) {
   BitMatrix m(dim);
-  for (std::size_t i = 0; i < dim; ++i)
-    for (std::size_t j = 0; j < dim; ++j) m.set(i, j, true);
+  if (m.is_inline()) {
+    m.word_ = packed_mask(dim);
+  } else {
+    for (std::size_t i = 0; i < dim; ++i)
+      for (std::size_t j = 0; j < dim; ++j) m.set(i, j, true);
+  }
   return m;
 }
 
 bool BitMatrix::get(std::size_t row, std::size_t col) const {
   assert(row < dim_ && col < dim_);
-  return (words_[row * words_per_row_ + col / kWordBits] >> (col % kWordBits)) & 1u;
+  if (is_inline()) return (word_ >> (8 * row + col)) & 1u;
+  return (heap_row(row)[col / kWordBits] >> (col % kWordBits)) & 1u;
 }
 
 void BitMatrix::set(std::size_t row, std::size_t col, bool value) {
   assert(row < dim_ && col < dim_);
-  std::uint64_t& w = words_[row * words_per_row_ + col / kWordBits];
-  const std::uint64_t bit = std::uint64_t{1} << (col % kWordBits);
+  std::uint64_t* w = &word_;
+  std::size_t bit = 8 * row + col;
+  if (!is_inline()) {
+    w = &heap_[row * words_per_row() + col / kWordBits];
+    bit = col % kWordBits;
+  }
   if (value) {
-    w |= bit;
+    *w |= std::uint64_t{1} << bit;
   } else {
-    w &= ~bit;
+    *w &= ~(std::uint64_t{1} << bit);
   }
 }
 
 BitMatrix BitMatrix::operator*(const BitMatrix& other) const {
-  assert(dim_ == other.dim_);
   BitMatrix result(dim_);
-  // Row-by-row: for every set bit k in row i of *this, OR in row k of other.
-  for (std::size_t i = 0; i < dim_; ++i) {
-    std::uint64_t* out = &result.words_[i * words_per_row_];
-    const std::uint64_t* row = &words_[i * words_per_row_];
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        const std::size_t k = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::uint64_t* other_row = &other.words_[k * words_per_row_];
-        for (std::size_t ww = 0; ww < words_per_row_; ++ww) out[ww] |= other_row[ww];
-      }
-    }
-  }
+  multiply_into(other, result);
   return result;
 }
 
 BitMatrix& BitMatrix::operator*=(const BitMatrix& other) {
-  *this = *this * other;
+  assert(dim_ == other.dim_);
+  if (is_inline()) {
+    word_ = packed_product(word_, other.word_, dim_);
+  } else {
+    *this = *this * other;
+  }
   return *this;
 }
 
 void BitMatrix::multiply_into(const BitMatrix& other, BitMatrix& out) const {
   assert(dim_ == other.dim_ && out.dim_ == dim_);
   assert(&out != this && &out != &other);  // out is cleared before reads
-  for (std::uint64_t& w : out.words_) w = 0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    std::uint64_t* dst = &out.words_[i * words_per_row_];
-    const std::uint64_t* row = &words_[i * words_per_row_];
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        const std::size_t k = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::uint64_t* other_row = &other.words_[k * words_per_row_];
-        for (std::size_t ww = 0; ww < words_per_row_; ++ww) dst[ww] |= other_row[ww];
-      }
-    }
+  if (is_inline()) {
+    out.word_ = packed_product(word_, other.word_, dim_);
+  } else {
+    heap_product(heap_, other.heap_, out.heap_, dim_, words_per_row());
   }
 }
 
 BitMatrix BitMatrix::operator|(const BitMatrix& other) const {
   assert(dim_ == other.dim_);
   BitMatrix result = *this;
-  for (std::size_t i = 0; i < words_.size(); ++i) result.words_[i] |= other.words_[i];
+  if (is_inline()) {
+    result.word_ |= other.word_;
+  } else {
+    for (std::size_t i = 0; i < num_words(); ++i) result.heap_[i] |= other.heap_[i];
+  }
   return result;
 }
 
 BitMatrix BitMatrix::operator&(const BitMatrix& other) const {
   assert(dim_ == other.dim_);
   BitMatrix result = *this;
-  for (std::size_t i = 0; i < words_.size(); ++i) result.words_[i] &= other.words_[i];
+  if (is_inline()) {
+    result.word_ &= other.word_;
+  } else {
+    for (std::size_t i = 0; i < num_words(); ++i) result.heap_[i] &= other.heap_[i];
+  }
   return result;
 }
 
 BitMatrix BitMatrix::transposed() const {
   BitMatrix result(dim_);
+  if (is_inline()) {
+    result.word_ = packed_transpose(word_);
+    return result;
+  }
   for (std::size_t i = 0; i < dim_; ++i)
     for (std::size_t j = 0; j < dim_; ++j)
       if (get(i, j)) result.set(j, i, true);
@@ -119,8 +204,8 @@ BitMatrix BitMatrix::power(std::uint64_t k) const {
   BitMatrix base = *this;
   while (k > 0) {
     if (k & 1) result *= base;
-    base *= base;
     k >>= 1;
+    if (k > 0) base *= base;
   }
   return result;
 }
@@ -147,26 +232,30 @@ BitMatrix::Stabilization BitMatrix::stabilize() const {
 }
 
 bool BitMatrix::any() const {
-  for (std::uint64_t w : words_)
-    if (w != 0) return true;
-  return false;
+  if (is_inline()) return word_ != 0;
+  return std::any_of(heap_, heap_ + num_words(), [](std::uint64_t w) { return w != 0; });
 }
 
 bool BitMatrix::any_diagonal() const {
+  if (is_inline()) return (word_ & kDiagonal) != 0;
   for (std::size_t i = 0; i < dim_; ++i)
     if (get(i, i)) return true;
   return false;
 }
 
 std::size_t BitMatrix::count() const {
+  if (is_inline()) return static_cast<std::size_t>(std::popcount(word_));
   std::size_t total = 0;
-  for (std::uint64_t w : words_) total += static_cast<std::size_t>(std::popcount(w));
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    total += static_cast<std::size_t>(std::popcount(heap_[i]));
+  }
   return total;
 }
 
-const std::uint64_t* BitMatrix::row_words(std::size_t row) const {
-  assert(row < dim_);
-  return &words_[row * words_per_row_];
+bool BitMatrix::operator==(const BitMatrix& other) const {
+  if (dim_ != other.dim_) return false;
+  if (is_inline()) return word_ == other.word_;
+  return std::equal(heap_, heap_ + num_words(), other.heap_);
 }
 
 std::string BitMatrix::to_string() const {
@@ -181,7 +270,10 @@ std::string BitMatrix::to_string() const {
 
 std::size_t BitMatrix::hash() const {
   std::size_t h = hash_mix(0x1234, dim_);
-  for (std::uint64_t w : words_) h = hash_mix(h, static_cast<std::size_t>(w));
+  if (is_inline()) return hash_mix(h, static_cast<std::size_t>(word_));
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    h = hash_mix(h, static_cast<std::size_t>(heap_[i]));
+  }
   return h;
 }
 
@@ -267,8 +359,14 @@ void BitVector::multiply_into(const BitMatrix& m, BitVector& out) const {
   assert(&out != this);  // out is cleared before this is read
   if (is_inline()) {
     std::uint64_t acc = 0;
-    for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
-      acc |= m.row_words(static_cast<std::size_t>(std::countr_zero(bits)))[0];
+    if (m.is_inline()) {
+      for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
+        acc |= m.inline_row(static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    } else {
+      for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
+        acc |= m.heap_row(static_cast<std::size_t>(std::countr_zero(bits)))[0];
+      }
     }
     out.word_ = acc;
     return;
@@ -280,7 +378,7 @@ void BitVector::multiply_into(const BitMatrix& m, BitVector& out) const {
     while (bits != 0) {
       const std::size_t i = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
-      const std::uint64_t* row = m.row_words(i);
+      const std::uint64_t* row = m.heap_row(i);
       for (std::size_t ww = 0; ww < n; ++ww) out.heap_[ww] |= row[ww];
     }
   }
@@ -304,10 +402,12 @@ bool BitVector::subset_of(const BitVector& other) const {
   return true;
 }
 
-std::size_t BitVector::first_set() const {
+std::size_t BitVector::next_set(std::size_t from) const {
   const std::uint64_t* a = words();
-  for (std::size_t w = 0; w < num_words(); ++w) {
-    if (a[w] != 0) return w * kWordBits + static_cast<std::size_t>(std::countr_zero(a[w]));
+  for (std::size_t w = from / kWordBits; w < num_words(); ++w) {
+    std::uint64_t bits = a[w];
+    if (w == from / kWordBits) bits &= ~std::uint64_t{0} << (from % kWordBits);
+    if (bits != 0) return w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
   }
   return dim_;
 }

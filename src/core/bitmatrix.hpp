@@ -4,26 +4,44 @@
 // paper): the "type" of an input-labeled path (Lemma 12/13) is represented
 // by a reachability matrix over output labels, and path concatenation is
 // boolean matrix multiplication. Matrices are small (dimension = |Sigma_out|,
-// typically < 100) but multiplied millions of times during monoid
-// enumeration, so rows are packed into 64-bit words.
+// mostly <= 8; a few hundred after the normalization and lifts) but
+// multiplied millions of times during monoid enumeration, so they are
+// bit-packed in one of two storage kinds:
+//
+// - dim <= 8: the whole matrix is one inline 64-bit word, entry (i, j) at
+//   bit 8i + j. Every kernel (products, powers, transpose, hashing) works
+//   on that single word and never allocates.
+// - dim > 8: an owned heap array of dim rows of ceil(dim / 64) words each.
+//
+// BitVector (below) makes the same split at 64 bits.
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace lclpath {
 
 /// Dense boolean square matrix with bit-packed rows.
 ///
-/// Invariant: all bits at column indices >= dim() are zero, which makes
-/// operator== and hashing well defined on the raw words.
+/// Invariant: all bits outside the dim() x dim() entries are zero, which
+/// makes operator== and hashing well defined on the raw words.
 class BitMatrix {
  public:
   BitMatrix() = default;
   explicit BitMatrix(std::size_t dim);
+  BitMatrix(const BitMatrix& other);
+  BitMatrix(BitMatrix&& other) noexcept { steal(other); }
+  BitMatrix& operator=(const BitMatrix& other);
+  BitMatrix& operator=(BitMatrix&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
+  ~BitMatrix() { release(); }
 
   /// Identity matrix of the given dimension.
   static BitMatrix identity(std::size_t dim);
@@ -65,11 +83,7 @@ class BitMatrix {
   bool any_diagonal() const;
   std::size_t count() const;
 
-  /// Row as a bit vector packed into words (for vector-matrix products).
-  const std::uint64_t* row_words(std::size_t row) const;
-  std::size_t words_per_row() const { return words_per_row_; }
-
-  bool operator==(const BitMatrix& other) const = default;
+  bool operator==(const BitMatrix& other) const;
 
   /// Multi-line ASCII art (for debugging and golden tests).
   std::string to_string() const;
@@ -77,10 +91,45 @@ class BitMatrix {
   std::size_t hash() const;
 
  private:
+  friend class BitVector;  // reads rows for vector * matrix products
+
+  static constexpr std::size_t kInlineDim = 8;
+  static constexpr std::size_t kWordBits = 64;
+
+  bool is_inline() const { return dim_ <= kInlineDim; }
+  std::size_t words_per_row() const { return (dim_ + kWordBits - 1) / kWordBits; }
+  std::size_t num_words() const { return dim_ * words_per_row(); }
+  /// Row `row` of a heap matrix, words_per_row() words.
+  const std::uint64_t* heap_row(std::size_t row) const {
+    return heap_ + row * words_per_row();
+  }
+  /// Row `row` of an inline matrix, in the low dim() bits.
+  std::uint64_t inline_row(std::size_t row) const { return (word_ >> (8 * row)) & 0xFF; }
+
+  void release() {
+    if (!is_inline()) delete[] heap_;
+  }
+  /// Takes other's bits, leaving it the empty matrix. *this must own no
+  /// heap words (freshly constructed or just released).
+  void steal(BitMatrix& other) {
+    dim_ = other.dim_;
+    if (is_inline()) {
+      word_ = other.word_;
+    } else {
+      heap_ = other.heap_;
+    }
+    other.dim_ = 0;
+    other.word_ = 0;
+  }
+
   std::size_t dim_ = 0;
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t word_ = 0;  ///< the entries, while dim_ <= 8
+    std::uint64_t* heap_;     ///< num_words() owned words, while dim_ > 8
+  };
 };
+static_assert(sizeof(BitMatrix) <= 2 * sizeof(std::uint64_t),
+              "BitMatrix is its dimension plus one word or one pointer");
 
 /// Bit-packed boolean row vector of fixed dimension, used for
 /// reachability sweeps (vector * matrix).
@@ -126,7 +175,9 @@ class BitVector {
   /// True if every set bit of *this is set in `other`.
   bool subset_of(const BitVector& other) const;
   /// Index of the lowest set bit, or dim() if none.
-  std::size_t first_set() const;
+  std::size_t first_set() const { return next_set(0); }
+  /// Index of the lowest set bit at or above `from`, or dim() if none.
+  std::size_t next_set(std::size_t from) const;
 
   BitVector operator|(const BitVector& other) const;
   BitVector operator&(const BitVector& other) const;

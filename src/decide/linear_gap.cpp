@@ -380,6 +380,7 @@ class FactorizedSearch {
   std::vector<BitVector> all_a_;                         ///< [s0]
   BitVector row_scratch_;
   BitVector mask_scratch_;
+  BitVector all_ones_;  ///< ones(beta_), copied into mask_scratch_ per conflict scan
 
   void build_classes() {
     // Classes: equal fwd matrix (and, on paths, equal prefix vector — the
@@ -511,6 +512,7 @@ class FactorizedSearch {
     all_a_.assign(alpha_, BitVector(beta_));
     row_scratch_ = BitVector(beta_);
     mask_scratch_ = BitVector(beta_);
+    all_ones_ = BitVector::ones(beta_);
   }
 
   /// Per-point value filters implied by the caps: a candidate (va, vb) of
@@ -649,13 +651,14 @@ class FactorizedSearch {
           budget_checkpoint(budget_);
           BitVector& acc = caps.accept[c2][s0];
           support.clear();
-          for (Label sym1 = 0; sym1 < beta_; ++sym1) {
-            if (!caps.emit[c1].get(sym1)) continue;
+          BitVector& emit = caps.emit[c1];
+          for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
+               sym1 = emit.next_set(sym1 + 1)) {
             row_[c1][sym1].multiply_into(head_[c2][s0], row);
             if (!row.intersects(acc)) {
-              caps.emit[c1].set(sym1, false);
+              emit.set(sym1, false);
               changed = true;
-              if (!caps.emit[c1].any()) return false;
+              if (!emit.any()) return false;
               continue;
             }
             support |= row;
@@ -692,9 +695,10 @@ class FactorizedSearch {
         for (Label s0 = 0; s0 < alpha_; ++s0) {
           budget_checkpoint(budget_);
           const BitVector& acc = caps.accept[c2][s0];
-          glued_by_all = BitVector::ones(beta_);
-          for (Label sym1 = 0; sym1 < beta_; ++sym1) {
-            if (!caps.emit[c1].get(sym1)) continue;
+          const BitVector& emit = caps.emit[c1];
+          glued_by_all = all_ones_;  // same dim: no allocation
+          for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
+               sym1 = emit.next_set(sym1 + 1)) {
             row_[c1][sym1].multiply_into(head_[c2][s0], row);
             glued_by_all &= row;
           }
@@ -702,11 +706,11 @@ class FactorizedSearch {
           BitVector bad = acc;
           bad.remove(glued_by_all);
           const Label sym2 = static_cast<Label>(bad.first_set());
-          for (Label sym1 = 0; sym1 < beta_; ++sym1) {
-            if (!caps.emit[c1].get(sym1)) continue;
+          for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
+               sym1 = emit.next_set(sym1 + 1)) {
             row_[c1][sym1].multiply_into(head_[c2][s0], row);
             if (!row.get(sym2)) {
-              out = GlueConflict{c1, c2, s0, sym1, sym2};
+              out = GlueConflict{c1, c2, s0, static_cast<Label>(sym1), sym2};
               return true;
             }
           }

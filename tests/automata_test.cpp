@@ -106,6 +106,130 @@ TEST(Monoid, ElementDataMatchesDirectComputation) {
   }
 }
 
+/// A random problem with `beta` outputs and dense tables (dense tables keep
+/// monoids small). Undirected topologies get a symmetric edge table; a
+/// directed path sometimes gets a first-node rule.
+PairwiseProblem dense_random_problem(Rng& rng, std::size_t beta, Topology topology) {
+  const std::size_t alpha = 1 + rng.next_below(2);
+  Alphabet inputs;
+  for (std::size_t i = 0; i < alpha; ++i) {
+    inputs.add(std::string("i").append(std::to_string(i)));
+  }
+  Alphabet outputs;
+  for (std::size_t o = 0; o < beta; ++o) {
+    outputs.add(std::string("o").append(std::to_string(o)));
+  }
+  PairwiseProblem problem("dense", inputs, outputs, topology);
+  for (Label i = 0; i < alpha; ++i) {
+    for (Label o = 0; o < beta; ++o) {
+      if (rng.next_bool(3, 4)) problem.allow_node(i, o);
+    }
+  }
+  const bool symmetric = !is_directed(topology);
+  for (Label a = 0; a < beta; ++a) {
+    for (Label b = symmetric ? a : 0; b < beta; ++b) {
+      if (!rng.next_bool(3, 4)) continue;
+      problem.allow_edge(a, b);
+      if (symmetric) problem.allow_edge(b, a);
+    }
+  }
+  if (topology == Topology::kDirectedPath && rng.next_bool()) {
+    for (Label i = 0; i < alpha; ++i) {
+      for (Label o = 0; o < beta; ++o) {
+        if (rng.next_bool(1, 2)) problem.allow_node_first(i, o);
+      }
+    }
+  }
+  return problem;
+}
+
+/// Plain-bool reachability over the labels of `w`: entry [x][y] says some
+/// labeling of w passing every node and internal edge check ends in y,
+/// where x is a virtual predecessor (anchored = false) or the first label
+/// itself (anchored = true).
+std::vector<std::vector<bool>> dp_reach(const PairwiseProblem& p, const Word& w,
+                                        bool anchored) {
+  const std::size_t beta = p.num_outputs();
+  std::vector<std::vector<bool>> out(beta, std::vector<bool>(beta, false));
+  for (Label x = 0; x < beta; ++x) {
+    std::vector<bool> reach(beta, false);
+    for (Label z = 0; z < beta; ++z) {
+      reach[z] = p.node_ok(w[0], z) && (anchored ? z == x : p.edge_ok(x, z));
+    }
+    for (std::size_t i = 1; i < w.size(); ++i) {
+      std::vector<bool> next(beta, false);
+      for (Label from = 0; from < beta; ++from) {
+        if (!reach[from]) continue;
+        for (Label z = 0; z < beta; ++z) {
+          if (p.node_ok(w[i], z) && p.edge_ok(from, z)) next[z] = true;
+        }
+      }
+      reach = std::move(next);
+    }
+    out[x] = reach;
+  }
+  return out;
+}
+
+/// Plain-bool labels reachable at the end of a path whose first node is
+/// w[0] (first-node rule) and which passes every check.
+std::vector<bool> dp_prefix(const PairwiseProblem& p, const Word& w) {
+  const std::size_t beta = p.num_outputs();
+  std::vector<bool> reach(beta, false);
+  for (Label z = 0; z < beta; ++z) reach[z] = p.node_first_ok(w[0], z);
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    std::vector<bool> next(beta, false);
+    for (Label from = 0; from < beta; ++from) {
+      if (!reach[from]) continue;
+      for (Label z = 0; z < beta; ++z) {
+        if (p.node_ok(w[i], z) && p.edge_ok(from, z)) next[z] = true;
+      }
+    }
+    reach = std::move(next);
+  }
+  return reach;
+}
+
+void expect_matrix_is(const BitMatrix& m, const std::vector<std::vector<bool>>& expect) {
+  ASSERT_EQ(m.dim(), expect.size());
+  for (std::size_t x = 0; x < m.dim(); ++x)
+    for (std::size_t y = 0; y < m.dim(); ++y) {
+      ASSERT_EQ(m.get(x, y), expect[x][y]) << x << "," << y;
+    }
+}
+
+void expect_vector_is(const BitVector& v, const std::vector<bool>& expect) {
+  ASSERT_EQ(v.dim(), expect.size());
+  for (std::size_t y = 0; y < v.dim(); ++y) ASSERT_EQ(v.get(y), expect[y]) << y;
+}
+
+// The monoid's element data, built by the packed kernels on both sides of
+// BitMatrix's inline/heap boundary (8 outputs), against a kernel-free DP.
+TEST(Monoid, ElementDataMatchesPlainDpAcrossMatrixStorageBoundary) {
+  const Topology topologies[] = {Topology::kDirectedPath, Topology::kDirectedCycle,
+                                 Topology::kUndirectedPath, Topology::kUndirectedCycle};
+  Rng rng(211);
+  std::size_t checked = 0;
+  for (const std::size_t beta : {7u, 8u, 9u}) {
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE("beta " + std::to_string(beta) + " trial " + std::to_string(trial));
+      const PairwiseProblem p = dense_random_problem(rng, beta, topologies[trial % 4]);
+      const Monoid monoid = Monoid::enumerate(TransitionSystem::build(p));
+      for (int k = 0; k < 12; ++k) {
+        const Word w = random_word(rng, p.num_inputs(), 1 + rng.next_below(12));
+        const MonoidElement& e = monoid.element(monoid.of_word(w));
+        expect_matrix_is(e.fwd, dp_reach(p, w, false));
+        expect_matrix_is(e.rev, dp_reach(p, reversed(w), false));
+        expect_matrix_is(e.anchored, dp_reach(p, w, true));
+        expect_vector_is(e.pvec, dp_prefix(p, w));
+        expect_vector_is(e.pvec_rev, dp_prefix(p, reversed(w)));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3u * 8u * 12u);
+}
+
 TEST(Monoid, ReversalMapIsCorrectAndInvolutive) {
   const PairwiseProblem p = automata_fixture();
   const Monoid monoid = Monoid::enumerate(TransitionSystem::build(p));

@@ -275,6 +275,21 @@ TEST(BitVector, CopyAndMoveAcrossStorageKinds) {
   }
 }
 
+TEST(BitVector, NextSetWalksSetBitsInOrder) {
+  for (const std::size_t dim : kStorageBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const BitVector v = striped(dim, 3);
+    std::vector<std::size_t> walked;
+    for (std::size_t i = v.first_set(); i < dim; i = v.next_set(i + 1)) walked.push_back(i);
+    std::vector<std::size_t> expect;
+    for (std::size_t i = 0; i < dim; ++i)
+      if (v.get(i)) expect.push_back(i);
+    EXPECT_EQ(walked, expect);
+    EXPECT_EQ(v.next_set(dim), dim);
+    EXPECT_EQ(BitVector(dim).next_set(0), dim);
+  }
+}
+
 TEST(BitVector, MultiplyIntoMatchesNaiveAcrossStorageBoundary) {
   Rng rng(29);
   for (const std::size_t dim : kStorageBoundaryDims) {
@@ -293,6 +308,264 @@ TEST(BitVector, MultiplyIntoMatchesNaiveAcrossStorageBoundary) {
       bool expect = false;
       for (std::size_t i = 0; i < dim && !expect; ++i) expect = v.get(i) && m.get(i, j);
       ASSERT_EQ(product.get(j), expect) << j;
+    }
+  }
+}
+
+// BitMatrix keeps dims <= 8 in one inline word and wider matrices on the
+// heap; every operation is checked against a plain bool table on both
+// sides of that boundary and of the 64-bit row-word boundary.
+constexpr std::size_t kMatrixBoundaryDims[] = {1, 2, 7, 8, 9, 63, 64, 65};
+
+using Table = std::vector<std::vector<bool>>;
+
+Table random_table(Rng& rng, std::size_t dim, std::uint64_t num, std::uint64_t den) {
+  Table t(dim, std::vector<bool>(dim, false));
+  for (auto& row : t)
+    for (std::size_t j = 0; j < dim; ++j) row[j] = rng.next_bool(num, den);
+  return t;
+}
+
+BitMatrix from_table(const Table& t) {
+  BitMatrix m(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i)
+    for (std::size_t j = 0; j < t.size(); ++j) m.set(i, j, t[i][j]);
+  return m;
+}
+
+Table to_table(const BitMatrix& m) {
+  Table t(m.dim(), std::vector<bool>(m.dim(), false));
+  for (std::size_t i = 0; i < m.dim(); ++i)
+    for (std::size_t j = 0; j < m.dim(); ++j) t[i][j] = m.get(i, j);
+  return t;
+}
+
+Table naive_product(const Table& a, const Table& b) {
+  const std::size_t n = a.size();
+  Table out(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t k = 0; k < n && !out[i][j]; ++k) out[i][j] = a[i][k] && b[k][j];
+  return out;
+}
+
+Table naive_identity(std::size_t n) {
+  Table t(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i) t[i][i] = true;
+  return t;
+}
+
+TEST(BitMatrix, StorageBoundaryGetSetAndShapes) {
+  Rng rng(101);
+  for (const std::size_t dim : kMatrixBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const BitMatrix zero = BitMatrix::zero(dim);
+    EXPECT_EQ(zero.dim(), dim);
+    EXPECT_EQ(zero, BitMatrix(dim));
+    EXPECT_FALSE(zero.any());
+    EXPECT_FALSE(zero.any_diagonal());
+    EXPECT_EQ(zero.count(), 0u);
+    EXPECT_EQ(to_table(BitMatrix::identity(dim)), naive_identity(dim));
+    EXPECT_TRUE(BitMatrix::identity(dim).any_diagonal());
+    EXPECT_EQ(BitMatrix::identity(dim).count(), dim);
+    EXPECT_EQ(to_table(BitMatrix::ones(dim)), Table(dim, std::vector<bool>(dim, true)));
+    EXPECT_EQ(BitMatrix::ones(dim).count(), dim * dim);
+
+    Table t = random_table(rng, dim, 1, 3);
+    BitMatrix m = from_table(t);
+    EXPECT_EQ(to_table(m), t);
+    std::size_t expect_count = 0;
+    bool expect_diagonal = false;
+    std::string expect_text;
+    for (std::size_t i = 0; i < dim; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        expect_count += t[i][j] ? 1 : 0;
+        expect_text.push_back(t[i][j] ? '1' : '.');
+      }
+      expect_diagonal = expect_diagonal || t[i][i];
+      expect_text.push_back('\n');
+    }
+    EXPECT_EQ(m.count(), expect_count);
+    EXPECT_EQ(m.any(), expect_count > 0);
+    EXPECT_EQ(m.any_diagonal(), expect_diagonal);
+    EXPECT_EQ(m.to_string(), expect_text);
+
+    // Single-entry matrices: the corners, and clearing them again.
+    const std::size_t last = dim - 1;
+    for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>(0, last),
+                               std::pair<std::size_t, std::size_t>(last, 0),
+                               std::pair<std::size_t, std::size_t>(last, last)}) {
+      BitMatrix single(dim);
+      single.set(i, j, true);
+      EXPECT_TRUE(single.get(i, j));
+      EXPECT_EQ(single.count(), 1u);
+      EXPECT_EQ(single.any_diagonal(), i == j);
+      single.set(i, j, false);
+      EXPECT_EQ(single, zero);
+    }
+  }
+}
+
+TEST(BitMatrix, StorageBoundaryProducts) {
+  Rng rng(103);
+  for (const std::size_t dim : kMatrixBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    BitMatrix out = BitMatrix::ones(dim);  // stale contents must be overwritten
+    for (int trial = 0; trial < 3; ++trial) {
+      const Table ta = random_table(rng, dim, 1, 4);
+      const Table tb = random_table(rng, dim, 1, 4);
+      const BitMatrix a = from_table(ta);
+      const BitMatrix b = from_table(tb);
+      const Table expect = naive_product(ta, tb);
+
+      EXPECT_EQ(to_table(a * b), expect);
+      a.multiply_into(b, out);  // reuses `out` across trials
+      EXPECT_EQ(to_table(out), expect);
+      BitMatrix in_place = a;
+      in_place *= b;
+      EXPECT_EQ(to_table(in_place), expect);
+
+      Table either = ta, both = ta, flipped = ta;
+      for (std::size_t i = 0; i < dim; ++i) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          either[i][j] = ta[i][j] || tb[i][j];
+          both[i][j] = ta[i][j] && tb[i][j];
+          flipped[i][j] = ta[j][i];
+        }
+      }
+      EXPECT_EQ(to_table(a | b), either);
+      EXPECT_EQ(to_table(a & b), both);
+      EXPECT_EQ(to_table(a.transposed()), flipped);
+      EXPECT_EQ(a.transposed().transposed(), a);
+    }
+  }
+}
+
+TEST(BitMatrix, StorageBoundaryPowersAndStabilization) {
+  Rng rng(107);
+  for (const std::size_t dim : kMatrixBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const Table t = random_table(rng, dim, 1, 3);
+    const BitMatrix m = from_table(t);
+    // Naive powers M^0 .. M^12, then on until the sequence repeats.
+    std::vector<Table> powers{naive_identity(dim)};
+    for (std::uint64_t k = 1; k <= 12; ++k) powers.push_back(naive_product(powers.back(), t));
+    for (std::uint64_t k = 0; k <= 12; ++k) {
+      EXPECT_EQ(to_table(m.power(k)), powers[k]) << "k=" << k;
+    }
+    std::uint64_t first = 0;
+    std::uint64_t period = 0;
+    for (std::uint64_t k = 1; period == 0; ++k) {
+      if (k >= powers.size()) powers.push_back(naive_product(powers.back(), t));
+      for (std::uint64_t j = 1; j < k; ++j) {
+        if (powers[j] == powers[k]) {
+          first = j;
+          period = k - j;
+          break;
+        }
+      }
+    }
+    const BitMatrix::Stabilization s = m.stabilize();
+    EXPECT_EQ(s.first, first);
+    EXPECT_EQ(s.period, period);
+    EXPECT_EQ(to_table(s.stable_power), powers[first]);
+  }
+}
+
+TEST(BitMatrix, StorageBoundaryEqualityAndHash) {
+  Rng rng(109);
+  for (const std::size_t dim : kMatrixBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const Table t = random_table(rng, dim, 1, 2);
+    const BitMatrix forward = from_table(t);
+    // The same entries set in the opposite order, over a cleared matrix.
+    BitMatrix backward = BitMatrix::ones(dim);
+    for (std::size_t i = dim; i-- > 0;)
+      for (std::size_t j = dim; j-- > 0;) backward.set(i, j, t[i][j]);
+    EXPECT_EQ(forward, backward);
+    EXPECT_EQ(forward.hash(), backward.hash());
+    backward.set(dim - 1, 0, !t[dim - 1][0]);
+    EXPECT_NE(forward, backward);
+  }
+  EXPECT_NE(BitMatrix(8), BitMatrix(9));
+  EXPECT_NE(BitMatrix(0), BitMatrix(1));
+  EXPECT_NE(BitMatrix::identity(8), BitMatrix::identity(9));
+  EXPECT_NE(BitMatrix::ones(7), BitMatrix::ones(8));
+}
+
+TEST(BitMatrix, StorageBoundaryCopyMoveAssign) {
+  std::vector<std::size_t> dims{0};
+  dims.insert(dims.end(), std::begin(kMatrixBoundaryDims), std::end(kMatrixBoundaryDims));
+  auto diagonal_band = [](std::size_t dim, std::size_t offset) {
+    BitMatrix m(dim);
+    for (std::size_t i = 0; i < dim; ++i) m.set(i, (i + offset) % dim, true);
+    return m;
+  };
+  for (const std::size_t from : dims) {
+    for (const std::size_t to : dims) {
+      SCOPED_TRACE("dim " + std::to_string(from) + " into dim " + std::to_string(to));
+      const BitMatrix source = diagonal_band(from, 1);
+
+      BitMatrix assigned = diagonal_band(to, 2);
+      assigned = source;
+      EXPECT_EQ(assigned, source);
+
+      EXPECT_EQ(assigned.dim(), from);
+
+      BitMatrix copy(source);
+      BitMatrix moved_into = diagonal_band(to, 3);
+      moved_into = std::move(copy);
+      EXPECT_EQ(moved_into, source);
+      EXPECT_EQ(copy.dim(), 0u);  // a moved-from matrix is the empty matrix
+      const BitMatrix constructed(std::move(moved_into));
+      EXPECT_EQ(constructed, source);
+      EXPECT_EQ(moved_into.dim(), 0u);
+      // A moved-from matrix can be assigned again.
+      moved_into = diagonal_band(to, 2);
+      EXPECT_EQ(moved_into, diagonal_band(to, 2));
+
+      // Copies are independent of their source.
+      if (from > 0) {
+        assigned.set(0, 1 % from, false);
+        EXPECT_TRUE(source.get(0, 1 % from));
+      }
+    }
+  }
+  for (const std::size_t dim : dims) {
+    BitMatrix m = diagonal_band(dim, 1);
+    BitMatrix& alias = m;
+    m = alias;
+    EXPECT_EQ(m, diagonal_band(dim, 1));
+    m = std::move(alias);
+    EXPECT_EQ(m, diagonal_band(dim, 1));
+  }
+  // Growth moves elements of both kinds.
+  std::vector<BitMatrix> grown;
+  for (std::size_t k = 0; k < 50; ++k) {
+    grown.push_back(diagonal_band(dims[k % dims.size()], k));
+  }
+  for (std::size_t k = 0; k < 50; ++k) {
+    EXPECT_EQ(grown[k], diagonal_band(dims[k % dims.size()], k));
+  }
+}
+
+TEST(BitMatrix, StorageBoundaryVectorProduct) {
+  Rng rng(113);
+  for (const std::size_t dim : kMatrixBoundaryDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const Table t = random_table(rng, dim, 1, 4);
+    const BitMatrix m = from_table(t);
+    BitVector out = BitVector::ones(dim);  // stale contents must be overwritten
+    for (int trial = 0; trial < 4; ++trial) {
+      BitVector v(dim);
+      for (std::size_t i = 0; i < dim; ++i) v.set(i, rng.next_bool());
+      v.multiply_into(m, out);
+      EXPECT_EQ(out, v.multiplied(m));
+      for (std::size_t j = 0; j < dim; ++j) {
+        bool expect = false;
+        for (std::size_t i = 0; i < dim && !expect; ++i) expect = v.get(i) && t[i][j];
+        ASSERT_EQ(out.get(j), expect) << j;
+      }
     }
   }
 }
