@@ -9,7 +9,7 @@ namespace lclpath {
 
 namespace {
 
-constexpr std::size_t kNoParent = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kNoIndex = std::numeric_limits<std::size_t>::max();
 
 /// data_hash() decomposed over component hashes, so the reversal map can
 /// combine already-computed component hashes instead of re-hashing (or
@@ -70,13 +70,13 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
       sizeof(MonoidElement) + (beta > 8 ? 4 * beta * words_per_row * 8 : 0) +
       (beta > 64 ? 2 * words_per_row * 8 : 0);
 
-  // Reversed-data hash of each element (combined from the same component
-  // hashes as the forward hash, at intern time); consumed by the reversal
-  // pass below and discarded afterwards.
-  std::vector<std::size_t> rev_hash;
-  // data_hash() -> element indices, for interning; also discarded once the
-  // reversal map is built, so a cached monoid does not carry it.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
+  // The intern index, discarded once the reversal map is built (a cached
+  // monoid does not carry it): data_hash() -> newest element with that
+  // hash, and per element links[e] = (reversed-data hash of e, next older
+  // element with e's data hash or kNoIndex). Equal data is never interned
+  // twice, so at most one element of a hash chain matches a probe.
+  std::unordered_map<std::size_t, std::size_t> newest_with_hash;
+  std::vector<std::pair<std::size_t, std::size_t>> links;
 
   // One scratch element holds every probe; only *fresh* probes are moved
   // into elements_ (and the scratch re-allocated), so the ~|M| x |Sigma|
@@ -97,15 +97,14 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   // (recording hashes and the BFS parent link) and resets the scratch.
   auto intern = [&](std::size_t hash, std::size_t reversed_hash, std::size_t parent,
                     Label sigma) -> std::pair<std::size_t, bool> {
-    auto it = by_hash.find(hash);
-    if (it != by_hash.end()) {
-      for (std::size_t index : it->second) {
-        if (monoid.elements_[index].same_data(probe)) return {index, false};
-      }
-    }
     const std::size_t index = monoid.elements_.size();
-    by_hash[hash].push_back(index);
-    rev_hash.push_back(reversed_hash);
+    auto [it, fresh] = newest_with_hash.try_emplace(hash, index);
+    const std::size_t older = fresh ? kNoIndex : it->second;
+    for (std::size_t other = older; other != kNoIndex; other = links[other].second) {
+      if (monoid.elements_[other].same_data(probe)) return {other, false};
+    }
+    it->second = index;
+    links.emplace_back(reversed_hash, older);
     monoid.parent_.emplace_back(parent, sigma);
     monoid.elements_.push_back(std::move(probe));
     probe = make_scratch();
@@ -142,7 +141,7 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
     std::size_t h = 0;
     std::size_t rh = 0;
     hash_probe(h, rh);
-    monoid.symbol_index_[sigma] = intern(h, rh, kNoParent, sigma).first;
+    monoid.symbol_index_[sigma] = intern(h, rh, kNoIndex, sigma).first;
   }
 
   // BFS. Elements are interned (and therefore queued) in index order, so
@@ -176,20 +175,15 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   monoid.reversed_.assign(monoid.elements_.size(), 0);
   for (std::size_t index = 0; index < monoid.elements_.size(); ++index) {
     const MonoidElement& e = monoid.elements_[index];
-    bool found = false;
-    auto it = by_hash.find(rev_hash[index]);
-    if (it != by_hash.end()) {
-      for (std::size_t candidate : it->second) {
-        if (same_data_reversed(monoid.elements_[candidate], e)) {
-          monoid.reversed_[index] = candidate;
-          found = true;
-          break;
-        }
-      }
+    auto it = newest_with_hash.find(links[index].first);
+    std::size_t candidate = it != newest_with_hash.end() ? it->second : kNoIndex;
+    while (candidate != kNoIndex && !same_data_reversed(monoid.elements_[candidate], e)) {
+      candidate = links[candidate].second;
     }
-    if (!found) {
+    if (candidate == kNoIndex) {
       throw std::logic_error("Monoid::enumerate: reversal map hit an unknown element");
     }
+    monoid.reversed_[index] = candidate;
   }
   // The BFS grew these one element at a time; monoids live on in caches.
   monoid.elements_.shrink_to_fit();
@@ -215,7 +209,7 @@ Word Monoid::witness(std::size_t element) const {
   std::size_t index = element;
   while (true) {
     w.push_back(parent_[index].second);
-    if (parent_[index].first == kNoParent) break;
+    if (parent_[index].first == kNoIndex) break;
     index = parent_[index].first;
   }
   std::reverse(w.begin(), w.end());
@@ -224,187 +218,74 @@ Word Monoid::witness(std::size_t element) const {
 
 std::size_t Monoid::reversed_index(std::size_t element) const { return reversed_[element]; }
 
-std::vector<std::size_t> Monoid::layer_at(std::size_t length) const {
-  if (length == 0) throw std::invalid_argument("Monoid::layer_at: length must be >= 1");
-  // The layer-set sequence S_1, S_2, ... evolves by a deterministic map on
-  // subsets, so it is eventually periodic; memoize sets until a repeat.
-  auto step_layer = [this](const std::vector<std::size_t>& layer) {
-    std::vector<char> seen(elements_.size(), 0);
-    std::vector<std::size_t> next;
-    for (std::size_t index : layer) {
-      for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) {
-        const std::size_t extended = extend(index, sigma);
-        if (!seen[extended]) {
-          seen[extended] = 1;
-          next.push_back(extended);
-        }
-      }
-    }
-    std::sort(next.begin(), next.end());
-    return next;
-  };
-  auto hash_layer = [](const std::vector<std::size_t>& layer) {
-    std::size_t h = hash_mix(0x77, layer.size());
-    for (std::size_t index : layer) h = hash_mix(h, index);
-    return h;
-  };
-
-  std::vector<std::size_t> current;
-  for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) current.push_back(of_symbol(sigma));
-  std::sort(current.begin(), current.end());
-  current.erase(std::unique(current.begin(), current.end()), current.end());
-
-  std::vector<std::vector<std::size_t>> history = {current};
-  std::unordered_map<std::size_t, std::vector<std::size_t>> seen_at;  // hash -> indices
-  seen_at[hash_layer(current)].push_back(0);
-
-  for (std::size_t l = 1; l < length; ++l) {
-    current = step_layer(current);
-    // Repeat detection.
-    const std::size_t h = hash_layer(current);
-    auto it = seen_at.find(h);
-    if (it != seen_at.end()) {
-      for (std::size_t prev : it->second) {
-        if (history[prev] == current) {
-          // Sequence cycles: history[i] holds the layer of length i+1,
-          // and the (not yet stored) current layer of length l+1 equals
-          // history[prev].
-          const std::size_t target = length - 1;  // history index wanted
-          if (target == l) return current;
-          if (target < l) return history[target];
-          const std::size_t period = l - prev;
-          return history[prev + ((target - prev) % period)];
-        }
-      }
-    }
-    history.push_back(current);
-    seen_at[h].push_back(l);
-  }
-  return history[length - 1];
-}
-
-std::size_t Monoid::layer_stabilization() const {
-  // Same deterministic subset walk as layer_at, run to its first repeat:
-  // history[i] = layer of length i + 1, with history[l] == history[prev]
-  // establishing preperiod `prev` and period `l - prev`. The answer only
-  // needs indices up to prev + period + 2, all resolvable through the
-  // modular fold.
-  auto step_layer = [this](const std::vector<std::size_t>& layer) {
-    std::vector<char> seen(elements_.size(), 0);
-    std::vector<std::size_t> next;
-    for (std::size_t index : layer) {
-      for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) {
-        const std::size_t extended = extend(index, sigma);
-        if (!seen[extended]) {
-          seen[extended] = 1;
-          next.push_back(extended);
-        }
-      }
-    }
-    std::sort(next.begin(), next.end());
-    return next;
-  };
-
-  std::vector<std::size_t> current;
-  for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) current.push_back(of_symbol(sigma));
-  std::sort(current.begin(), current.end());
-  current.erase(std::unique(current.begin(), current.end()), current.end());
-
-  std::vector<std::vector<std::size_t>> history = {current};
-  std::size_t prev = 0;
-  std::size_t period = 0;
-  while (period == 0) {
-    current = step_layer(current);
-    for (std::size_t i = 0; i < history.size(); ++i) {
-      if (history[i] == current) {
-        prev = i;
-        period = history.size() - i;
-        break;
-      }
-    }
-    if (period == 0) history.push_back(current);
-  }
-  auto layer_of = [&](std::size_t length) -> const std::vector<std::size_t>& {
-    const std::size_t index = length - 1;
-    if (index < history.size()) return history[index];
-    return history[prev + ((index - prev) % period)];
-  };
-  for (std::size_t k = 1; k <= prev + period; ++k) {
-    if (layer_of(k) == layer_of(k + 2)) return k;
-  }
-  return static_cast<std::size_t>(-1);  // cycle longer than 2
-}
-
-std::vector<std::pair<std::size_t, Word>> Monoid::layer_witnesses(std::size_t length) const {
-  // BFS over (element) per layer, keeping one witness word of each exact
-  // length. Lengths used by callers are bounded by the feasibility
-  // machinery's context length; for very large lengths, build a witness by
-  // pumping instead (callers use pump_to_length).
-  std::vector<std::pair<std::size_t, Word>> layer;
-  for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) {
-    layer.emplace_back(of_symbol(sigma), Word{sigma});
-  }
-  {
-    std::vector<char> seen(elements_.size(), 0);
-    std::vector<std::pair<std::size_t, Word>> dedup;
-    for (auto& [e, w] : layer) {
-      if (!seen[e]) {
-        seen[e] = 1;
-        dedup.emplace_back(e, std::move(w));
-      }
-    }
-    layer = std::move(dedup);
-  }
-  for (std::size_t l = 2; l <= length; ++l) {
-    std::vector<char> seen(elements_.size(), 0);
-    std::vector<std::pair<std::size_t, Word>> next;
-    for (const auto& [e, w] : layer) {
-      for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) {
-        const std::size_t extended = extend(e, sigma);
-        if (!seen[extended]) {
-          seen[extended] = 1;
-          Word nw = w;
-          nw.push_back(sigma);
-          next.emplace_back(extended, std::move(nw));
-        }
-      }
-    }
-    layer = std::move(next);
-  }
-  return layer;
-}
-
-std::vector<std::vector<std::size_t>> Monoid::layers(std::size_t max_length) const {
-  std::vector<std::vector<std::size_t>> layers;
-  layers.reserve(max_length);
-  std::vector<char> in_layer(elements_.size(), 0);
-
-  std::vector<std::size_t> current;
+LayerCycle Monoid::layer_cycle() const {
+  // S_{L+1} is a function of S_L, so the walk memoizes layers until one
+  // repeats. The newest layer occupies elements[begin, end) and is
+  // compared only against stored layers with its hash, chained
+  // newest-first.
+  LayerCycle cycle;
+  std::vector<std::size_t>& all = cycle.elements;
+  std::vector<char> seen(elements_.size(), 0);
+  std::unordered_map<std::size_t, std::size_t> newest_with_hash;
+  std::vector<std::size_t> same_hash_next;  // [layer] -> older layer with its hash
   for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) {
     const std::size_t index = of_symbol(sigma);
-    if (!in_layer[index]) {
-      in_layer[index] = 1;
-      current.push_back(index);
+    if (!seen[index]) {
+      seen[index] = 1;
+      all.push_back(index);
     }
   }
-  for (std::size_t index : current) in_layer[index] = 0;
-  layers.push_back(current);
-
-  for (std::size_t length = 2; length <= max_length; ++length) {
-    std::vector<std::size_t> next;
-    for (std::size_t index : layers.back()) {
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = all.size();
+    for (std::size_t i = begin; i < end; ++i) seen[all[i]] = 0;
+    std::sort(all.begin() + static_cast<std::ptrdiff_t>(begin), all.end());
+    std::size_t h = hash_mix(0x77, end - begin);
+    for (std::size_t i = begin; i < end; ++i) h = hash_mix(h, all[i]);
+    const std::size_t layer = cycle.starts.size();
+    auto [it, fresh] = newest_with_hash.try_emplace(h, layer);
+    const std::size_t older = fresh ? kNoIndex : it->second;
+    for (std::size_t prev = older; prev != kNoIndex; prev = same_hash_next[prev]) {
+      const std::size_t prev_end = prev + 1 < layer ? cycle.starts[prev + 1] : begin;
+      if (std::equal(all.begin() + static_cast<std::ptrdiff_t>(cycle.starts[prev]),
+                     all.begin() + static_cast<std::ptrdiff_t>(prev_end),
+                     all.begin() + static_cast<std::ptrdiff_t>(begin), all.end())) {
+        all.resize(begin);
+        cycle.preperiod = prev;
+        cycle.period = layer - prev;
+        cycle.starts.push_back(begin);  // end of the last stored layer
+        return cycle;
+      }
+    }
+    it->second = layer;
+    same_hash_next.push_back(older);
+    cycle.starts.push_back(begin);
+    for (std::size_t i = begin; i < end; ++i) {
       for (Label sigma = 0; sigma < ts_.num_inputs(); ++sigma) {
-        const std::size_t extended = extend(index, sigma);
-        if (!in_layer[extended]) {
-          in_layer[extended] = 1;
-          next.push_back(extended);
+        const std::size_t extended = extend(all[i], sigma);
+        if (!seen[extended]) {
+          seen[extended] = 1;
+          all.push_back(extended);
         }
       }
     }
-    for (std::size_t index : next) in_layer[index] = 0;
-    layers.push_back(std::move(next));
+    begin = end;
   }
-  return layers;
+}
+
+std::span<const std::size_t> LayerCycle::at(std::size_t length) const {
+  if (length == 0) throw std::invalid_argument("LayerCycle::at: length must be >= 1");
+  std::size_t index = length - 1;
+  if (index >= preperiod + period) index = preperiod + (index - preperiod) % period;
+  const std::span<const std::size_t> all(elements);
+  return all.subspan(starts[index], starts[index + 1] - starts[index]);
+}
+
+std::size_t LayerCycle::stabilization() const {
+  for (std::size_t k = 1; k <= preperiod + period; ++k) {
+    if (std::ranges::equal(at(k), at(k + 2))) return k;
+  }
+  return static_cast<std::size_t>(-1);  // period longer than 2
 }
 
 }  // namespace lclpath

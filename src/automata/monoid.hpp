@@ -28,17 +28,24 @@
 // >= ell_pump has two equal prefix elements, giving the pumping
 // decomposition of Lemma 14.
 //
+// layer_cycle() walks the layer sets S_L = {element of w : |w| = L}.
+// S_{L+1} is a function of S_L alone, so the sequence is eventually
+// periodic; the walk stops at its first repeat and answers every length
+// by a modular fold. The linear-gap decider reads its contexts
+// S_ell_ctx ∪ S_ell_ctx+1 from it (Lemmas 10-11), and the synthesized
+// log* algorithm its stabilization point.
+//
 // Monoids are expensive to build and immutable afterwards: problems that
 // share a transition-system skeleton (same matrices + topology, e.g. a
-// renamed catalog entry, or one problem classified under both linear-gap
-// engines) can share one const Monoid through the caller-owned MonoidCache
-// below (see ClassifyOptions::monoid_cache).
+// renamed catalog entry) can share one const Monoid through the
+// caller-owned MonoidCache below (see ClassifyOptions::monoid_cache).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +95,32 @@ struct MonoidElement {
   std::size_t data_hash() const;
 };
 
+/// The layer-set sequence S_1, S_2, ... of a monoid up to its first
+/// repeat: S_{preperiod + 1 + period} == S_{preperiod + 1}, and no two of
+/// the stored layers are equal.
+struct LayerCycle {
+  /// The stored layers S_1 .. S_{preperiod + period}, concatenated; each
+  /// is the sorted list of its element indices.
+  std::vector<std::size_t> elements;
+  /// Layer i (0-based) is elements[starts[i], starts[i + 1]).
+  std::vector<std::size_t> starts;
+  std::size_t preperiod = 0;
+  std::size_t period = 0;
+
+  /// S_length for any length >= 1, folded into the cycle. The span points
+  /// into this LayerCycle.
+  std::span<const std::size_t> at(std::size_t length) const;
+
+  /// Smallest k >= 1 with S_k == S_{k+2}. Past this point the sequence is
+  /// (<= 2)-periodic: every word of length >= k has its element inside
+  /// S_k ∪ S_{k+1}, which equals the certificate domain S_L ∪ S_{L+1} for
+  /// any L >= k. Synthesized algorithms use this to shrink context lengths
+  /// from the worst-case ell_ctx to what the problem's own layer structure
+  /// stabilizes at. Returns SIZE_MAX when the period is longer than 2 (no
+  /// such k exists; callers fall back to ell_ctx).
+  std::size_t stabilization() const;
+};
+
 class Monoid {
  public:
   /// Enumerates all reachable elements (nonempty words). Throws
@@ -124,29 +157,8 @@ class Monoid {
   /// reachable (always is: the reversed word is a word).
   std::size_t reversed_index(std::size_t element) const;
 
-  /// Indices of elements reachable by words of *exactly* each length
-  /// 1..max_length (layers[L-1] = sorted unique element indices).
-  std::vector<std::vector<std::size_t>> layers(std::size_t max_length) const;
-
-  /// Elements reachable at exactly length L, computed with cycle detection
-  /// on the layer-set sequence so large L costs no more than the
-  /// sequence's preperiod + period.
-  std::vector<std::size_t> layer_at(std::size_t length) const;
-
-  /// For each element in layer_at(length), a witness word of that exact
-  /// length (used by synthesized algorithms and tests).
-  std::vector<std::pair<std::size_t, Word>> layer_witnesses(std::size_t length) const;
-
-  /// Smallest k >= 1 with layer_at(k) == layer_at(k + 2). The layer-set
-  /// sequence evolves deterministically, so past this point it is
-  /// (<= 2)-periodic: every word of length >= k has its element inside
-  /// layer_at(k) ∪ layer_at(k + 1) — which equals the certificate domain
-  /// union layer_at(L) ∪ layer_at(L + 1) for any L >= k. Synthesized
-  /// algorithms use this to shrink context lengths from the worst-case
-  /// ell_ctx to what the problem's own layer structure stabilizes at.
-  /// Returns SIZE_MAX when the sequence's cycle is longer than 2 (no such
-  /// k exists; callers fall back to ell_ctx).
-  std::size_t layer_stabilization() const;
+  /// Walks the layer sets from length 1 to their first repeat.
+  LayerCycle layer_cycle() const;
 
  private:
   TransitionSystem ts_;

@@ -1,9 +1,11 @@
 #include "decide/linear_gap.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -12,8 +14,18 @@ namespace lclpath {
 
 namespace {
 
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
 [[noreturn]] void throw_point_not_in_domain() {
   throw std::logic_error("LinearGapCertificate::value_at: point not in domain");
+}
+
+/// Position of `element` in the sorted, duplicate-free context list, or
+/// kNone if it is not a context.
+std::size_t context_position(const std::vector<std::size_t>& contexts, std::size_t element) {
+  const auto it = std::lower_bound(contexts.begin(), contexts.end(), element);
+  if (it == contexts.end() || *it != element) return kNone;
+  return static_cast<std::size_t>(it - contexts.begin());
 }
 
 }  // namespace
@@ -40,24 +52,27 @@ class LazyFeasibleFunction {
   std::size_t alpha = 0;  ///< |Sigma_in|
   std::size_t beta = 0;   ///< |Sigma_out|
 
-  /// Sorted context element list and the element -> position index.
+  /// Sorted, duplicate-free context element list; a context's position
+  /// in it is its index into the tables below.
   std::vector<std::size_t> contexts;
-  std::unordered_map<std::size_t, std::size_t> ctx_pos;
   /// Context quotient (see FactorizedSearch::build_classes).
   std::vector<std::size_t> ctx_class;  ///< [position] -> class
   std::vector<std::size_t> ctx_pair;   ///< [position] -> (class, rev class) pair
 
   /// Final per-(pair, input) candidate filters derived from the solved
-  /// caps: p[pair][s0] = valid va set, q[pair][s1] = valid vb set.
-  std::vector<std::vector<BitVector>> p;
-  std::vector<std::vector<BitVector>> q;
+  /// caps, flat as in the search: p[pair][s0] = valid va set,
+  /// q[pair][s1] = valid vb set.
+  std::vector<BitVector> p;
+  std::vector<BitVector> q;
   /// Endpoint filters (paths only): prefix_ok[class][s0] = va set of a
   /// kLeftEnd block, suffix_ok[class] = vb set of a kRightEnd block.
-  std::vector<std::vector<BitVector>> prefix_ok;
+  std::vector<BitVector> prefix_ok;
   std::vector<BitVector> suffix_ok;
   /// cand[s0][s1] = local candidate filter node(s0,va) & node(s1,vb) &
   /// edge(va,vb).
-  std::vector<std::vector<BitMatrix>> cand;
+  std::vector<BitMatrix> cand;
+
+  std::size_t at(std::size_t k, Label s) const { return k * alpha + s; }
 
   std::size_t domain_size() const {
     const std::size_t kinds = cycle ? 1 : 3;
@@ -67,7 +82,8 @@ class LazyFeasibleFunction {
   bool contains(const BlockPoint& point) const {
     if (cycle && point.kind != BlockKind::kInterior) return false;
     if (point.s0 >= alpha || point.s1 >= alpha) return false;
-    return ctx_pos.contains(point.left) && ctx_pos.contains(point.right);
+    return context_position(contexts, point.left) != kNone &&
+           context_position(contexts, point.right) != kNone;
   }
 
   BlockValue value_at(const BlockPoint& point) const {
@@ -75,10 +91,10 @@ class LazyFeasibleFunction {
         point.s1 >= alpha) {
       throw_point_not_in_domain();
     }
-    const auto left = ctx_pos.find(point.left);
-    const auto right = ctx_pos.find(point.right);
-    if (left == ctx_pos.end() || right == ctx_pos.end()) throw_point_not_in_domain();
-    return value_for(point.kind, left->second, point.s0, point.s1, right->second);
+    const std::size_t left = context_position(contexts, point.left);
+    const std::size_t right = context_position(contexts, point.right);
+    if (left == kNone || right == kNone) throw_point_not_in_domain();
+    return value_for(point.kind, left, point.s0, point.s1, right);
   }
 
   /// The chosen value of the domain point (kind, contexts[l], s0, s1,
@@ -96,7 +112,7 @@ class LazyFeasibleFunction {
         kind == BlockKind::kLeftEnd ? ctx_class[l] : ctx_pair[l];
     const std::size_t key_r =
         kind == BlockKind::kRightEnd ? ctx_class[r] : ctx_pair[r];
-    const std::size_t stride = std::max(p.size(), prefix_ok.size()) + 1;
+    const std::size_t stride = contexts.size() + 1;  // > every class and pair id
     const std::uint64_t key =
         (((static_cast<std::uint64_t>(kind) * stride + key_l) * alpha + s0) * alpha +
          s1) *
@@ -108,10 +124,10 @@ class LazyFeasibleFunction {
       if (it != memo_.end()) return it->second;
     }
     const BitVector& va_set =
-        kind == BlockKind::kLeftEnd ? prefix_ok[key_l][s0] : p[key_l][s0];
+        kind == BlockKind::kLeftEnd ? prefix_ok[at(key_l, s0)] : p[at(key_l, s0)];
     const BitVector& vb_set =
-        kind == BlockKind::kRightEnd ? suffix_ok[key_r] : q[key_r][s1];
-    const BitMatrix& pairs = cand[s0][s1];
+        kind == BlockKind::kRightEnd ? suffix_ok[key_r] : q[at(key_r, s1)];
+    const BitMatrix& pairs = cand[at(s0, s1)];
     for (Label va = 0; va < beta; ++va) {
       if (!va_set.get(va)) continue;
       for (Label vb = 0; vb < beta; ++vb) {
@@ -180,12 +196,11 @@ void LinearGapCertificate::adopt(std::shared_ptr<const LazyFeasibleFunction> fun
 LinearGapContexts linear_gap_contexts(const Monoid& monoid) {
   LinearGapContexts contexts;
   contexts.ell_ctx = monoid.size() + 5;
-  contexts.elements = monoid.layer_at(contexts.ell_ctx);
-  const std::vector<std::size_t> next = monoid.layer_at(contexts.ell_ctx + 1);
-  contexts.elements.insert(contexts.elements.end(), next.begin(), next.end());
-  std::sort(contexts.elements.begin(), contexts.elements.end());
-  contexts.elements.erase(std::unique(contexts.elements.begin(), contexts.elements.end()),
-                          contexts.elements.end());
+  const LayerCycle layers = monoid.layer_cycle();
+  const std::span<const std::size_t> layer = layers.at(contexts.ell_ctx);
+  const std::span<const std::size_t> next = layers.at(contexts.ell_ctx + 1);
+  contexts.elements.reserve(layer.size() + next.size());
+  std::ranges::set_union(layer, next, std::back_inserter(contexts.elements));
   return contexts;
 }
 
@@ -245,6 +260,11 @@ namespace {
 // class (their caps stay equal through every pass, and a conflict branch
 // that removes a symbol removes it class-wide — complete, because a
 // symbol surviving at any member re-creates the same conflict).
+//
+// Layout: each table is one flat vector (one allocation while beta <= 64
+// keeps BitVector inline); [k][s] is row at(k, s), [k][s0][s1] row
+// at(k, s0, s1). The caps hold class k's emit row, then its alpha accept
+// rows, so a branch frame saves them with one copy.
 // =====================================================================
 
 /// A gluing violation surviving the propagation fixpoint: emitted symbol
@@ -258,12 +278,8 @@ struct GlueConflict {
   Label sym2 = 0;
 };
 
-/// The search state: symbol caps per aggregate class. Indices are
-/// positions into the sorted context-element list, not monoid elements.
-struct AggregateCaps {
-  std::vector<BitVector> emit;                 ///< [context] -> b-side caps
-  std::vector<std::vector<BitVector>> accept;  ///< [context][s0] -> a-side caps
-};
+/// The search state: symbol caps per class, rows at emit_at / accept_at.
+using AggregateCaps = std::vector<BitVector>;
 
 class FactorizedSearch {
  public:
@@ -277,8 +293,7 @@ class FactorizedSearch {
         directed_(is_directed(problem_.topology())),
         beta_(ts_.num_outputs()),
         alpha_(ts_.num_inputs()),
-        contexts_(linear_gap_contexts(monoid)),
-        n_ctx_(contexts_.elements.size()) {
+        contexts_(linear_gap_contexts(monoid)) {
     build_classes();
     build_tables();
   }
@@ -287,9 +302,7 @@ class FactorizedSearch {
     LinearGapCertificate cert;
     cert.ell_ctx = contexts_.ell_ctx;
 
-    AggregateCaps caps;
-    caps.emit.assign(n_cls_, BitVector::ones(beta_));
-    caps.accept.assign(n_cls_, std::vector<BitVector>(alpha_, BitVector::ones(beta_)));
+    AggregateCaps caps(n_cls_ * (1 + alpha_), BitVector::ones(beta_));
 
     // Depth-first over conflict branches, iterative (PR-1 lesson: one
     // stack frame per decision can get deep on lifted problems).
@@ -312,7 +325,7 @@ class FactorizedSearch {
       }
       if (alive) {
         stack.push_back(BranchFrame{caps, conflict, false});
-        caps.emit[conflict.c1].set(conflict.sym1, false);
+        caps[emit_at(conflict.c1)].set(conflict.sym1, false);
         continue;
       }
       // Dead end: take the deepest branch whose accept side is untried.
@@ -321,7 +334,7 @@ class FactorizedSearch {
       BranchFrame& frame = stack.back();
       frame.tried_accept = true;
       caps = frame.saved;
-      caps.accept[frame.conflict.c2][frame.conflict.s0].set(frame.conflict.sym2, false);
+      caps[accept_at(frame.conflict.c2, frame.conflict.s0)].set(frame.conflict.sym2, false);
     }
   }
 
@@ -335,7 +348,6 @@ class FactorizedSearch {
   const std::size_t beta_;
   const std::size_t alpha_;
   LinearGapContexts contexts_;
-  const std::size_t n_ctx_;
 
   /// Context quotient, two levels. Caps and glue tables live on *classes*
   /// (equal fwd matrix + equal prefix vector on paths); the per-point
@@ -350,89 +362,93 @@ class FactorizedSearch {
   std::vector<std::size_t> rev_pair_;   ///< [pair (k, k')] -> pair (k', k)
   std::size_t n_pairs_ = 0;
 
-  /// row_[k][sym] = e_sym * fwd(class k).
-  std::vector<std::vector<BitVector>> row_;
+  /// row(k, sym) = e_sym * fwd(class k).
+  std::vector<BitVector> row_;
   /// head_[k][s0] = fwd(class k) * A(s0); a glue row is then
-  /// row_[k1][sym1] * head_[k2][s0] — no per-(k1,k2,s0) matrix is stored.
-  std::vector<std::vector<BitMatrix>> head_;
-  /// cand_[s0][s1][va][vb] = candidate filter node(s0,va) & node(s1,vb) &
-  /// edge(va,vb); cand_t_ is its transpose.
-  std::vector<std::vector<BitMatrix>> cand_;
-  std::vector<std::vector<BitMatrix>> cand_t_;
+  /// row(k1, sym1) * head_[k2][s0] — no per-(k1,k2,s0) matrix is stored.
+  std::vector<BitMatrix> head_;
+  /// cand_[at(s0, s1)][va][vb] = candidate filter node(s0,va) &
+  /// node(s1,vb) & edge(va,vb); cand_t_ is its transpose.
+  std::vector<BitMatrix> cand_;
+  std::vector<BitMatrix> cand_t_;
   /// Endpoint filters (paths only): va sets passing the prefix check per
   /// (left class, s0); vb sets passing the suffix check per right class.
-  std::vector<std::vector<BitVector>> prefix_ok_;
-  std::vector<BitVector> suffix_ok_;
+  std::vector<BitVector> prefix_ok_;  ///< [class][s0]
+  std::vector<BitVector> suffix_ok_;  ///< [class]
   /// Cap-independent endpoint projections: lend_b_[l][s0][s1] = b-symbols
   /// of candidates whose va passes the prefix filter; rend_a_[r][s0][s1] =
   /// a-symbols of candidates whose vb passes the suffix filter.
-  std::vector<std::vector<std::vector<BitVector>>> lend_b_;
-  std::vector<std::vector<std::vector<BitVector>>> rend_a_;
+  std::vector<BitVector> lend_b_;
+  std::vector<BitVector> rend_a_;
 
   // Per-pass scratch (allocated once; recomputed from caps each pass).
-  std::vector<std::vector<BitVector>> p_;   ///< [pair][s0]: va filter
-  std::vector<std::vector<BitVector>> q_;   ///< [pair][s1]: vb filter
-  std::vector<std::vector<std::vector<BitVector>>> xb_;  ///< [pair][s0][s1]
-  std::vector<std::vector<std::vector<BitVector>>> ya_;  ///< [pair][s0][s1]
-  std::vector<BitVector> new_emit_;                      ///< [class]
-  std::vector<std::vector<BitVector>> new_accept_;       ///< [class][s0]
-  std::vector<BitVector> all_b_;                         ///< [s1]
-  std::vector<BitVector> all_a_;                         ///< [s0]
+  std::vector<BitVector> p_;      ///< [pair][s0]: va filter
+  std::vector<BitVector> q_;      ///< [pair][s1]: vb filter
+  std::vector<BitVector> xb_;     ///< [pair][s0][s1]
+  std::vector<BitVector> ya_;     ///< [pair][s0][s1]
+  AggregateCaps new_caps_;        ///< the shrunk caps, before they replace caps
+  std::vector<BitVector> all_b_;  ///< [s1]
+  std::vector<BitVector> all_a_;  ///< [s0]
   BitVector row_scratch_;
   BitVector mask_scratch_;
   BitVector all_ones_;  ///< ones(beta_), copied into mask_scratch_ per conflict scan
 
+  std::size_t at(std::size_t k, Label s) const { return k * alpha_ + s; }
+  std::size_t at(std::size_t k, Label s0, Label s1) const { return at(k, s0) * alpha_ + s1; }
+  const BitVector& row(std::size_t k, std::size_t sym) const { return row_[k * beta_ + sym]; }
+  /// Cap rows: class k's emit caps, then its accept caps per first input s0.
+  std::size_t emit_at(std::size_t k) const { return k * (1 + alpha_); }
+  std::size_t accept_at(std::size_t k, Label s0) const { return emit_at(k) + 1 + s0; }
+
   void build_classes() {
     // Classes: equal fwd matrix (and, on paths, equal prefix vector — the
-    // only other per-context data any table reads).
-    ctx_class_.assign(n_ctx_, 0);
-    cls_rep_.clear();
+    // only other per-context data any table reads). Classes with equal
+    // hashes are chained newest-first.
+    const std::size_t n_ctx = contexts_.elements.size();
+    ctx_class_.assign(n_ctx, 0);
     {
-      std::unordered_map<std::size_t, std::vector<std::size_t>> buckets;
-      for (std::size_t c = 0; c < n_ctx_; ++c) {
+      std::unordered_map<std::size_t, std::size_t> newest_with_hash;
+      std::vector<std::size_t> same_hash_next;  // [class] -> older class with its hash
+      for (std::size_t c = 0; c < n_ctx; ++c) {
         const MonoidElement& elem = monoid_.element(contexts_.elements[c]);
         std::size_t h = elem.fwd.hash();
         if (!cycle_) h = hash_mix(h, elem.pvec.hash());
-        auto& bucket = buckets[h];
-        bool found = false;
-        for (std::size_t k : bucket) {
+        auto [it, fresh] = newest_with_hash.try_emplace(h, cls_rep_.size());
+        const std::size_t older = fresh ? kNone : it->second;
+        std::size_t k = older;
+        for (; k != kNone; k = same_hash_next[k]) {
           const MonoidElement& rep = monoid_.element(contexts_.elements[cls_rep_[k]]);
-          if (rep.fwd == elem.fwd && (cycle_ || rep.pvec == elem.pvec)) {
-            ctx_class_[c] = k;
-            found = true;
-            break;
-          }
+          if (rep.fwd == elem.fwd && (cycle_ || rep.pvec == elem.pvec)) break;
         }
-        if (!found) {
-          ctx_class_[c] = cls_rep_.size();
-          bucket.push_back(cls_rep_.size());
+        if (k == kNone) {
+          k = cls_rep_.size();
+          it->second = k;
+          same_hash_next.push_back(older);
           cls_rep_.push_back(c);
         }
+        ctx_class_[c] = k;
       }
     }
     n_cls_ = cls_rep_.size();
 
     // Pairs: (class, class of the reversed context). Directed problems
-    // never read the reversal, so every class is its own pair.
-    ctx_pair_.assign(n_ctx_, 0);
-    pairs_.clear();
+    // never read the reversal, so every class is its own pair (and
+    // rev_pair_ stays empty).
     if (directed_) {
+      ctx_pair_ = ctx_class_;
       for (std::size_t k = 0; k < n_cls_; ++k) pairs_.emplace_back(k, k);
-      for (std::size_t c = 0; c < n_ctx_; ++c) ctx_pair_[c] = ctx_class_[c];
       n_pairs_ = n_cls_;
-      rev_pair_.resize(n_pairs_);
-      for (std::size_t i = 0; i < n_pairs_; ++i) rev_pair_[i] = i;
       return;
     }
-    std::unordered_map<std::size_t, std::size_t> ctx_pos;
-    for (std::size_t c = 0; c < n_ctx_; ++c) ctx_pos.emplace(contexts_.elements[c], c);
+    ctx_pair_.assign(n_ctx, 0);
     std::map<std::pair<std::size_t, std::size_t>, std::size_t> pair_index;
-    for (std::size_t c = 0; c < n_ctx_; ++c) {
-      auto it = ctx_pos.find(monoid_.reversed_index(contexts_.elements[c]));
-      if (it == ctx_pos.end()) {
+    for (std::size_t c = 0; c < n_ctx; ++c) {
+      const std::size_t reversed_element = monoid_.reversed_index(contexts_.elements[c]);
+      const std::size_t reversed = context_position(contexts_.elements, reversed_element);
+      if (reversed == kNone) {
         throw std::logic_error("decide_linear_gap: reversed context missing");
       }
-      const auto key = std::pair(ctx_class_[c], ctx_class_[it->second]);
+      const auto key = std::pair(ctx_class_[c], ctx_class_[reversed]);
       auto [pit, inserted] = pair_index.emplace(key, pairs_.size());
       if (inserted) pairs_.push_back(key);
       ctx_pair_[c] = pit->second;
@@ -450,64 +466,57 @@ class FactorizedSearch {
   }
 
   void build_tables() {
-    row_.resize(n_cls_);
-    head_.resize(n_cls_);
+    row_.reserve(n_cls_ * beta_);
+    head_.reserve(n_cls_ * alpha_);
     for (std::size_t k = 0; k < n_cls_; ++k) {
       const BitMatrix& fwd = monoid_.element(contexts_.elements[cls_rep_[k]]).fwd;
-      row_[k].reserve(beta_);
       for (Label sym = 0; sym < beta_; ++sym) {
-        row_[k].push_back(BitVector::unit(beta_, sym).multiplied(fwd));
+        row_.push_back(BitVector::unit(beta_, sym).multiplied(fwd));
       }
-      head_[k].reserve(alpha_);
-      for (Label s0 = 0; s0 < alpha_; ++s0) head_[k].push_back(fwd * ts_.step(s0));
+      for (Label s0 = 0; s0 < alpha_; ++s0) head_.push_back(fwd * ts_.step(s0));
     }
 
-    cand_.assign(alpha_, std::vector<BitMatrix>(alpha_));
-    cand_t_.assign(alpha_, std::vector<BitMatrix>(alpha_));
+    cand_.reserve(alpha_ * alpha_);
+    cand_t_.reserve(alpha_ * alpha_);
     for (Label s0 = 0; s0 < alpha_; ++s0) {
       for (Label s1 = 0; s1 < alpha_; ++s1) {
         BitMatrix m(beta_);
         for (Label va = 0; va < beta_; ++va) {
-          if (!problem_.node_ok(s0, va)) continue;
           for (Label vb = 0; vb < beta_; ++vb) {
-            if (!problem_.node_ok(s1, vb)) continue;
-            if (!problem_.edge_ok(va, vb)) continue;
-            m.set(va, vb, true);
+            m.set(va, vb, problem_.node_ok(s0, va) && problem_.node_ok(s1, vb) &&
+                          problem_.edge_ok(va, vb));
           }
         }
-        cand_t_[s0][s1] = m.transposed();
-        cand_[s0][s1] = std::move(m);
+        cand_t_.push_back(m.transposed());
+        cand_.push_back(std::move(m));
       }
     }
 
     if (!cycle_) {
-      prefix_ok_.assign(n_cls_, std::vector<BitVector>(alpha_));
+      prefix_ok_.assign(n_cls_ * alpha_, BitVector());
       suffix_ok_.assign(n_cls_, BitVector(beta_));
-      lend_b_.assign(n_cls_, std::vector<std::vector<BitVector>>(
-                                 alpha_, std::vector<BitVector>(alpha_)));
+      lend_b_.assign(n_cls_ * alpha_ * alpha_, BitVector());
       rend_a_ = lend_b_;
       for (std::size_t k = 0; k < n_cls_; ++k) {
         const MonoidElement& elem = monoid_.element(contexts_.elements[cls_rep_[k]]);
         for (Label vb = 0; vb < beta_; ++vb) {
-          if (row_[k][vb].intersects(ts_.last_mask())) suffix_ok_[k].set(vb, true);
+          if (row(k, vb).intersects(ts_.last_mask())) suffix_ok_[k].set(vb, true);
         }
         for (Label s0 = 0; s0 < alpha_; ++s0) {
-          prefix_ok_[k][s0] = elem.pvec.multiplied(ts_.step(s0));
+          prefix_ok_[at(k, s0)] = elem.pvec.multiplied(ts_.step(s0));
           for (Label s1 = 0; s1 < alpha_; ++s1) {
-            lend_b_[k][s0][s1] = prefix_ok_[k][s0].multiplied(cand_[s0][s1]);
-            rend_a_[k][s0][s1] = suffix_ok_[k].multiplied(cand_t_[s0][s1]);
+            lend_b_[at(k, s0, s1)] = prefix_ok_[at(k, s0)].multiplied(cand_[at(s0, s1)]);
+            rend_a_[at(k, s0, s1)] = suffix_ok_[k].multiplied(cand_t_[at(s0, s1)]);
           }
         }
       }
     }
 
-    p_.assign(n_pairs_, std::vector<BitVector>(alpha_, BitVector(beta_)));
+    p_.assign(n_pairs_ * alpha_, BitVector(beta_));
     q_ = p_;
-    xb_.assign(n_pairs_, std::vector<std::vector<BitVector>>(
-                             alpha_, std::vector<BitVector>(alpha_, BitVector(beta_))));
+    xb_.assign(n_pairs_ * alpha_ * alpha_, BitVector(beta_));
     ya_ = xb_;
-    new_emit_.assign(n_cls_, BitVector(beta_));
-    new_accept_.assign(n_cls_, std::vector<BitVector>(alpha_, BitVector(beta_)));
+    new_caps_.assign(n_cls_ * (1 + alpha_), BitVector(beta_));
     all_b_.assign(alpha_, BitVector(beta_));
     all_a_.assign(alpha_, BitVector(beta_));
     row_scratch_ = BitVector(beta_);
@@ -516,18 +525,18 @@ class FactorizedSearch {
   }
 
   /// Per-point value filters implied by the caps: a candidate (va, vb) of
-  /// an interior point (l, s0, s1, r) is valid iff va in p_[pair(l)][s0]
-  /// and vb in q_[pair(r)][s1] (end blocks drop the side that faces the
+  /// an interior point (l, s0, s1, r) is valid iff va in p_[at(pair(l), s0)]
+  /// and vb in q_[at(pair(r), s1)] (end blocks drop the side that faces the
   /// path end).
   void derive_filters(const AggregateCaps& caps) {
     for (std::size_t i = 0; i < n_pairs_; ++i) {
       const auto [k, krev] = pairs_[i];
       for (Label s = 0; s < alpha_; ++s) {
-        p_[i][s] = caps.accept[k][s];
-        q_[i][s] = caps.emit[k];
+        p_[at(i, s)] = caps[accept_at(k, s)];
+        q_[at(i, s)] = caps[emit_at(k)];
         if (!directed_) {
-          p_[i][s] &= caps.emit[krev];
-          q_[i][s] &= caps.accept[krev][s];
+          p_[at(i, s)] &= caps[emit_at(krev)];
+          q_[at(i, s)] &= caps[accept_at(krev, s)];
         }
       }
     }
@@ -544,8 +553,8 @@ class FactorizedSearch {
       budget_checkpoint(budget_);
       for (Label s0 = 0; s0 < alpha_; ++s0) {
         for (Label s1 = 0; s1 < alpha_; ++s1) {
-          p_[i][s0].multiply_into(cand_[s0][s1], xb_[i][s0][s1]);
-          q_[i][s1].multiply_into(cand_t_[s0][s1], ya_[i][s0][s1]);
+          p_[at(i, s0)].multiply_into(cand_[at(s0, s1)], xb_[at(i, s0, s1)]);
+          q_[at(i, s1)].multiply_into(cand_t_[at(s0, s1)], ya_[at(i, s0, s1)]);
         }
       }
     }
@@ -557,22 +566,22 @@ class FactorizedSearch {
       for (Label s1 = 0; s1 < alpha_; ++s1) {
         for (std::size_t l = 0; l < n_pairs_; ++l) {
           budget_checkpoint(budget_);
-          const BitVector& xb = xb_[l][s0][s1];
+          const BitVector& xb = xb_[at(l, s0, s1)];
           for (std::size_t r = 0; r < n_pairs_; ++r) {
-            if (!xb.intersects(q_[r][s1])) return false;  // interior died
+            if (!xb.intersects(q_[at(r, s1)])) return false;  // interior died
           }
         }
         if (cycle_) continue;
         for (std::size_t l = 0; l < n_cls_; ++l) {
-          const BitVector& lb = lend_b_[l][s0][s1];
+          const BitVector& lb = lend_b_[at(l, s0, s1)];
           for (std::size_t r = 0; r < n_pairs_; ++r) {
-            if (!lb.intersects(q_[r][s1])) return false;  // left end died
+            if (!lb.intersects(q_[at(r, s1)])) return false;  // left end died
           }
         }
         for (std::size_t r = 0; r < n_cls_; ++r) {
-          const BitVector& ra = rend_a_[r][s0][s1];
+          const BitVector& ra = rend_a_[at(r, s0, s1)];
           for (std::size_t l = 0; l < n_pairs_; ++l) {
-            if (!ra.intersects(p_[l][s0])) return false;  // right end died
+            if (!ra.intersects(p_[at(l, s0)])) return false;  // right end died
           }
         }
       }
@@ -586,13 +595,13 @@ class FactorizedSearch {
     for (Label s0 = 0; s0 < alpha_; ++s0) {
       for (Label s1 = 0; s1 < alpha_; ++s1) {
         for (std::size_t i = 0; i < n_pairs_; ++i) {
-          all_b_[s1] |= xb_[i][s0][s1];
-          all_a_[s0] |= ya_[i][s0][s1];
+          all_b_[s1] |= xb_[at(i, s0, s1)];
+          all_a_[s0] |= ya_[at(i, s0, s1)];
         }
         if (!cycle_) {
           for (std::size_t k = 0; k < n_cls_; ++k) {
-            all_b_[s1] |= lend_b_[k][s0][s1];
-            all_a_[s0] |= rend_a_[k][s0][s1];
+            all_b_[s1] |= lend_b_[at(k, s0, s1)];
+            all_a_[s0] |= rend_a_[at(k, s0, s1)];
           }
         }
       }
@@ -601,38 +610,30 @@ class FactorizedSearch {
     // New caps = union of valid contributions over every context of a
     // class, grouped by (class, rev class) pairs; always a subset of the
     // old caps.
-    for (std::size_t k = 0; k < n_cls_; ++k) {
-      new_emit_[k].clear();
-      for (Label s0 = 0; s0 < alpha_; ++s0) new_accept_[k][s0].clear();
-    }
+    for (BitVector& cap : new_caps_) cap.clear();
     for (std::size_t i = 0; i < n_pairs_; ++i) {
       const std::size_t k = pairs_[i].first;
-      for (Label s1 = 0; s1 < alpha_; ++s1) new_emit_[k] |= q_[i][s1] & all_b_[s1];
+      BitVector& new_emit = new_caps_[emit_at(k)];
+      for (Label s1 = 0; s1 < alpha_; ++s1) new_emit |= q_[at(i, s1)] & all_b_[s1];
       for (Label s0 = 0; s0 < alpha_; ++s0) {
-        new_accept_[k][s0] |= p_[i][s0] & all_a_[s0];
+        new_caps_[accept_at(k, s0)] |= p_[at(i, s0)] & all_a_[s0];
         if (!directed_) {
           // Contributions routed through reversed points: the a-symbol of
           // a right-role point lands in emit(rev(left)), the b-symbol of a
           // left-role point in accept(rev(right), s1); seen from class k
           // these are the reversed pair's filters.
-          new_emit_[k] |= p_[rev_pair_[i]][s0] & all_a_[s0];
-          new_accept_[k][s0] |= q_[rev_pair_[i]][s0] & all_b_[s0];
+          new_emit |= p_[at(rev_pair_[i], s0)] & all_a_[s0];
+          new_caps_[accept_at(k, s0)] |= q_[at(rev_pair_[i], s0)] & all_b_[s0];
         }
       }
     }
-    for (std::size_t k = 0; k < n_cls_; ++k) {
-      if (!(new_emit_[k] == caps.emit[k])) {
+    // Row order is class by class, emit before accept(s0 = 0, 1, ...).
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      if (!(new_caps_[i] == caps[i])) {
         changed = true;
-        caps.emit[k] = new_emit_[k];
+        caps[i] = new_caps_[i];
       }
-      if (!new_emit_[k].any()) return false;
-      for (Label s0 = 0; s0 < alpha_; ++s0) {
-        if (!(new_accept_[k][s0] == caps.accept[k][s0])) {
-          changed = true;
-          caps.accept[k][s0] = new_accept_[k][s0];
-        }
-        if (!new_accept_[k][s0].any()) return false;
-      }
+      if (!new_caps_[i].any()) return false;
     }
     return true;
   }
@@ -643,25 +644,25 @@ class FactorizedSearch {
   /// of some context glues with is equally dead. Returns false when a cap
   /// empties; sets `changed` on any prune.
   bool glue_prune_pass(AggregateCaps& caps, bool& changed) {
-    BitVector& row = row_scratch_;
+    BitVector& glue = row_scratch_;
     BitVector& support = mask_scratch_;
     for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
       for (std::size_t c2 = 0; c2 < n_cls_; ++c2) {
         for (Label s0 = 0; s0 < alpha_; ++s0) {
           budget_checkpoint(budget_);
-          BitVector& acc = caps.accept[c2][s0];
+          BitVector& acc = caps[accept_at(c2, s0)];
           support.clear();
-          BitVector& emit = caps.emit[c1];
+          BitVector& emit = caps[emit_at(c1)];
           for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
                sym1 = emit.next_set(sym1 + 1)) {
-            row_[c1][sym1].multiply_into(head_[c2][s0], row);
-            if (!row.intersects(acc)) {
+            row(c1, sym1).multiply_into(head_[at(c2, s0)], glue);
+            if (!glue.intersects(acc)) {
               emit.set(sym1, false);
               changed = true;
               if (!emit.any()) return false;
               continue;
             }
-            support |= row;
+            support |= glue;
           }
           if (!acc.subset_of(support)) {
             acc &= support;
@@ -688,19 +689,19 @@ class FactorizedSearch {
   /// Scans for the first gluing violation left at the fixpoint, in
   /// deterministic (c1, c2, s0, sym2, sym1) order.
   bool first_conflict(const AggregateCaps& caps, GlueConflict& out) {
-    BitVector& row = row_scratch_;
+    BitVector& glue = row_scratch_;
     BitVector& glued_by_all = mask_scratch_;
     for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
       for (std::size_t c2 = 0; c2 < n_cls_; ++c2) {
         for (Label s0 = 0; s0 < alpha_; ++s0) {
           budget_checkpoint(budget_);
-          const BitVector& acc = caps.accept[c2][s0];
-          const BitVector& emit = caps.emit[c1];
+          const BitVector& acc = caps[accept_at(c2, s0)];
+          const BitVector& emit = caps[emit_at(c1)];
           glued_by_all = all_ones_;  // same dim: no allocation
           for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
                sym1 = emit.next_set(sym1 + 1)) {
-            row_[c1][sym1].multiply_into(head_[c2][s0], row);
-            glued_by_all &= row;
+            row(c1, sym1).multiply_into(head_[at(c2, s0)], glue);
+            glued_by_all &= glue;
           }
           if (acc.subset_of(glued_by_all)) continue;
           BitVector bad = acc;
@@ -708,8 +709,8 @@ class FactorizedSearch {
           const Label sym2 = static_cast<Label>(bad.first_set());
           for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
                sym1 = emit.next_set(sym1 + 1)) {
-            row_[c1][sym1].multiply_into(head_[c2][s0], row);
-            if (!row.get(sym2)) {
+            row(c1, sym1).multiply_into(head_[at(c2, s0)], glue);
+            if (!glue.get(sym2)) {
               out = GlueConflict{c1, c2, s0, static_cast<Label>(sym1), sym2};
               return true;
             }
@@ -734,8 +735,6 @@ class FactorizedSearch {
     fn->alpha = alpha_;
     fn->beta = beta_;
     fn->contexts = std::move(contexts_.elements);
-    fn->ctx_pos.reserve(n_ctx_);
-    for (std::size_t c = 0; c < n_ctx_; ++c) fn->ctx_pos.emplace(fn->contexts[c], c);
     fn->ctx_class = std::move(ctx_class_);
     fn->ctx_pair = std::move(ctx_pair_);
     fn->p = std::move(p_);

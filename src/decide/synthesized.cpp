@@ -118,7 +118,7 @@ SynthesizedLogStar::SynthesizedLogStar(const Monoid& monoid,
   // SIZE_MAX when the layer cycle is longer than 2, where the fold does
   // not apply).
   ell_ = std::min(certificate.ell_ctx,
-                  std::max<std::size_t>(monoid.layer_stabilization(), 1));
+                  std::max<std::size_t>(monoid.layer_cycle().stabilization(), 1));
   // Inter-block segments split into two context shares of >= (m - 2) / 2
   // each; min_gap = 2 ell + 4 keeps every share at >= ell + 1.
   min_gap_ = 2 * ell_ + 4;
@@ -389,10 +389,6 @@ Label SynthesizedLogStar::run(const View& view) const {
   }
   const bool full = strategy_.cycle() ? view.size() == view.n : view.n <= radius_ + 1;
   if (full) return solve_full_view(problem, view);
-  return run_large(view);
-}
-
-Label SynthesizedLogStar::run_large(const View& view) const {
   const LogStarLayout layout(*monoid_, *cert_, strategy_, view, ell_, min_gap_, gap_,
                              orient_ell_);
   Label label = 0;
@@ -944,10 +940,6 @@ Label SynthesizedConstant::run(const View& view) const {
   }
   const bool full = strategy_.cycle() ? view.size() == view.n : view.n <= radius_ + 1;
   if (full) return solve_full_view(problem, view);
-  return run_large(view);
-}
-
-Label SynthesizedConstant::run_large(const View& view) const {
   const ConstLayout layout(*monoid_, *cert_, strategy_, view, scale_, domin_,
                            orient_ell_);
   Label label = 0;

@@ -167,8 +167,6 @@ class SynthesizedLogStar final : public LocalAlgorithm {
   std::size_t gap_ = 0;        ///< ruling-set minimum gap m (power of two)
   std::size_t orient_ell_ = 0; ///< ell-orientation scale (undirected only)
   std::size_t radius_ = 0;     ///< structured-regime view radius
-
-  Label run_large(const View& view) const;
 };
 
 class SynthesizedConstant final : public LocalAlgorithm {
@@ -200,8 +198,6 @@ class SynthesizedConstant final : public LocalAlgorithm {
   std::size_t domin_ = 0;      ///< D: seed domination radius (0 when unary)
   std::size_t orient_ell_ = 0; ///< ell-orientation scale (undirected only)
   std::size_t radius_ = 0;     ///< structured-regime view radius
-
-  Label run_large(const View& view) const;
 };
 
 }  // namespace lclpath

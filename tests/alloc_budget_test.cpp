@@ -1,0 +1,150 @@
+// Heap-allocation budgets for the two per-problem hot paths of a cold
+// classify: Monoid::enumerate and decide_linear_gap. This binary replaces
+// the global operator new / delete (sized variants included) with counting
+// wrappers around malloc / free, so it measures exactly the allocations the
+// library asks for. Only the measured calls are counted; gtest's own
+// allocations are not.
+//
+// The workload is a fixed seeded set of directed problems with at most
+// five outputs (so every BitMatrix is the inline one-word kind) plus the
+// directed validation catalog. The bounds sit ~20% above the means
+// measured when they were set (enumerate 46.0, decide_linear_gap 50.2 per
+// call; the same in Release, Debug and ASan builds). Nested per-row
+// vectors in the decider state, or a vector per intern-index bucket,
+// measure 298.7 and 61.1 here and fail it.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "automata/monoid.hpp"
+#include "automata/solvability.hpp"
+#include "core/rng.hpp"
+#include "decide/linear_gap.hpp"
+#include "lcl/catalog.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace lclpath {
+namespace {
+
+/// Runs `fn` with allocation counting on; returns the allocations it made.
+template <typename Fn>
+std::size_t count_allocations(Fn&& fn) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// Seeded directed problems: 1-3 inputs, 2-5 outputs, node and edge pairs
+/// each allowed with probability 6/8, monoids of at most 300 elements
+/// (larger draws are skipped), then the directed validation catalog.
+std::vector<PairwiseProblem> workload() {
+  std::vector<PairwiseProblem> problems;
+  Rng rng(20240521);
+  while (problems.size() < 400) {
+    const std::size_t alpha = 1 + rng.next_below(3);
+    const std::size_t beta = 2 + rng.next_below(4);
+    Alphabet inputs;
+    Alphabet outputs;
+    for (std::size_t i = 0; i < alpha; ++i) {
+      inputs.add(std::string("i").append(std::to_string(i)));
+    }
+    for (std::size_t o = 0; o < beta; ++o) {
+      outputs.add(std::string("o").append(std::to_string(o)));
+    }
+    const Topology topology =
+        problems.size() % 2 == 0 ? Topology::kDirectedPath : Topology::kDirectedCycle;
+    PairwiseProblem problem("random", inputs, outputs, topology);
+    for (Label i = 0; i < alpha; ++i) {
+      for (Label o = 0; o < beta; ++o) {
+        if (rng.next_bool(6, 8)) problem.allow_node(i, o);
+      }
+    }
+    for (Label a = 0; a < beta; ++a) {
+      for (Label b = 0; b < beta; ++b) {
+        if (rng.next_bool(6, 8)) problem.allow_edge(a, b);
+      }
+    }
+    try {
+      Monoid::enumerate(TransitionSystem::build(problem), 300);
+    } catch (const MonoidBudgetError&) {
+      continue;
+    }
+    problems.push_back(std::move(problem));
+  }
+  for (const CatalogEntry& entry : catalog::validation_catalog()) {
+    if (is_directed(entry.problem.topology())) problems.push_back(entry.problem);
+  }
+  return problems;
+}
+
+TEST(AllocationBudget, EnumerateAndLinearGapStayWithinTheirBudgets) {
+  std::size_t enumerate_calls = 0;
+  std::size_t enumerate_allocations = 0;
+  std::size_t decide_calls = 0;
+  std::size_t decide_allocations = 0;
+  for (const PairwiseProblem& problem : workload()) {
+    const TransitionSystem ts = TransitionSystem::build(problem);
+    std::optional<Monoid> monoid;
+    enumerate_allocations += count_allocations([&] { monoid.emplace(Monoid::enumerate(ts)); });
+    ++enumerate_calls;
+    // classify() runs the linear-gap decider on solvable problems only.
+    if (!check_solvability(*monoid, problem.topology()).solvable) continue;
+    std::optional<LinearGapCertificate> certificate;
+    decide_allocations +=
+        count_allocations([&] { certificate.emplace(decide_linear_gap(*monoid)); });
+    ++decide_calls;
+  }
+  ASSERT_GT(decide_calls, 100u);
+  const double per_enumerate =
+      static_cast<double>(enumerate_allocations) / static_cast<double>(enumerate_calls);
+  const double per_decide =
+      static_cast<double>(decide_allocations) / static_cast<double>(decide_calls);
+  std::printf("allocations per call: Monoid::enumerate %.1f, decide_linear_gap %.1f\n",
+              per_enumerate, per_decide);
+  EXPECT_LE(per_enumerate, 55.0) << enumerate_calls << " Monoid::enumerate calls";
+  EXPECT_LE(per_decide, 60.0) << decide_calls << " decide_linear_gap calls";
+}
+
+}  // namespace
+}  // namespace lclpath

@@ -240,37 +240,6 @@ TEST(Monoid, ReversalMapIsCorrectAndInvolutive) {
   }
 }
 
-TEST(Monoid, LayersMatchLayerAt) {
-  const PairwiseProblem p = automata_fixture();
-  const Monoid monoid = Monoid::enumerate(TransitionSystem::build(p));
-  const auto layers = monoid.layers(12);
-  for (std::size_t length = 1; length <= 12; ++length) {
-    auto expected = layers[length - 1];
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(monoid.layer_at(length), expected) << "length " << length;
-  }
-  // Far lengths go through the cycle detector; cross-check against an
-  // explicitly computed long layer.
-  const auto far = monoid.layers(60);
-  auto expected = far[59];
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(monoid.layer_at(60), expected);
-}
-
-TEST(Monoid, LayerWitnessesHaveRightLengthAndElement) {
-  const PairwiseProblem p = automata_fixture();
-  const Monoid monoid = Monoid::enumerate(TransitionSystem::build(p));
-  for (std::size_t length : {1u, 2u, 5u, 9u}) {
-    const auto witnesses = monoid.layer_witnesses(length);
-    auto layer = monoid.layer_at(length);
-    EXPECT_EQ(witnesses.size(), layer.size());
-    for (const auto& [element, word] : witnesses) {
-      EXPECT_EQ(word.size(), length);
-      EXPECT_EQ(monoid.of_word(word), element);
-    }
-  }
-}
-
 // Lemma 12: Type(w sigma) is a function of Type(w) and sigma — our
 // refinement: equal monoid elements stay equal under extension.
 TEST(Types, ExtensionWellDefined) {

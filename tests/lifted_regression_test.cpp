@@ -15,6 +15,8 @@
 // (2-coloring) nor global agreement.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "decide/classifier.hpp"
 #include "hardness/undirected.hpp"
 #include "test_util.hpp"
@@ -72,7 +74,8 @@ TEST(LiftedUndirectedRegression, ShiftInputCycleLiftClassifiesThroughLazyCertifi
   // synthesized algorithm would issue: every domain point has a value, and
   // its reversed point (undirected topology) resolves too.
   const Monoid& monoid = result.monoid();
-  const std::vector<std::size_t> layer = monoid.layer_at(result.linear_certificate().ell_ctx);
+  const LayerCycle layers = monoid.layer_cycle();
+  const std::span<const std::size_t> layer = layers.at(result.linear_certificate().ell_ctx);
   ASSERT_FALSE(layer.empty());
   const BlockPoint probe{BlockKind::kInterior, layer.front(), 0, 1, layer.back()};
   const BlockValue value = result.linear_certificate().value_at(probe);

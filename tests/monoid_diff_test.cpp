@@ -3,12 +3,15 @@
 // per-edge materialized elements, then a second full pass re-multiplying
 // every edge for the extend table and re-materializing every element for
 // the reversal map) must agree with Monoid::enumerate on element count,
-// element data, extend table, reversed_index, layer_at, and witnesses —
-// over the full validation catalog plus the lifted monoid-90 family.
+// element data, extend table, reversed_index, and witnesses — over the
+// full validation catalog plus the lifted monoid-90 family. The layer
+// cycle is checked against a direct BFS over the reference extend table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "hardness/undirected.hpp"
 #include "lcl/catalog.hpp"
 #include "lcl/serialize.hpp"
+#include "test_util.hpp"
 
 namespace lclpath {
 namespace {
@@ -30,6 +34,7 @@ struct RefMonoid {
   std::vector<RefElement> elements;
   std::vector<std::size_t> extend;  // elements x inputs
   std::vector<std::size_t> reversed;
+  std::vector<std::size_t> seeds;  // [sigma] -> element of the word sigma
 };
 
 using RefHashBuckets = std::unordered_map<std::size_t, std::vector<std::size_t>>;
@@ -71,6 +76,7 @@ RefMonoid reference_enumerate(const TransitionSystem& ts) {
     e.first = sigma;
     e.last = sigma;
     auto [index, fresh] = intern(std::move(e), {sigma});
+    ref.seeds.push_back(index);
     if (fresh) queue.push_back(index);
   }
 
@@ -174,35 +180,85 @@ TEST(MonoidDifferential, SinglePassMatchesTwoPassReference) {
             << "element " << e << " sigma " << static_cast<int>(sigma);
       }
     }
-    // layer_at is a pure function of the extend table + seeds; cross-check
-    // a few lengths against a direct BFS over the reference table.
-    for (std::size_t length : {1u, 2u, 3u, 7u, 40u}) {
-      std::vector<char> in_layer(ref.elements.size(), 0);
-      std::vector<std::size_t> layer;
+  }
+}
+
+/// The layers S_1 .. S_max_length by a direct BFS over the reference
+/// extend table: layers[L - 1] = sorted element indices of the words of
+/// exactly L symbols.
+std::vector<std::vector<std::size_t>> reference_layers(const RefMonoid& ref,
+                                                       std::size_t max_length) {
+  const std::size_t num_inputs = ref.seeds.size();
+  std::vector<std::size_t> layer = ref.seeds;
+  std::sort(layer.begin(), layer.end());
+  layer.erase(std::unique(layer.begin(), layer.end()), layer.end());
+  std::vector<std::vector<std::size_t>> layers = {layer};
+  while (layers.size() < max_length) {
+    std::vector<char> seen(ref.elements.size(), 0);
+    std::vector<std::size_t> next;
+    for (std::size_t e : layers.back()) {
       for (Label sigma = 0; sigma < num_inputs; ++sigma) {
-        const std::size_t seed = monoid.of_symbol(sigma);
-        if (!in_layer[seed]) {
-          in_layer[seed] = 1;
-          layer.push_back(seed);
+        const std::size_t x = ref.extend[e * num_inputs + sigma];
+        if (!seen[x]) {
+          seen[x] = 1;
+          next.push_back(x);
         }
       }
-      for (std::size_t l = 2; l <= length; ++l) {
-        std::vector<char> seen(ref.elements.size(), 0);
-        std::vector<std::size_t> next;
-        for (std::size_t e : layer) {
-          for (Label sigma = 0; sigma < num_inputs; ++sigma) {
-            const std::size_t x = ref.extend[e * num_inputs + sigma];
-            if (!seen[x]) {
-              seen[x] = 1;
-              next.push_back(x);
-            }
-          }
-        }
-        layer = std::move(next);
-      }
-      std::sort(layer.begin(), layer.end());
-      EXPECT_EQ(monoid.layer_at(length), layer) << "length " << length;
     }
+    std::sort(next.begin(), next.end());
+    layers.push_back(std::move(next));
+  }
+  return layers;
+}
+
+std::vector<std::size_t> as_vector(std::span<const std::size_t> layer) {
+  return {layer.begin(), layer.end()};
+}
+
+std::vector<PairwiseProblem> layer_workload() {
+  std::vector<PairwiseProblem> problems = differential_workload();
+  problems.push_back(testing::automata_fixture());
+  return problems;
+}
+
+TEST(MonoidDifferential, LayerCycleMatchesBfsOracle) {
+  for (const PairwiseProblem& problem : layer_workload()) {
+    SCOPED_TRACE(problem.name());
+    const TransitionSystem ts = TransitionSystem::build(problem);
+    const LayerCycle cycle = Monoid::enumerate(ts).layer_cycle();
+    const auto layers = reference_layers(reference_enumerate(ts), 60);
+    // Lengths past the stored layers go through the modular fold.
+    for (std::size_t length : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 40u, 60u}) {
+      EXPECT_EQ(as_vector(cycle.at(length)), layers[length - 1]) << "length " << length;
+    }
+  }
+}
+
+TEST(MonoidDifferential, LayerCycleIsTheFirstRepeatAndStabilizes) {
+  for (const PairwiseProblem& problem : layer_workload()) {
+    SCOPED_TRACE(problem.name());
+    const TransitionSystem ts = TransitionSystem::build(problem);
+    const LayerCycle cycle = Monoid::enumerate(ts).layer_cycle();
+    const std::size_t stored = cycle.preperiod + cycle.period;
+    ASSERT_GE(cycle.period, 1u);
+    const auto layers = reference_layers(reference_enumerate(ts), stored + cycle.period + 2);
+    // The stored layers are pairwise distinct and the next one repeats
+    // S_{preperiod + 1}: the walk stopped at the first repeat.
+    for (std::size_t i = 0; i < stored; ++i) {
+      for (std::size_t j = i + 1; j < stored; ++j) EXPECT_NE(layers[i], layers[j]);
+    }
+    EXPECT_EQ(layers[stored], layers[cycle.preperiod]);
+    for (std::size_t length = 1; length <= layers.size(); ++length) {
+      EXPECT_EQ(as_vector(cycle.at(length)), layers[length - 1]) << "length " << length;
+    }
+    std::size_t expected = std::numeric_limits<std::size_t>::max();
+    for (std::size_t k = 1; k <= stored; ++k) {
+      if (layers[k - 1] == layers[k + 1]) {
+        expected = k;
+        break;
+      }
+    }
+    EXPECT_EQ(cycle.stabilization(), expected);
   }
 }
 
