@@ -1,7 +1,10 @@
 #include "lcl/verifier.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace lclpath {
@@ -77,7 +80,11 @@ VerifyResult verify_pairwise(const PairwiseProblem& problem, const Word& inputs,
 PairwiseChunkVerifier::PairwiseChunkVerifier(const PairwiseProblem& problem,
                                              std::size_t n, std::size_t begin,
                                              std::size_t end)
-    : problem_(problem), n_(n), begin_(begin), end_(end) {
+    : problem_(problem),
+      n_(n),
+      begin_(begin),
+      end_(end),
+      path_(!is_cycle(problem.topology())) {
   require_symmetric_if_undirected(problem);
   if (begin >= end || end > n) {
     throw std::logic_error("PairwiseChunkVerifier: empty or out-of-range chunk");
@@ -87,12 +94,11 @@ PairwiseChunkVerifier::PairwiseChunkVerifier(const PairwiseProblem& problem,
 void PairwiseChunkVerifier::push(Label input, Label output) {
   const std::size_t v = begin_ + count_;
   assert(v < end_);
-  const bool path = !is_cycle(problem_.topology());
   // Phase 0: per-node check. Node failures arrive in ascending order, so the
   // first one seen is the chunk's phase-0 minimum.
   if (!node_failed_) {
-    const bool ok = (path && v == 0) ? problem_.node_first_ok(input, output)
-                                     : problem_.node_ok(input, output);
+    const bool ok = (path_ && v == 0) ? problem_.node_first_ok(input, output)
+                                      : problem_.node_ok(input, output);
     if (!ok) {
       node_failed_ = true;
       PairwiseFailure f{0, v, node_fail(problem_, input, output, v)};
@@ -100,7 +106,7 @@ void PairwiseChunkVerifier::push(Label input, Label output) {
     }
   }
   // Phase 1: path-end check, only when this chunk owns node n-1.
-  if (path && v == n_ - 1 && !problem_.last_ok(output)) {
+  if (path_ && v == n_ - 1 && !problem_.last_ok(output)) {
     PairwiseFailure f{1, v, last_fail(problem_, output)};
     if (!best_ || f < *best_) best_ = std::move(f);
   }
@@ -208,110 +214,196 @@ VerifyResult verify_general(const GeneralProblem& problem, const Word& inputs,
   return VerifyResult::success();
 }
 
-std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inputs) {
-  std::vector<std::optional<Label>> fixed(inputs.size());
-  return complete_by_dp(problem, inputs, fixed);
-}
+namespace {
 
-std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& inputs,
-                                   const std::vector<std::optional<Label>>& fixed) {
+/// The one dynamic program behind solve_by_dp and complete_by_dp. A label
+/// set is a mask of W = ceil(beta / 64) words (label b at bit b % 64 of
+/// word b / 64); kW fixes W at compile time (1 covers beta <= 64) and
+/// kW == 0 reads it from `w`. `pins` is empty or holds one entry per node.
+///
+/// `tab` holds, W words per row: the successor rows (succ[a] = {b : a -> b
+/// allowed}), the predecessor rows (pred[b] = {a : a -> b allowed}), the
+/// C_node row of every input, the first-node rule's row of every input
+/// (paths with such a rule only), the last mask and node 0's candidates.
+/// `reach` holds W words per node: forward, the labels at v that extend a
+/// valid prefix; after the backward pass, those that also extend to a valid
+/// suffix. The labels are then read greedily front to back.
+template <std::size_t kW>
+std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs,
+                              std::span<const std::optional<Label>> pins, std::size_t w) {
+  const std::size_t W = kW != 0 ? kW : w;
   const std::size_t n = inputs.size();
-  if (n == 0 || fixed.size() != n) return std::nullopt;
   const std::size_t beta = problem.num_outputs();
+  const std::size_t alpha = problem.num_inputs();
   const bool cycle = is_cycle(problem.topology());
-
-  // candidates[v] = outputs allowed at v by C_node and the pre-assignment.
-  std::vector<BitVector> candidates(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    BitVector c = (!cycle && v == 0) ? problem.outputs_for_first(inputs[v])
-                                     : problem.outputs_for(inputs[v]);
-    if (!cycle && v == n - 1 && problem.last_mask().dim() != 0) {
-      c = c & problem.last_mask();
+  const bool first_rule = !cycle && problem.has_first_constraint();
+  for (const std::optional<Label>& pin : pins) {
+    if (pin.has_value() && *pin >= beta) {
+      throw std::out_of_range("complete_by_dp: pinned label out of range");
     }
-    if (fixed[v].has_value()) {
-      BitVector only(beta);
-      only.set(*fixed[v], true);
-      c = c & only;
-    }
-    if (!c.any()) return std::nullopt;
-    candidates[v] = c;
   }
 
+  const std::size_t pred_at = beta * W;
+  const std::size_t cand_at = 2 * beta * W;
+  const std::size_t first_at = first_rule ? cand_at + alpha * W : cand_at;
+  const std::size_t last_at = first_at + alpha * W;
+  const std::size_t node0_at = last_at + W;
+  std::vector<std::uint64_t> tab(node0_at + W, 0);
+  const auto set_bit = [&tab, W](std::size_t row_at, std::size_t row, std::size_t bit) {
+    tab[row_at + row * W + bit / 64] |= std::uint64_t{1} << (bit % 64);
+  };
   const BitMatrix& edge = problem.edge_matrix();
+  for (std::size_t a = 0; a < beta; ++a) {
+    for (std::size_t b = 0; b < beta; ++b) {
+      if (!edge.get(a, b)) continue;
+      set_bit(0, a, b);
+      set_bit(pred_at, b, a);
+    }
+  }
+  const auto copy_row = [&](std::size_t row_at, std::size_t row, const BitVector& labels) {
+    for (std::size_t b = labels.first_set(); b < labels.dim(); b = labels.next_set(b + 1)) {
+      set_bit(row_at, row, b);
+    }
+  };
+  for (Label in = 0; in < alpha; ++in) {
+    copy_row(cand_at, in, problem.outputs_for(in));
+    if (first_rule) copy_row(first_at, in, problem.outputs_for_first(in));
+  }
+  if (!cycle && problem.last_mask().dim() != 0) {
+    copy_row(last_at, 0, problem.last_mask());
+  } else {
+    for (std::size_t b = 0; b < beta; ++b) set_bit(last_at, 0, b);
+  }
+  const std::uint64_t* succ = tab.data();
+  const std::uint64_t* pred = tab.data() + pred_at;
+  const std::uint64_t* last_mask = tab.data() + last_at;
+  std::uint64_t* node0 = tab.data() + node0_at;
 
-  // For a path: forward reachability with per-position candidate masks,
-  // then backward greedy extraction (lexicographically smallest).
-  // For a cycle: additionally condition on the first node's label so the
-  // wrap edge can be enforced; try first labels in increasing order.
-  auto solve_linear = [&](std::optional<Label> forced_first,
-                          std::optional<Label> wrap_back_to) -> std::optional<Word> {
-    // reach[v] = labels achievable at v extending some valid prefix.
-    std::vector<BitVector> reach(n);
-    reach[0] = candidates[0];
-    if (forced_first.has_value()) {
-      BitVector only(beta);
-      only.set(*forced_first, true);
-      reach[0] = reach[0] & only;
+  const auto has = [](const std::uint64_t* mask, std::size_t b) {
+    return (mask[b / 64] >> (b % 64) & 1) != 0;
+  };
+  const auto any = [W](const std::uint64_t* mask) {
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < W; ++i) bits |= mask[i];
+    return bits != 0;
+  };
+  // dst = the candidates at v: C_node (or the first-node rule), the last
+  // mask at a path's last node, and the pin.
+  const auto candidates = [&](std::size_t v, std::uint64_t* dst) {
+    const std::uint64_t* row = tab.data() + (v == 0 ? first_at : cand_at) + inputs[v] * W;
+    for (std::size_t i = 0; i < W; ++i) dst[i] = row[i];
+    if (!cycle && v == n - 1) {
+      for (std::size_t i = 0; i < W; ++i) dst[i] &= last_mask[i];
     }
-    if (!reach[0].any()) return std::nullopt;
-    for (std::size_t v = 1; v < n; ++v) {
-      reach[v] = reach[v - 1].multiplied(edge) & candidates[v];
-      if (!reach[v].any()) return std::nullopt;
-    }
-    // Filter the last node by the wrap edge, if requested.
-    if (wrap_back_to.has_value()) {
-      BitVector can_close(beta);
-      for (Label a = 0; a < beta; ++a) {
-        if (reach[n - 1].get(a) && edge.get(a, *wrap_back_to)) can_close.set(a, true);
+    if (!pins.empty() && pins[v].has_value()) {
+      const Label pin = *pins[v];
+      for (std::size_t i = 0; i < W; ++i) {
+        dst[i] &= i == pin / 64 ? std::uint64_t{1} << (pin % 64) : 0;
       }
-      reach[n - 1] = can_close;
-      if (!reach[n - 1].any()) return std::nullopt;
     }
-    // Backward extraction: choose the smallest label at each position that
-    // still admits a completion. Compute feasible sets right-to-left.
-    std::vector<BitVector> feas(n);
-    feas[n - 1] = reach[n - 1];
-    const BitMatrix edge_t = edge.transposed();
-    for (std::size_t v = n - 1; v > 0; --v) {
-      feas[v - 1] = feas[v].multiplied(edge_t) & reach[v - 1];
-    }
-    Word out(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      BitVector allowed = feas[v];
-      if (v > 0) {
-        // restrict to successors of the already-chosen out[v-1]
-        BitVector next(beta);
-        for (Label b = 0; b < beta; ++b) {
-          if (allowed.get(b) && edge.get(out[v - 1], b)) next.set(b, true);
-        }
-        allowed = next;
+  };
+  // Word i of the union of rows[a] over the labels a in `set`.
+  const auto image_word = [W](const std::uint64_t* rows, const std::uint64_t* set,
+                              std::size_t i) {
+    std::uint64_t bits = 0;
+    for (std::size_t j = 0; j < W; ++j) {
+      for (std::uint64_t m = set[j]; m != 0; m &= m - 1) {
+        bits |= rows[(j * 64 + static_cast<std::size_t>(std::countr_zero(m))) * W + i];
       }
-      bool found = false;
-      for (Label b = 0; b < beta; ++b) {
-        if (allowed.get(b)) {
-          out[v] = b;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return std::nullopt;  // defensive; should not happen
     }
-    return out;
+    return bits;
   };
 
-  if (!cycle) return solve_linear(std::nullopt, std::nullopt);
+  // First pass: a bad input label throws, and an empty candidate set is
+  // infeasible before any solve.
+  std::vector<std::uint64_t> reach(n * W);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (inputs[v] >= alpha) {
+      // Out of range: the accessor throws std::out_of_range with its message.
+      (void)(!cycle && v == 0 ? problem.outputs_for_first(inputs[v])
+                              : problem.outputs_for(inputs[v]));
+    }
+    candidates(v, &reach[v * W]);
+    if (!any(&reach[v * W])) return std::nullopt;
+  }
+  for (std::size_t i = 0; i < W; ++i) node0[i] = reach[i];
 
+  // Forward from node 0's candidates (on a cycle, from the one label
+  // `first`, closed by the wrap edge back to it), backward in place, then
+  // the greedy read into `out`.
+  Word out(n, 0);
+  const auto solve = [&](std::optional<Label> first) {
+    for (std::size_t i = 0; i < W; ++i) {
+      reach[i] = !first.has_value()   ? node0[i]
+                 : i == *first / 64 ? std::uint64_t{1} << (*first % 64)
+                                    : 0;
+    }
+    for (std::size_t v = 1; v < n; ++v) {
+      std::uint64_t* cur = &reach[v * W];
+      candidates(v, cur);
+      for (std::size_t i = 0; i < W; ++i) cur[i] &= image_word(succ, cur - W, i);
+      if (!any(cur)) return false;
+    }
+    if (first.has_value()) {
+      std::uint64_t* last = &reach[(n - 1) * W];
+      for (std::size_t i = 0; i < W; ++i) last[i] &= pred[*first * W + i];
+      if (!any(last)) return false;
+    }
+    for (std::size_t v = n - 1; v > 0; --v) {
+      const std::uint64_t* cur = &reach[v * W];
+      std::uint64_t* prev = &reach[(v - 1) * W];
+      for (std::size_t i = 0; i < W; ++i) prev[i] &= image_word(pred, cur, i);
+    }
+    const auto lowest = [W](const std::uint64_t* set, const std::uint64_t* within) {
+      for (std::size_t i = 0; i < W; ++i) {
+        if (const std::uint64_t m = set[i] & within[i]; m != 0) {
+          return static_cast<Label>(i * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+        }
+      }
+      return Label{0};  // unreachable: the backward pass keeps a successor
+    };
+    out[0] = lowest(reach.data(), reach.data());
+    for (std::size_t v = 1; v < n; ++v) {
+      out[v] = lowest(&reach[v * W], succ + out[v - 1] * W);
+    }
+    return true;
+  };
+
+  if (!cycle) {
+    if (!solve(std::nullopt)) return std::nullopt;
+    return out;
+  }
   if (n == 1) {
+    // Degenerate self-loop cycle: the wrap edge is (b, b).
     for (Label b = 0; b < beta; ++b) {
-      if (candidates[0].get(b) && edge.get(b, b)) return Word{b};
+      if (has(node0, b) && has(succ + b * W, b)) return Word{b};
     }
     return std::nullopt;
   }
   for (Label first = 0; first < beta; ++first) {
-    if (!candidates[0].get(first)) continue;
-    if (auto out = solve_linear(first, first)) return out;
+    if (has(node0, first) && solve(first)) return out;
   }
   return std::nullopt;
+}
+
+std::optional<Word> run_dp(const PairwiseProblem& problem, const Word& inputs,
+                           std::span<const std::optional<Label>> pins) {
+  if (inputs.empty()) return std::nullopt;
+  const std::size_t beta = problem.num_outputs();
+  if (beta <= 64) return dp_kernel<1>(problem, inputs, pins, 1);
+  return dp_kernel<0>(problem, inputs, pins, (beta + 63) / 64);
+}
+
+}  // namespace
+
+std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inputs) {
+  return run_dp(problem, inputs, {});
+}
+
+std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& inputs,
+                                   const std::vector<std::optional<Label>>& fixed) {
+  if (fixed.size() != inputs.size()) return std::nullopt;
+  return run_dp(problem, inputs, fixed);
 }
 
 }  // namespace lclpath

@@ -97,6 +97,7 @@ class PairwiseChunkVerifier {
   std::size_t n_;
   std::size_t begin_;
   std::size_t end_;
+  bool path_;  // the topology is a path: first-node rule and last mask apply
   std::size_t count_ = 0;
   Label first_output_ = 0;
   Label prev_output_ = 0;
@@ -131,11 +132,27 @@ VerifyResult verify_general(const GeneralProblem& problem, const Word& inputs,
 /// lexicographically smallest valid labeling. This is the Theta(n) baseline
 /// ("gather everything and solve locally") and the ground truth oracle for
 /// all decidability tests.
+///
+/// Cost: label sets are masks of W = ceil(beta / 64) machine words. A call
+/// reads the edge matrix once (beta^2 entries) into successor and
+/// predecessor rows, runs one forward and one backward pass of O(n * W)
+/// words of state (each node's step ORs one row per label in its set), and
+/// makes two allocations besides the result: the tables and the n * W
+/// reach words. A cycle repeats the passes for each candidate first label
+/// in ascending order until one closes.
+///
+/// An input label outside the input alphabet throws std::out_of_range (the
+/// message of PairwiseProblem::outputs_for, or outputs_for_first at a
+/// path's node 0), unless an earlier node has no candidate output at all,
+/// which returns std::nullopt first.
 std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inputs);
 
 /// Like solve_by_dp but with some positions pre-assigned (fixed[i] set).
 /// Returns the lexicographically smallest completion consistent with the
-/// pairwise constraints at *all* nodes, or nullopt.
+/// pairwise constraints at *all* nodes, or nullopt; also nullopt when
+/// fixed.size() != inputs.size(). Same cost and input-label rule as
+/// solve_by_dp; a pinned label outside [0, num_outputs()) throws
+/// std::out_of_range before any node is read.
 std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& inputs,
                                    const std::vector<std::optional<Label>>& fixed);
 

@@ -1,8 +1,9 @@
 // Heap-allocation budgets for the two per-problem hot paths of a cold
-// classify: Monoid::enumerate and decide_linear_gap. This binary replaces
-// the global operator new / delete (sized variants included) with counting
-// wrappers around malloc / free, so it measures exactly the allocations the
-// library asks for. Only the measured calls are counted; gtest's own
+// classify, Monoid::enumerate and decide_linear_gap, and for the path DP
+// (complete_by_dp) that gather-all and the synthesized completions run.
+// This binary replaces the global operator new / delete (sized variants
+// included) with counting wrappers around malloc / free, so it measures
+// exactly the allocations the library asks for. Only the measured calls are counted; gtest's own
 // allocations are not.
 //
 // The workload is a fixed seeded set of directed problems with at most
@@ -27,6 +28,7 @@
 #include "core/rng.hpp"
 #include "decide/linear_gap.hpp"
 #include "lcl/catalog.hpp"
+#include "lcl/verifier.hpp"
 
 namespace {
 
@@ -144,6 +146,60 @@ TEST(AllocationBudget, EnumerateAndLinearGapStayWithinTheirBudgets) {
               per_enumerate, per_decide);
   EXPECT_LE(per_enumerate, 55.0) << enumerate_calls << " Monoid::enumerate calls";
   EXPECT_LE(per_decide, 60.0) << decide_calls << " decide_linear_gap calls";
+}
+
+/// Proper coloring with `beta` colors (every color allowed at every node,
+/// every edge between distinct colors).
+PairwiseProblem coloring_problem(std::size_t beta, Topology topology) {
+  Alphabet inputs;
+  inputs.add("x");
+  Alphabet outputs;
+  for (std::size_t o = 0; o < beta; ++o) {
+    outputs.add(std::string("c").append(std::to_string(o)));
+  }
+  PairwiseProblem problem("coloring", inputs, outputs, topology);
+  for (Label o = 0; o < beta; ++o) problem.allow_node(0, o);
+  for (Label a = 0; a < beta; ++a) {
+    for (Label b = 0; b < beta; ++b) {
+      if (a != b) problem.allow_edge(a, b);
+    }
+  }
+  return problem;
+}
+
+/// Mean allocations per complete_by_dp call on an n-node word with one pin.
+double allocations_per_completion(const PairwiseProblem& problem, std::size_t n) {
+  constexpr std::size_t kCalls = 20;
+  const Word inputs(n, 0);
+  std::vector<std::optional<Label>> pins(n);
+  pins[n / 2] = static_cast<Label>(problem.num_outputs() - 1);
+  std::size_t allocations = 0;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    std::optional<Word> labeling;
+    allocations +=
+        count_allocations([&] { labeling = complete_by_dp(problem, inputs, pins); });
+    EXPECT_TRUE(labeling.has_value());
+  }
+  return static_cast<double>(allocations) / static_cast<double>(kCalls);
+}
+
+// complete_by_dp allocates its tables, its reach words and the result,
+// however long the word and however many 64-label words a set takes
+// (measured: 3.0 per call in every configuration below). A per-node label
+// set on the heap (beta > 64) makes the count grow with n.
+TEST(AllocationBudget, CompleteByDpAllocatesIndependentlyOfTheWordLength) {
+  for (const Topology topology : {Topology::kDirectedPath, Topology::kDirectedCycle}) {
+    for (const std::size_t beta : {3, 65}) {
+      const PairwiseProblem problem = coloring_problem(beta, topology);
+      const double short_word = allocations_per_completion(problem, 10);
+      const double long_word = allocations_per_completion(problem, 10000);
+      std::printf("allocations per complete_by_dp call, %s, beta %zu: %.1f (n = 10), "
+                  "%.1f (n = 10^4)\n",
+                  to_string(topology).c_str(), beta, short_word, long_word);
+      EXPECT_LE(short_word, 4.0) << "beta " << beta;
+      EXPECT_EQ(short_word, long_word) << "beta " << beta;
+    }
+  }
 }
 
 }  // namespace
