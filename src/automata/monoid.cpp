@@ -197,7 +197,7 @@ std::size_t Monoid::extend(std::size_t element, Label sigma) const {
 
 std::size_t Monoid::of_symbol(Label sigma) const { return symbol_index_[sigma]; }
 
-std::size_t Monoid::of_word(const Word& w) const {
+std::size_t Monoid::of_word(std::span<const Label> w) const {
   if (w.empty()) throw std::invalid_argument("Monoid::of_word: empty word");
   std::size_t index = of_symbol(w[0]);
   for (std::size_t i = 1; i < w.size(); ++i) index = extend(index, w[i]);

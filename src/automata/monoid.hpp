@@ -147,7 +147,7 @@ class Monoid {
   /// the BFS was seeded; O(1), no lookup).
   std::size_t of_symbol(Label sigma) const;
   /// Element index of a nonempty word.
-  std::size_t of_word(const Word& w) const;
+  std::size_t of_word(std::span<const Label> w) const;
 
   /// A shortest word with this element's data (BFS order), reconstructed
   /// from the element's (parent, sigma) link chain.

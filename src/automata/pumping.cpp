@@ -11,30 +11,44 @@ Word PumpDecomposition::pumped(std::size_t i) const {
   return out;
 }
 
-std::optional<PumpDecomposition> pump_decomposition(const Monoid& monoid, const Word& w) {
+std::optional<std::pair<std::size_t, std::size_t>> pump_split(
+    const Monoid& monoid, std::span<const Label> w, std::vector<std::size_t>& first_seen) {
   // Walk prefixes w[0..p) for p = 1..|w|, recording the monoid element of
   // each. A repeat at prefixes p1 < p2 yields y = w[p1..p2). To keep the
   // type's boundary inputs intact we only accept repeats with p1 >= 2 and
   // p2 <= |w| - 2.
   if (w.size() < 5) return std::nullopt;
-  std::unordered_map<std::size_t, std::size_t> first_seen;  // element -> prefix length
+  std::optional<std::pair<std::size_t, std::size_t>> split;
   std::size_t element = monoid.of_symbol(w[0]);
-  for (std::size_t p = 2; p <= w.size(); ++p) {
+  std::size_t p = 2;
+  for (; p <= w.size() - 2; ++p) {
     element = monoid.extend(element, w[p - 1]);
-    if (p < 2 || p > w.size() - 2) continue;
-    auto [it, inserted] = first_seen.emplace(element, p);
-    if (!inserted) {
-      const std::size_t p1 = it->second;
-      const std::size_t p2 = p;
-      PumpDecomposition d;
-      d.x = Word(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(p1));
-      d.y = Word(w.begin() + static_cast<std::ptrdiff_t>(p1),
-                 w.begin() + static_cast<std::ptrdiff_t>(p2));
-      d.z = Word(w.begin() + static_cast<std::ptrdiff_t>(p2), w.end());
-      return d;
+    if (first_seen[element] != kNotSeen) {
+      split.emplace(first_seen[element], p);
+      break;
     }
+    first_seen[element] = p;
   }
-  return std::nullopt;
+  // Restore the scratch: exactly the prefixes walked recorded an entry.
+  element = monoid.of_symbol(w[0]);
+  for (std::size_t k = 2; k < p; ++k) {
+    element = monoid.extend(element, w[k - 1]);
+    first_seen[element] = kNotSeen;
+  }
+  return split;
+}
+
+std::optional<PumpDecomposition> pump_decomposition(const Monoid& monoid, const Word& w) {
+  std::vector<std::size_t> first_seen(monoid.size(), kNotSeen);
+  const auto split = pump_split(monoid, w, first_seen);
+  if (!split) return std::nullopt;
+  const auto [p1, p2] = *split;
+  PumpDecomposition d;
+  d.x = Word(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(p1));
+  d.y = Word(w.begin() + static_cast<std::ptrdiff_t>(p1),
+             w.begin() + static_cast<std::ptrdiff_t>(p2));
+  d.z = Word(w.begin() + static_cast<std::ptrdiff_t>(p2), w.end());
+  return d;
 }
 
 std::optional<Word> pump_to_length(const Monoid& monoid, const Word& w,

@@ -13,6 +13,9 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "automata/monoid.hpp"
 
@@ -28,6 +31,15 @@ struct PumpDecomposition {
 /// interior prefix element (|w| <= ell_pump + 4 may still succeed; longer
 /// words always do).
 std::optional<PumpDecomposition> pump_decomposition(const Monoid& monoid, const Word& w);
+
+/// The split behind pump_decomposition as prefix lengths (p1, p2): x =
+/// w[0, p1), y = w[p1, p2), z = w[p2, |w|). `first_seen` is scratch indexed
+/// by monoid element; it must hold monoid.size() entries equal to
+/// kNotSeen on entry and is left that way, so one buffer serves many
+/// calls without allocating.
+inline constexpr std::size_t kNotSeen = static_cast<std::size_t>(-1);
+std::optional<std::pair<std::size_t, std::size_t>> pump_split(
+    const Monoid& monoid, std::span<const Label> w, std::vector<std::size_t>& first_seen);
 
 /// Pumps w (if possible) until its length is at least min_length,
 /// preserving the monoid element (hence the type). Returns w itself when

@@ -18,7 +18,10 @@
 // amortized: a relaxed atomic tick plus a branch on the fast path, with
 // the real clock read / flag walk only every kCheckpointStride ticks — so
 // sprinkling it through per-element inner loops is free at benchmark
-// resolution. When a limit trips, checkpoint() (and the unamortized
+// resolution. A loop that finishes a batch of units at once charges them
+// together with checkpoint(ticks): one atomic add for the whole batch, so
+// workers that share a budget do not contend on its counter once per
+// unit. When a limit trips, checkpoint() (and the unamortized
 // check()) throw CancelledError carrying the tripped CancelReason; the
 // batch layer maps reasons onto the BatchError taxonomy (kDeadline ->
 // kTimeout, kCancelled -> kCancelled, kMemory -> kBudget).
@@ -124,16 +127,21 @@ class ExecutionBudget {
   /// natural phase boundaries; hot loops use checkpoint() instead.
   void check() const;
 
-  /// Amortized check for hot loops: one relaxed fetch_add per call, a
-  /// real check() every kCheckpointStride calls. Thread-safe (workers
-  /// sharing one budget contend only on the tick counter).
-  void checkpoint() const {
+  /// Amortized check for hot loops. Charges `ticks` units of work with
+  /// one relaxed fetch_add and runs the real check() when the charged
+  /// tick range [before, before + ticks) contains a multiple of
+  /// kCheckpointStride, so one check per stride ticks however they are
+  /// batched: checkpoint() ticks once and checks every kCheckpointStride
+  /// calls; a charge of kCheckpointStride or more ticks always checks.
+  /// Thread-safe (workers sharing one budget contend only on the tick
+  /// counter, once per call).
+  void checkpoint(std::uint32_t ticks = 1) const {
 #ifdef LCLPATH_FAULT_INJECTION
     fault::on_checkpoint();
 #endif
-    if ((ticks_.fetch_add(1, std::memory_order_relaxed) % kCheckpointStride) != 0) {
-      return;
-    }
+    const std::uint32_t phase =
+        ticks_.fetch_add(ticks, std::memory_order_relaxed) % kCheckpointStride;
+    if (phase != 0 && std::uint64_t{phase} + ticks <= kCheckpointStride) return;
     check();
   }
 
@@ -154,8 +162,8 @@ class ExecutionBudget {
 
 /// The checkpoint idiom for the nullable budget pointers every
 /// instrumented API carries: free when no budget is attached.
-inline void budget_checkpoint(const ExecutionBudget* budget) {
-  if (budget != nullptr) budget->checkpoint();
+inline void budget_checkpoint(const ExecutionBudget* budget, std::uint32_t ticks = 1) {
+  if (budget != nullptr) budget->checkpoint(ticks);
 }
 
 /// check() through a nullable pointer (task entry, phase boundaries).

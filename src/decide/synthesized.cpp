@@ -1,9 +1,11 @@
 #include "decide/synthesized.hpp"
 
 #include <algorithm>
-#include <map>
+#include <deque>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "local/decomposition.hpp"
 #include "local/partition.hpp"
@@ -24,20 +26,49 @@ PairwiseProblem path_variant(const PairwiseProblem& problem, bool keep_first,
   return p;
 }
 
-/// complete_by_dp over the sub-word, optionally processed right-to-left.
-/// The result is always aligned with the input order. Reversed processing
-/// is only used on orientation-symmetric problems with the endpoint rules
-/// stripped, where a labeling is valid independently of the direction.
-std::optional<Word> complete_oriented(const PairwiseProblem& problem, Word sub,
-                                      std::vector<std::optional<Label>> fixed,
-                                      bool reverse) {
-  if (!reverse) return complete_by_dp(problem, sub, fixed);
-  std::reverse(sub.begin(), sub.end());
-  std::reverse(fixed.begin(), fixed.end());
-  auto completion = complete_by_dp(problem, sub, fixed);
-  if (completion) std::reverse(completion->begin(), completion->end());
-  return completion;
-}
+/// The DP completions of one layout: the kernel tables of each problem
+/// variant, built on first use, and the sub-word, pin and result buffers
+/// that every completion refills, so completing a gap allocates nothing
+/// once the buffers have grown. Callers fill `in` and `pins` (same length,
+/// in window order) and call run().
+class Completions {
+ public:
+  Word in;
+  std::vector<std::optional<Label>> pins;
+
+  /// Completes `in` under `pins` against `problem` (a strategy variant),
+  /// processing the word right to left when `reverse` — used only on
+  /// orientation-symmetric problems with the endpoint rules stripped,
+  /// where a labeling is valid independently of the direction. Returns
+  /// the completion aligned with the input order, or nullptr when none
+  /// exists; it stays valid until the next run(). Consumes `in`/`pins`.
+  const Word* run(const PairwiseProblem& problem, bool reverse) {
+    if (reverse) {
+      std::reverse(in.begin(), in.end());
+      std::reverse(pins.begin(), pins.end());
+    }
+    if (!dp_for(problem).complete(in, pins, out_)) return nullptr;
+    if (reverse) std::reverse(out_.begin(), out_.end());
+    return &out_;
+  }
+
+  /// Sets `in` to `inputs` with no pins.
+  void reset(std::span<const Label> inputs) {
+    in.assign(inputs.begin(), inputs.end());
+    pins.assign(inputs.size(), std::nullopt);
+  }
+
+ private:
+  PathDp& dp_for(const PairwiseProblem& problem) {
+    for (auto& [variant, dp] : dps_) {
+      if (variant == &problem) return dp;
+    }
+    return dps_.emplace_back(&problem, PathDp(problem)).second;
+  }
+
+  std::vector<std::pair<const PairwiseProblem*, PathDp>> dps_;
+  Word out_;
+};
 
 }  // namespace
 
@@ -50,7 +81,10 @@ SynthesisStrategy::SynthesisStrategy(const PairwiseProblem& problem)
       interior_(path_variant(problem, false, false)),
       prefix_(path_variant(problem, true, false)),
       suffix_(path_variant(problem, false, true)),
-      full_path_(path_variant(problem, true, true)) {}
+      full_path_(path_variant(problem, true, true)),
+      periodic_(problem) {
+  periodic_.set_topology(Topology::kDirectedCycle);
+}
 
 const char* SynthesisStrategy::name() const {
   switch (topology_) {
@@ -154,7 +188,9 @@ struct PlacedBlock {
 };
 
 /// The log* window layout: end blocks + per-segment ruling blocks, plus
-/// the label extraction (certificate lookups and DP completions).
+/// the label extraction (certificate lookups and DP completions). Each
+/// block's label pair is looked up once and kept; the completions share
+/// one set of DP buffers.
 class LogStarLayout {
  public:
   LogStarLayout(const Monoid& monoid, const LinearGapCertificate& cert,
@@ -166,15 +202,20 @@ class LogStarLayout {
     const std::size_t h_end = ell + gap + 2;  // and of the end blocks' zone
     const bool path = !strategy.cycle();
 
+    // Scratch reused by every segment of the window.
+    std::vector<NodeId> reversed_ids;
+    std::vector<char> member;
+    RulingScratch ruling;
     for (const SynthesisStrategy::Segment& seg : strategy.segments(view, orient_ell)) {
       const bool fwd = seg.dir == Direction::kForward;
-      std::vector<NodeId> sub(view.ids.begin() + static_cast<std::ptrdiff_t>(seg.begin),
-                              view.ids.begin() + static_cast<std::ptrdiff_t>(seg.end));
-      if (!fwd) std::reverse(sub.begin(), sub.end());
+      std::span<const NodeId> sub(view.ids.data() + seg.begin, seg.end - seg.begin);
+      if (!fwd) {
+        reversed_ids.assign(sub.rbegin(), sub.rend());
+        sub = reversed_ids;
+      }
       const bool sub_left_real = fwd ? seg.left_real : seg.right_real;
       const bool sub_right_real = fwd ? seg.right_real : seg.left_real;
-      const std::vector<char> member =
-          ruling_members_segment(sub, min_gap, sub_left_real, sub_right_real);
+      ruling_members_segment(sub, min_gap, sub_left_real, sub_right_real, member, ruling);
       const bool left_is_path_end = path && seg.begin == 0 && view.sees_left_end;
       const bool right_is_path_end = path && seg.end == len && view.sees_right_end;
       const std::size_t need_left =
@@ -201,25 +242,27 @@ class LogStarLayout {
     }
     std::sort(blocks_.begin(), blocks_.end(),
               [](const PlacedBlock& a, const PlacedBlock& b) { return a.anchor < b.anchor; });
+    block_labels_.resize(blocks_.size());
   }
 
   /// Labels every window position in [begin, end) into out, computing each
   /// end-zone / inter-block completion word once and reading label runs off
   /// it. A single position is the one-element span, so the per-node and
   /// chunk-sweep paths share one routing.
-  void labels_span(std::size_t begin, std::size_t end, Label* out) const {
+  void labels_span(std::size_t begin, std::size_t end, Label* out) {
     const std::size_t len = view_.size();
     const bool path = !strategy_.cycle();
     std::size_t c = begin;
     while (c < end) {
       if (path && view_.sees_left_end && c < ell_) {
-        const auto [word, lo] = end_zone_word(true);
+        const Word& word = end_zone_word(true);
         const std::size_t stop = std::min(end, ell_);
-        for (; c < stop; ++c) out[c - begin] = word[c - lo];
+        for (; c < stop; ++c) out[c - begin] = word[c];
         continue;
       }
       if (path && view_.sees_right_end && c >= len - ell_) {
-        const auto [word, lo] = end_zone_word(false);
+        const Word& word = end_zone_word(false);
+        const std::size_t lo = len - ell_ - 2;
         for (; c < end; ++c) out[c - begin] = word[c - lo];
         continue;
       }
@@ -240,7 +283,7 @@ class LogStarLayout {
         throw std::logic_error("logstar: no enclosing blocks in window");
       }
       const std::size_t u_anchor = blocks_[lo - 1].anchor;
-      const Word word = gap_completion(lo);
+      const Word& word = gap_completion(lo);
       // Positions on block lo itself route through block_labels (the
       // completion fixes the same values there).
       const std::size_t stop = std::min(end, blocks_[lo].anchor);
@@ -255,6 +298,9 @@ class LogStarLayout {
   const View& view_;
   std::size_t ell_;
   std::vector<PlacedBlock> blocks_;
+  /// Per block: its label pair, once looked up.
+  std::vector<std::optional<std::pair<Label, Label>>> block_labels_;
+  Completions dp_;
 
   /// Index of the first block whose pair (anchor, anchor + 1) ends at or
   /// after c; blocks_.size() when none does.
@@ -274,26 +320,25 @@ class LogStarLayout {
 
   /// Completion of the segment between blocks lo-1 and lo with the four
   /// block labels fixed, covering window positions
-  /// [blocks_[lo-1].anchor, blocks_[lo].anchor + 2).
-  Word gap_completion(std::size_t lo) const {
+  /// [blocks_[lo-1].anchor, blocks_[lo].anchor + 2). Valid until the next
+  /// completion.
+  const Word& gap_completion(std::size_t lo) {
     const PlacedBlock& u = blocks_[lo - 1];
     const PlacedBlock& w = blocks_[lo];
     const auto [ua, ub] = block_labels(lo - 1);
     const auto [wa, wb] = block_labels(lo);
-    Word sub(view_.inputs.begin() + static_cast<std::ptrdiff_t>(u.anchor),
-             view_.inputs.begin() + static_cast<std::ptrdiff_t>(w.anchor + 2));
-    std::vector<std::optional<Label>> fixed(sub.size());
-    fixed[0] = ua;
-    fixed[1] = ub;
-    fixed[sub.size() - 2] = wa;
-    fixed[sub.size() - 1] = wb;
-    auto completion =
-        complete_oriented(strategy_.interior(), std::move(sub), std::move(fixed),
-                          strategy_.dp_reversed(view_, u.anchor, w.anchor + 1));
-    if (!completion) {
+    dp_.reset(std::span<const Label>(view_.inputs).subspan(u.anchor, w.anchor + 2 - u.anchor));
+    const std::size_t len = dp_.in.size();
+    dp_.pins[0] = ua;
+    dp_.pins[1] = ub;
+    dp_.pins[len - 2] = wa;
+    dp_.pins[len - 1] = wb;
+    const Word* completion =
+        dp_.run(strategy_.interior(), strategy_.dp_reversed(view_, u.anchor, w.anchor + 1));
+    if (completion == nullptr) {
       throw std::logic_error("logstar: segment completion failed (gluing violated)");
     }
-    return *std::move(completion);
+    return *completion;
   }
 
   /// The left block's share of the inter-block segment of length z. The
@@ -306,33 +351,38 @@ class LogStarLayout {
     return view_.ids[left.anchor] < view_.ids[right.anchor] ? z / 2 : z - z / 2;
   }
 
-  std::pair<Label, Label> block_labels(std::size_t bi) const {
+  std::pair<Label, Label> block_labels(std::size_t bi) {
+    std::optional<std::pair<Label, Label>>& memo = block_labels_[bi];
+    if (!memo) memo = lookup_block_labels(bi);
+    return *memo;
+  }
+
+  /// The certificate's label pair for block bi, read through the feasible
+  /// function at the block's rear and front contexts (views into the
+  /// window).
+  std::pair<Label, Label> lookup_block_labels(std::size_t bi) const {
     const PlacedBlock& b = blocks_[bi];
-    const Word& in = view_.inputs;
-    Word rear;
+    const std::span<const Label> in(view_.inputs);
+    std::span<const Label> rear;
     if (b.kind == BlockKind::kLeftEnd) {
-      rear.assign(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(ell_));
+      rear = in.first(ell_);
     } else {
       if (bi == 0) throw std::logic_error("logstar: no block to the left in window");
       const PlacedBlock& prev = blocks_[bi - 1];
       const std::size_t z = b.anchor - prev.anchor - 2;
-      const std::size_t share = split_share(prev, b, z);
-      rear.assign(in.begin() + static_cast<std::ptrdiff_t>(prev.anchor + 2 + share),
-                  in.begin() + static_cast<std::ptrdiff_t>(b.anchor));
+      const std::size_t from = prev.anchor + 2 + split_share(prev, b, z);
+      rear = in.subspan(from, b.anchor - from);
     }
-    Word front;
+    std::span<const Label> front;
     if (b.kind == BlockKind::kRightEnd) {
-      front.assign(in.begin() + static_cast<std::ptrdiff_t>(b.anchor + 2),
-                   in.begin() + static_cast<std::ptrdiff_t>(b.anchor + 2 + ell_));
+      front = in.subspan(b.anchor + 2, ell_);
     } else {
       if (bi + 1 >= blocks_.size()) {
         throw std::logic_error("logstar: no block to the right in window");
       }
       const PlacedBlock& next = blocks_[bi + 1];
       const std::size_t z = next.anchor - b.anchor - 2;
-      const std::size_t share = split_share(b, next, z);
-      front.assign(in.begin() + static_cast<std::ptrdiff_t>(b.anchor + 2),
-                   in.begin() + static_cast<std::ptrdiff_t>(b.anchor + 2 + share));
+      front = in.subspan(b.anchor + 2, split_share(b, next, z));
     }
     BlockPoint point;
     point.kind = b.kind;
@@ -348,10 +398,10 @@ class LogStarLayout {
 
   /// Prefix/suffix completion against the true path end, with the end
   /// block's labels fixed (existence is the certificate's endpoint
-  /// filter on kLeftEnd/kRightEnd candidates). Returns the completion word
-  /// together with the window position it starts at: left covers
-  /// [0, ell + 2), right covers [len - ell - 2, len).
-  std::pair<Word, std::size_t> end_zone_word(bool left) const {
+  /// filter on kLeftEnd/kRightEnd candidates). Left covers window
+  /// positions [0, ell + 2), right covers [len - ell - 2, len). Valid until
+  /// the next completion.
+  const Word& end_zone_word(bool left) {
     const std::size_t len = view_.size();
     const std::size_t anchor = left ? ell_ : len - ell_ - 2;
     std::size_t bi = blocks_.size();
@@ -366,17 +416,14 @@ class LogStarLayout {
     const auto [la, lb] = block_labels(bi);
     const std::size_t lo = left ? 0 : anchor;
     const std::size_t hi = left ? ell_ + 2 : len;  // exclusive
-    Word sub(view_.inputs.begin() + static_cast<std::ptrdiff_t>(lo),
-             view_.inputs.begin() + static_cast<std::ptrdiff_t>(hi));
-    std::vector<std::optional<Label>> fixed(sub.size());
-    fixed[anchor - lo] = la;
-    fixed[anchor + 1 - lo] = lb;
-    auto completion =
-        complete_by_dp(left ? strategy_.prefix() : strategy_.suffix(), sub, fixed);
-    if (!completion) {
+    dp_.reset(std::span<const Label>(view_.inputs).subspan(lo, hi - lo));
+    dp_.pins[anchor - lo] = la;
+    dp_.pins[anchor + 1 - lo] = lb;
+    const Word* completion = dp_.run(left ? strategy_.prefix() : strategy_.suffix(), false);
+    if (completion == nullptr) {
       throw std::logic_error("logstar: end completion failed (endpoint filter violated)");
     }
-    return {*std::move(completion), lo};
+    return *completion;
   }
 };
 
@@ -389,8 +436,7 @@ Label SynthesizedLogStar::run(const View& view) const {
   }
   const bool full = strategy_.cycle() ? view.size() == view.n : view.n <= radius_ + 1;
   if (full) return solve_full_view(problem, view);
-  const LogStarLayout layout(*monoid_, *cert_, strategy_, view, ell_, min_gap_, gap_,
-                             orient_ell_);
+  LogStarLayout layout(*monoid_, *cert_, strategy_, view, ell_, min_gap_, gap_, orient_ell_);
   Label label = 0;
   layout.labels_span(view.center, view.center + 1, &label);
   return label;
@@ -406,8 +452,7 @@ bool SynthesizedLogStar::run_span(const View& window, std::size_t begin,
   // structured regime.
   const bool full = strategy_.cycle() ? window.size() == window.n : window.n <= radius_ + 1;
   if (full) return false;
-  const LogStarLayout layout(*monoid_, *cert_, strategy_, window, ell_, min_gap_, gap_,
-                             orient_ell_);
+  LogStarLayout layout(*monoid_, *cert_, strategy_, window, ell_, min_gap_, gap_, orient_ell_);
   layout.labels_span(begin, end, out);
   return true;
 }
@@ -437,9 +482,11 @@ SynthesizedConstant::SynthesizedConstant(const Monoid& monoid,
   // from each claimed region's actual rotations) are bounded by this, so
   // it is what the global margins scale with — replacing the worst-case
   // ell_ctx ~ |monoid| factor.
+  preperiod_.resize(monoid.size());
   for (std::size_t e = 0; e < monoid.size(); ++e) {
-    lam_ = std::max(lam_, static_cast<std::size_t>(
-                              monoid.element(e).fwd.stabilize().first));
+    const auto first = static_cast<std::size_t>(monoid.element(e).fwd.stabilize().first);
+    preperiod_[e] = std::max<std::size_t>(1, first);
+    lam_ = std::max(lam_, preperiod_[e]);
   }
   // Maximum claimed period: one past it every seed gap's chunk interior is
   // long enough that pump_decomposition is guaranteed (interior length
@@ -485,16 +532,43 @@ namespace {
 /// Per-segment analysis for the O(1) algorithm, on the segment's input
 /// word read in segment direction. All coordinates are sub-word-relative;
 /// structures are content-determined, hence identical across the
-/// overlapping windows of nearby nodes.
-struct ConstAnalysis {
-  const Monoid& monoid;
-  const TransitionSystem& ts;
-  const PairwiseProblem& problem;
-  const ConstGapCertificate& cert;
-  Word in;
-  std::size_t len;
-  std::size_t p0, scale, domin;
+/// overlapping windows of nearby nodes. One analysis serves every segment
+/// of a layout: analyze() replaces the previous segment's results in the
+/// same buffers, and the periodic labelings it derives are kept for the
+/// layout's lifetime.
+class ConstAnalysis {
+ public:
+  ConstAnalysis(const Monoid& monoid, const ConstGapCertificate& cert,
+                const SynthesisStrategy& strategy, std::span<const std::size_t> preperiod,
+                std::size_t scale, std::size_t domin, Completions& dp)
+      : p0(monoid.ell_pump() + 8),
+        monoid_(monoid),
+        cert_(cert),
+        strategy_(strategy),
+        preperiod_(preperiod),
+        scale_(scale),
+        domin_(domin),
+        dp_(dp) {}
 
+  /// Analyzes the segment whose inputs, in presentation order, are
+  /// `segment`; `reversed` reads them backward (a backward segment).
+  void analyze(std::span<const Label> segment, bool reversed) {
+    if (reversed) {
+      in.assign(segment.rbegin(), segment.rend());
+    } else {
+      in.assign(segment.begin(), segment.end());
+    }
+    len = in.size();
+    find_periodic_regions();
+    find_anchors();
+    find_seeds();
+  }
+
+  /// Maximum claimed period (see SynthesizedConstant's constructor).
+  const std::size_t p0;
+  /// The segment's inputs in segment direction.
+  Word in;
+  std::size_t len = 0;
   /// Periodic-region claims per position (period 0 if none): the maximal
   /// run extent (clipped at the segment) and the run's anchor margin,
   /// derived from the pre-period of its own rotations' forward matrices.
@@ -503,72 +577,68 @@ struct ConstAnalysis {
   /// visible run ends.
   std::vector<char> anchored;
   std::vector<Label> anchor_label;
-
   /// Seed flags (chunk boundaries in irregular zones).
   std::vector<char> seed;
 
-  /// Pre-period of an element's forward-matrix power sequence (>= 1),
-  /// memoized per element — the per-pattern buffer length.
-  mutable std::vector<std::size_t> preperiod_cache;
+  /// Pre-period of an element's forward-matrix power sequence (>= 1) —
+  /// the per-pattern buffer length.
+  std::size_t preperiod_of(std::size_t element) const { return preperiod_[element]; }
 
-  ConstAnalysis(const Monoid& m, const ConstGapCertificate& c, Word inputs,
-                std::size_t scale_in, std::size_t domin_in)
-      : monoid(m),
-        ts(m.transitions()),
-        problem(m.transitions().problem()),
-        cert(c),
-        in(std::move(inputs)),
-        len(in.size()),
-        p0(m.ell_pump() + 8),
-        scale(scale_in),
-        domin(domin_in),
-        preperiod_cache(m.size(), kUnknown) {
-    find_periodic_regions();
-    find_anchors();
-    find_seeds();
+  /// Lexicographically smallest valid periodic labeling of the pattern w
+  /// whose first/last labels follow the certificate's choice for w's
+  /// monoid element. Computed once per pattern and layout; the reference
+  /// stays valid for the layout's lifetime.
+  const Word& periodic_labeling(std::span<const Label> w) {
+    for (const PeriodicLabeling& known : labelings_) {
+      if (std::ranges::equal(known.pattern, w)) return known.labeling;
+    }
+    const PeriodicChoice choice = cert_.choice_for(monoid_.of_word(w));
+    dp_.reset(w);
+    dp_.pins[0] = choice.first;
+    dp_.pins[w.size() - 1] = choice.last;
+    const Word* labeling = dp_.run(strategy_.periodic(), false);
+    if (labeling == nullptr) {
+      throw std::logic_error("constant: certificate periodic labeling does not exist");
+    }
+    labelings_.push_back({Word(w.begin(), w.end()), *labeling});
+    return labelings_.back().labeling;
   }
+
+ private:
+  struct PeriodicLabeling {
+    Word pattern;
+    Word labeling;
+  };
+
+  const Monoid& monoid_;
+  const ConstGapCertificate& cert_;
+  const SynthesisStrategy& strategy_;
+  std::span<const std::size_t> preperiod_;
+  std::size_t scale_, domin_;
+  Completions& dp_;
+  /// Every pattern labeled so far (a deque: references stay valid).
+  std::deque<PeriodicLabeling> labelings_;
+  /// find_anchors: per residue of the current run, the phase within the
+  /// canonical rotation, and the canonical rotation itself.
+  std::vector<std::size_t> phase_;
+  Word canon_;
+  /// find_seeds scratch.
+  std::vector<char> candidate_;
+  std::vector<std::size_t> deque_;
 
   static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
-
-  std::size_t preperiod_of(std::size_t element) const {
-    std::size_t& memo = preperiod_cache[element];
-    if (memo == kUnknown) {
-      memo = std::max<std::size_t>(
-          1, static_cast<std::size_t>(monoid.element(element).fwd.stabilize().first));
-    }
-    return memo;
-  }
 
   /// The claimed run's buffer pre-period: the maximum over the pattern's q
   /// rotations (all of which occur as subwords of the run), so the value
   /// is phase-invariant — observers whose windows clip the run at
   /// different phases still derive the same margin.
   std::size_t run_preperiod(std::size_t begin, std::size_t q) const {
+    const std::span<const Label> word(in);
     std::size_t worst = 1;
     for (std::size_t s = 0; s < q; ++s) {
-      const Word rotation(in.begin() + static_cast<std::ptrdiff_t>(begin + s),
-                          in.begin() + static_cast<std::ptrdiff_t>(begin + s + q));
-      worst = std::max(worst, preperiod_of(monoid.of_word(rotation)));
+      worst = std::max(worst, preperiod_of(monoid_.of_word(word.subspan(begin + s, q))));
     }
     return worst;
-  }
-
-  /// Lexicographically smallest valid periodic labeling of the pattern w
-  /// whose first/last labels follow the certificate's choice for w's
-  /// monoid element.
-  Word periodic_labeling(const Word& w) const {
-    const std::size_t e = monoid.of_word(w);
-    const PeriodicChoice choice = cert.choice_for(e);
-    PairwiseProblem cycle_problem = problem;
-    cycle_problem.set_topology(Topology::kDirectedCycle);
-    std::vector<std::optional<Label>> fixed(w.size());
-    fixed[0] = choice.first;
-    fixed[w.size() - 1] = choice.last;
-    auto labeling = complete_by_dp(cycle_problem, w, fixed);
-    if (!labeling) {
-      throw std::logic_error("constant: certificate periodic labeling does not exist");
-    }
-    return *labeling;
   }
 
   void find_periodic_regions() {
@@ -576,49 +646,65 @@ struct ConstAnalysis {
     // buffer_blocks = pre-period + 2 blocks on each side absorb into the
     // certificate's verified powers, and the threshold leaves an anchored
     // middle of >= 2 blocks beyond both margins.
-    run = claim_periodic_runs(
-        in, p0, false,
-        [&](std::size_t q, std::size_t begin, std::size_t end) -> std::optional<std::size_t> {
-          if (end - begin < 2 * q) return std::nullopt;
-          const std::size_t margin = (run_preperiod(begin, q) + 3) * q;
-          if (end - begin < 2 * margin + 2 * q) return std::nullopt;
-          return margin;
-        });
+    const auto rule = [this](std::size_t q, std::size_t begin,
+                             std::size_t end) -> std::optional<std::size_t> {
+      if (end - begin < 2 * q) return std::nullopt;
+      const std::size_t margin = (run_preperiod(begin, q) + 3) * q;
+      if (end - begin < 2 * margin + 2 * q) return std::nullopt;
+      return margin;
+    };
+    claim_periodic_runs(in, p0, false, rule, run);
   }
 
   void find_anchors() {
     anchored.assign(len, 0);
     anchor_label.assign(len, 0);
-    std::map<Word, Word> labelings;  // canonical pattern -> periodic labeling
+    // An anchored window [i, i + q) lies inside its run, so it is the
+    // run's rotation at residue (i - begin) mod q: each run resolves its
+    // canonical rotation (hence its labeling) once and each residue's
+    // phase once.
+    const PeriodicRun* current = nullptr;
+    const Word* labeling = nullptr;
     for (std::size_t i = 0; i < len; ++i) {
       const PeriodicRun& r = run[i];
       if (r.period == 0) continue;
       if (i < r.begin + r.margin || i + r.margin >= r.end) continue;
-      // i sits at `phase` within the canonical rotation of its period.
-      std::size_t phase = 0;
-      const Word canon = canonical_rotation(
-          Word(in.begin() + static_cast<std::ptrdiff_t>(i),
-               in.begin() + static_cast<std::ptrdiff_t>(i + r.period)),
-          &phase);
-      auto it = labelings.find(canon);
-      if (it == labelings.end()) it = labelings.emplace(canon, periodic_labeling(canon)).first;
+      const std::size_t q = r.period;
+      if (current == nullptr || current->begin != r.begin || current->end != r.end ||
+          current->period != q) {
+        current = &r;
+        labeling = nullptr;
+        phase_.assign(q, kUnknown);
+      }
+      std::size_t& phase = phase_[(i - r.begin) % q];
+      if (phase == kUnknown) {
+        // i sits at `phase` within the canonical rotation of its period.
+        const std::span<const Label> window = std::span<const Label>(in).subspan(i, q);
+        const std::size_t best = least_rotation(window);
+        phase = (q - best) % q;
+        if (labeling == nullptr) {
+          canon_.clear();
+          for (std::size_t k = 0; k < q; ++k) canon_.push_back(window[(best + k) % q]);
+          labeling = &periodic_labeling(canon_);
+        }
+      }
       anchored[i] = 1;
-      anchor_label[i] = it->second[phase];
+      anchor_label[i] = (*labeling)[phase];
     }
   }
 
   void find_seeds() {
     // Candidate positions: window fully inside the segment and fully
     // unclaimed (irregular zone).
-    std::vector<char> candidate(len, 0);
+    candidate_.assign(len, 0);
     std::size_t unclaimed_run = 0;
     for (std::size_t i = 0; i < len; ++i) {
       unclaimed_run = run[i].period == 0 ? unclaimed_run + 1 : 0;
-      if (unclaimed_run >= scale && i + 1 >= scale) candidate[i + 1 - scale] = 1;
+      if (unclaimed_run >= scale_ && i + 1 >= scale_) candidate_[i + 1 - scale_] = 1;
     }
     // Seeds: candidates no candidate window within domin strictly exceeds.
-    seed = window_maxima(
-        len, domin, [&](std::size_t i) { return candidate[i] != 0; }, window_less(in, scale));
+    const auto is_candidate = [this](std::size_t i) { return candidate_[i] != 0; };
+    window_maxima(len, domin_, is_candidate, window_less(in, scale_), seed, deque_);
   }
 };
 
@@ -632,22 +718,25 @@ struct VirtualEntry {
 constexpr std::size_t kUnmapped = static_cast<std::size_t>(-1);
 
 /// The whole-window O(1) layout: per-segment analyses stitched into one
-/// presentation-ordered virtual sequence, plus the completions.
+/// presentation-ordered virtual sequence, plus the completions. Segments
+/// share one analysis and one set of scratch buffers; completions share
+/// one set of DP buffers.
 class ConstLayout {
  public:
   ConstLayout(const Monoid& monoid, const ConstGapCertificate& cert,
-              const SynthesisStrategy& strategy, const View& view, std::size_t scale,
-              std::size_t domin, std::size_t orient_ell)
-      : monoid_(monoid), cert_(cert), strategy_(strategy), view_(view) {
+              const SynthesisStrategy& strategy, std::span<const std::size_t> preperiod,
+              const View& view, std::size_t scale, std::size_t domin, std::size_t orient_ell)
+      : monoid_(monoid), strategy_(strategy), view_(view) {
     const std::size_t len = view.size();
     v_of_real_.assign(len, kUnmapped);
+    vseq_.reserve(2 * len);
 
+    ConstAnalysis az(monoid, cert, strategy, preperiod, scale, domin, dp_);
+    first_seen_.assign(monoid.size(), kNotSeen);
+    const std::span<const Label> inputs(view.inputs);
     for (const SynthesisStrategy::Segment& seg : strategy.segments(view, orient_ell)) {
-      const bool fwd = seg.dir == Direction::kForward;
-      Word sub(view.inputs.begin() + static_cast<std::ptrdiff_t>(seg.begin),
-               view.inputs.begin() + static_cast<std::ptrdiff_t>(seg.end));
-      if (!fwd) std::reverse(sub.begin(), sub.end());
-      const ConstAnalysis az(monoid, cert, std::move(sub), scale, domin);
+      const bool backward = seg.dir == Direction::kBackward;
+      az.analyze(inputs.subspan(seg.begin, seg.end - seg.begin), backward);
       append_segment(seg, az);
     }
     for (std::size_t vi = 0; vi < vseq_.size(); ++vi) {
@@ -660,10 +749,9 @@ class ConstLayout {
   /// and read for every position it covers. A single position is the
   /// one-element span, so the per-node and chunk-sweep paths share one
   /// routing.
-  void labels_span(std::size_t begin, std::size_t end, Label* out) const {
-    GapWord gap;
+  void labels_span(std::size_t begin, std::size_t end, Label* out) {
+    bool have_gap = false;
     const Interior* cached_interior = nullptr;
-    Word cached_pull_back;
     for (std::size_t c = begin; c < end; ++c) {
       const Interior* hit = nullptr;
       for (const Interior& interior : interiors_) {
@@ -674,10 +762,10 @@ class ConstLayout {
       }
       if (hit != nullptr) {
         if (hit != cached_interior) {
-          cached_pull_back = interior_word(*hit);
+          interior_word(*hit);
           cached_interior = hit;
         }
-        out[c - begin] = cached_pull_back[c - (hit->begin - 2)];
+        out[c - begin] = pull_back_[c - (hit->begin - 2)];
         continue;
       }
       const std::size_t vi = v_of_real_[c];
@@ -689,8 +777,11 @@ class ConstLayout {
         out[c - begin] = *vseq_[vi].fixed;
         continue;
       }
-      if (gap.word.empty() || vi < gap.lo || vi > gap.hi) gap = gap_word_at(vi);
-      out[c - begin] = gap.word[vi - gap.lo];
+      if (!have_gap || vi < span_gap_.lo || vi > span_gap_.hi) {
+        gap_word_at(vi, span_gap_);
+        have_gap = true;
+      }
+      out[c - begin] = span_gap_.word[vi - span_gap_.lo];
     }
   }
 
@@ -700,67 +791,81 @@ class ConstLayout {
     Direction dir = Direction::kForward;
   };
 
-  /// A materialized virtual-gap completion: virtual indices [lo, hi]
-  /// inclusive and the completed labels over them.
+  /// A materialized virtual-gap completion: the unlabeled run [a, b] it
+  /// was computed for, the virtual indices [lo, hi] it covers (inclusive:
+  /// the run plus its enclosing anchors) and the completed labels over
+  /// them.
   struct GapWord {
+    std::size_t a = 0, b = 0;
     std::size_t lo = 0, hi = 0;
     Word word;
   };
 
+  /// A pumped chunk interior of the current segment: sub-word positions
+  /// [begin, end), split as x y z (views into the analysis' word).
+  struct SubInterior {
+    std::size_t begin = 0, end = 0;
+    std::span<const Label> x, y, z;
+    const Word* y_labeling = nullptr;
+  };
+
   const Monoid& monoid_;
-  const ConstGapCertificate& cert_;
   const SynthesisStrategy& strategy_;
   const View& view_;
   std::vector<VirtualEntry> vseq_;
   std::vector<std::size_t> v_of_real_;
   std::vector<Interior> interiors_;
+  Completions dp_;
+  /// Segment scratch.
+  std::vector<std::size_t> seeds_;
+  std::vector<SubInterior> sub_interiors_;
+  std::vector<std::size_t> first_seen_;  ///< pump_split scratch
+  /// Completion scratch: labels_span's current gap, the gap last read by
+  /// complete_gap_at, and the current interior pull-back.
+  GapWord span_gap_;
+  GapWord boundary_gap_;
+  bool have_boundary_gap_ = false;
+  Word pull_back_;
 
-  void append_segment(const SynthesisStrategy::Segment& seg, const ConstAnalysis& az) {
+  void append_segment(const SynthesisStrategy::Segment& seg, ConstAnalysis& az) {
     const bool fwd = seg.dir == Direction::kForward;
     auto present = [&](std::size_t sub_pos) {
       return fwd ? seg.begin + sub_pos : seg.end - 1 - sub_pos;
     };
+    const std::span<const Label> in(az.in);
 
     // Chunk interiors: [seed_j + 2, seed_{j+1} - 2) within irregular
     // stretches, pumped and virtually anchored when long enough.
-    struct SubInterior {
-      std::size_t begin, end;  // sub coordinates
-      PumpDecomposition pump;
-      Word y_labeling;
-    };
-    std::vector<SubInterior> interiors;
-    {
-      std::vector<std::size_t> seeds;
-      for (std::size_t i = 0; i < az.len; ++i) {
-        if (az.seed[i]) seeds.push_back(i);
+    std::vector<SubInterior>& interiors = sub_interiors_;
+    interiors.clear();
+    seeds_.clear();
+    for (std::size_t i = 0; i < az.len; ++i) {
+      if (az.seed[i]) seeds_.push_back(i);
+    }
+    for (std::size_t j = 0; j + 1 < seeds_.size(); ++j) {
+      const std::size_t cb = seeds_[j];
+      const std::size_t ce = seeds_[j + 1];
+      // Seeds closer than p0 cannot coexist (equal windows at shift
+      // d <= p0 witness a claimable run; unequal ones dominate), so the
+      // interior is >= ell_pump + 5 long and always pumps. Defensive.
+      if (ce - cb <= az.p0) continue;
+      // Chunks live in irregular stretches only: a seed pair straddling
+      // a claimed periodic run must not be pumped (it would swallow the
+      // run's anchors and leave everything beyond the pumped middle
+      // unanchored). The run's own anchors bound those gaps instead.
+      bool irregular = true;
+      for (std::size_t k = cb; k < ce && irregular; ++k) irregular = az.run[k].period == 0;
+      if (!irregular) continue;
+      const std::span<const Label> word = in.subspan(cb + 2, ce - cb - 4);
+      const auto split = pump_split(monoid_, word, first_seen_);
+      if (!split) {
+        throw std::logic_error("constant: chunk interior not pumpable");
       }
-      for (std::size_t j = 0; j + 1 < seeds.size(); ++j) {
-        const std::size_t cb = seeds[j];
-        const std::size_t ce = seeds[j + 1];
-        // Seeds closer than p0 cannot coexist (equal windows at shift
-        // d <= p0 witness a claimable run; unequal ones dominate), so the
-        // interior is >= ell_pump + 5 long and always pumps. Defensive.
-        if (ce - cb <= az.p0) continue;
-        // Chunks live in irregular stretches only: a seed pair straddling
-        // a claimed periodic run must not be pumped (it would swallow the
-        // run's anchors and leave everything beyond the pumped middle
-        // unanchored). The run's own anchors bound those gaps instead.
-        bool irregular = true;
-        for (std::size_t k = cb; k < ce && irregular; ++k) irregular = az.run[k].period == 0;
-        if (!irregular) continue;
-        SubInterior interior;
-        interior.begin = cb + 2;
-        interior.end = ce - 2;
-        const Word word(az.in.begin() + static_cast<std::ptrdiff_t>(interior.begin),
-                        az.in.begin() + static_cast<std::ptrdiff_t>(interior.end));
-        auto pump = pump_decomposition(monoid_, word);
-        if (!pump) {
-          throw std::logic_error("constant: chunk interior not pumpable");
-        }
-        interior.pump = *pump;
-        interior.y_labeling = az.periodic_labeling(interior.pump.y);
-        interiors.push_back(std::move(interior));
-      }
+      const auto [p1, p2] = *split;
+      SubInterior interior{cb + 2, ce - 2, word.first(p1), word.subspan(p1, p2 - p1),
+                           word.subspan(p2), nullptr};
+      interior.y_labeling = &az.periodic_labeling(interior.y);
+      interiors.push_back(interior);
     }
     auto interior_of = [&](std::size_t pos) -> const SubInterior* {
       for (const SubInterior& it : interiors) {
@@ -769,10 +874,9 @@ class ConstLayout {
       return nullptr;
     };
 
-    // Build the segment's virtual entries in segment order, then flip them
-    // into presentation order for backward segments.
-    std::vector<VirtualEntry> entries;
-    entries.reserve(2 * az.len);
+    // Append the segment's virtual entries in segment order, then flip
+    // them into presentation order for backward segments.
+    const std::size_t first_entry = vseq_.size();
     std::size_t i = 0;
     while (i < az.len) {
       const SubInterior* interior = interior_of(i);
@@ -781,7 +885,7 @@ class ConstLayout {
         e.input = az.in[i];
         e.real = static_cast<std::ptrdiff_t>(present(i));
         if (az.anchored[i]) e.fixed = az.anchor_label[i];
-        entries.push_back(e);
+        vseq_.push_back(e);
         ++i;
         continue;
       }
@@ -794,16 +898,16 @@ class ConstLayout {
       // the buffer realizes a certificate-verified power (excess folds
       // into the quantified middle element), so the worst-case ell-sized
       // buffers are unnecessary.
-      const std::size_t a_y = az.preperiod_of(monoid_.of_word(interior->pump.y));
+      const std::span<const Label> x = interior->x;
+      const std::span<const Label> y = interior->y;
+      const std::span<const Label> z = interior->z;
+      const std::size_t a_y = az.preperiod_of(monoid_.of_word(y));
       const std::size_t k_blocks = 2 * a_y + 8;
-      const Word& x = interior->pump.x;
-      const Word& y = interior->pump.y;
-      const Word& z = interior->pump.z;
       for (std::size_t t = 0; t < x.size(); ++t) {
         VirtualEntry e;
         e.input = x[t];
         e.real = static_cast<std::ptrdiff_t>(present(interior->begin + t));
-        entries.push_back(e);
+        vseq_.push_back(e);
       }
       for (std::size_t b = 0; b < k_blocks; ++b) {
         const bool anchored_block = b >= a_y + 2 && b + a_y + 2 < k_blocks;
@@ -811,20 +915,21 @@ class ConstLayout {
           VirtualEntry e;
           e.input = y[t];
           e.real = -1;
-          if (anchored_block) e.fixed = interior->y_labeling[t];
-          entries.push_back(e);
+          if (anchored_block) e.fixed = (*interior->y_labeling)[t];
+          vseq_.push_back(e);
         }
       }
       for (std::size_t t = 0; t < z.size(); ++t) {
         VirtualEntry e;
         e.input = z[t];
         e.real = static_cast<std::ptrdiff_t>(present(interior->end - z.size() + t));
-        entries.push_back(e);
+        vseq_.push_back(e);
       }
       i = interior->end;
     }
-    if (!fwd) std::reverse(entries.begin(), entries.end());
-    vseq_.insert(vseq_.end(), entries.begin(), entries.end());
+    if (!fwd) {
+      std::reverse(vseq_.begin() + static_cast<std::ptrdiff_t>(first_entry), vseq_.end());
+    }
 
     for (const SubInterior& interior : interiors) {
       Interior out;
@@ -843,15 +948,19 @@ class ConstLayout {
   /// Deterministic completion of the maximal unlabeled virtual run that
   /// contains virtual index vi, between the neighboring fixed anchors (or
   /// a true path end, where the endpoint rules take over).
-  Label complete_gap_at(std::size_t vi) const {
+  Label complete_gap_at(std::size_t vi) {
     if (vseq_[vi].fixed) return *vseq_[vi].fixed;
-    const GapWord gap = gap_word_at(vi);
-    return gap.word[vi - gap.lo];
+    if (!have_boundary_gap_ || vi < boundary_gap_.a || vi > boundary_gap_.b) {
+      gap_word_at(vi, boundary_gap_);
+      have_boundary_gap_ = true;
+    }
+    return boundary_gap_.word[vi - boundary_gap_.lo];
   }
 
-  /// The materialized completion of vi's maximal unlabeled run (vi must be
-  /// unlabeled): the run plus its enclosing anchors, completed by one DP.
-  GapWord gap_word_at(std::size_t vi) const {
+  /// Materializes into `gap` the completion of vi's maximal unlabeled run
+  /// (vi must be unlabeled): the run plus its enclosing anchors, completed
+  /// by one DP.
+  void gap_word_at(std::size_t vi, GapWord& gap) {
     std::size_t a = vi;
     while (a > 0 && !vseq_[a - 1].fixed) --a;
     std::size_t b = vi;
@@ -862,26 +971,27 @@ class ConstLayout {
     if ((!left_end_gap && a < 2) || (!right_end_gap && b + 2 >= vseq_.size())) {
       throw std::logic_error("constant: virtual gap not enclosed by anchors in window");
     }
-    GapWord gap;
-    gap.lo = left_end_gap ? 0 : a - 2;
-    gap.hi = right_end_gap ? vseq_.size() - 1 : b + 2;  // inclusive
-    Word sub;
-    std::vector<std::optional<Label>> fixed;
-    for (std::size_t t = gap.lo; t <= gap.hi; ++t) {
-      sub.push_back(vseq_[t].input);
-      fixed.push_back(vseq_[t].fixed);
+    const std::size_t lo = left_end_gap ? 0 : a - 2;
+    const std::size_t hi = right_end_gap ? vseq_.size() - 1 : b + 2;  // inclusive
+    dp_.in.clear();
+    dp_.pins.clear();
+    for (std::size_t t = lo; t <= hi; ++t) {
+      dp_.in.push_back(vseq_[t].input);
+      dp_.pins.push_back(vseq_[t].fixed);
     }
     const PairwiseProblem& problem =
         left_end_gap ? (right_end_gap ? strategy_.full_path() : strategy_.prefix())
                      : (right_end_gap ? strategy_.suffix() : strategy_.interior());
-    const bool reverse =
-        (left_end_gap || right_end_gap) ? false : gap_reversed(gap.lo, gap.hi);
-    auto completion = complete_oriented(problem, std::move(sub), std::move(fixed), reverse);
-    if (!completion) {
+    const bool reverse = (left_end_gap || right_end_gap) ? false : gap_reversed(lo, hi);
+    const Word* completion = dp_.run(problem, reverse);
+    if (completion == nullptr) {
       throw std::logic_error("constant: virtual gap completion failed (gluing violated)");
     }
-    gap.word = *std::move(completion);
-    return gap;
+    gap.a = a;
+    gap.b = b;
+    gap.lo = lo;
+    gap.hi = hi;
+    gap.word.assign(completion->begin(), completion->end());
   }
 
   /// Direction rule for an interior virtual-gap DP: compare the IDs of the
@@ -902,24 +1012,27 @@ class ConstLayout {
   /// real boundary nodes to their virtual-gap labels (the forward matrix
   /// of the pumped interior equals the real interior's, so a completion
   /// exists; Lemmas 10-11). The DP runs in the owning segment's direction.
-  /// Returns the completion word covering positions [begin - 2, end + 2).
-  Word interior_word(const Interior& interior) const {
+  /// Writes into pull_back_ the completion covering positions
+  /// [begin - 2, end + 2).
+  void interior_word(const Interior& interior) {
     const std::size_t ib = interior.begin;
     const std::size_t ie = interior.end;
-    Word sub(view_.inputs.begin() + static_cast<std::ptrdiff_t>(ib - 2),
-             view_.inputs.begin() + static_cast<std::ptrdiff_t>(ie + 2));
-    std::vector<std::optional<Label>> fixed(sub.size());
-    fixed[0] = complete_gap_at(mapped(ib - 2));
-    fixed[1] = complete_gap_at(mapped(ib - 1));
-    fixed[sub.size() - 2] = complete_gap_at(mapped(ie));
-    fixed[sub.size() - 1] = complete_gap_at(mapped(ie + 1));
-    auto completion =
-        complete_oriented(strategy_.interior(), std::move(sub), std::move(fixed),
-                          interior.dir == Direction::kBackward);
-    if (!completion) {
+    const Label f0 = complete_gap_at(mapped(ib - 2));
+    const Label f1 = complete_gap_at(mapped(ib - 1));
+    const Label f2 = complete_gap_at(mapped(ie));
+    const Label f3 = complete_gap_at(mapped(ie + 1));
+    dp_.reset(std::span<const Label>(view_.inputs).subspan(ib - 2, ie - ib + 4));
+    const std::size_t len = dp_.in.size();
+    dp_.pins[0] = f0;
+    dp_.pins[1] = f1;
+    dp_.pins[len - 2] = f2;
+    dp_.pins[len - 1] = f3;
+    const Word* completion =
+        dp_.run(strategy_.interior(), interior.dir == Direction::kBackward);
+    if (completion == nullptr) {
       throw std::logic_error("constant: interior pull-back failed (type mismatch)");
     }
-    return *std::move(completion);
+    pull_back_.assign(completion->begin(), completion->end());
   }
 
   std::size_t mapped(std::size_t real_pos) const {
@@ -940,8 +1053,8 @@ Label SynthesizedConstant::run(const View& view) const {
   }
   const bool full = strategy_.cycle() ? view.size() == view.n : view.n <= radius_ + 1;
   if (full) return solve_full_view(problem, view);
-  const ConstLayout layout(*monoid_, *cert_, strategy_, view, scale_, domin_,
-                           orient_ell_);
+  ConstLayout layout(*monoid_, *cert_, strategy_, preperiod_, view, scale_, domin_,
+                     orient_ell_);
   Label label = 0;
   layout.labels_span(view.center, view.center + 1, &label);
   return label;
@@ -954,8 +1067,8 @@ bool SynthesizedConstant::run_span(const View& window, std::size_t begin,
   }
   const bool full = strategy_.cycle() ? window.size() == window.n : window.n <= radius_ + 1;
   if (full) return false;
-  const ConstLayout layout(*monoid_, *cert_, strategy_, window, scale_, domin_,
-                           orient_ell_);
+  ConstLayout layout(*monoid_, *cert_, strategy_, preperiod_, window, scale_, domin_,
+                     orient_ell_);
   layout.labels_span(begin, end, out);
   return true;
 }

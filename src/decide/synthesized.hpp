@@ -97,6 +97,9 @@ class SynthesisStrategy {
   const PairwiseProblem& suffix() const { return suffix_; }
   /// Both endpoint rules kept (a completion spanning the whole path).
   const PairwiseProblem& full_path() const { return full_path_; }
+  /// The problem on a directed cycle: the periodic labelings of the O(1)
+  /// algorithm's claimed patterns.
+  const PairwiseProblem& periodic() const { return periodic_; }
 
   /// A maximal uniformly-oriented stretch of the window ([begin, end) in
   /// presentation coordinates). A boundary is *real* when it is an
@@ -132,6 +135,7 @@ class SynthesisStrategy {
   PairwiseProblem prefix_;
   PairwiseProblem suffix_;
   PairwiseProblem full_path_;
+  PairwiseProblem periodic_;
 };
 
 class SynthesizedLogStar final : public LocalAlgorithm {
@@ -193,6 +197,9 @@ class SynthesizedConstant final : public LocalAlgorithm {
   const Monoid* monoid_;
   const ConstGapCertificate* cert_;
   SynthesisStrategy strategy_;
+  /// Per monoid element: the pre-period of its forward-matrix power
+  /// sequence, at least 1 — the per-pattern buffer length in blocks.
+  std::vector<std::size_t> preperiod_;
   std::size_t lam_ = 1;        ///< max forward-matrix power pre-period
   std::size_t scale_ = 0;      ///< L0: candidate-window / claim-margin scale
   std::size_t domin_ = 0;      ///< D: seed domination radius (0 when unary)

@@ -214,50 +214,42 @@ VerifyResult verify_general(const GeneralProblem& problem, const Word& inputs,
   return VerifyResult::success();
 }
 
-namespace {
-
-/// The one dynamic program behind solve_by_dp and complete_by_dp. A label
-/// set is a mask of W = ceil(beta / 64) words (label b at bit b % 64 of
-/// word b / 64); kW fixes W at compile time (1 covers beta <= 64) and
-/// kW == 0 reads it from `w`. `pins` is empty or holds one entry per node.
+/// The one dynamic program behind solve_by_dp, complete_by_dp and every
+/// PathDp completion. A label set is a mask of W = ceil(beta / 64) words
+/// (label b at bit b % 64 of word b / 64); kW fixes W at compile time (1
+/// covers beta <= 64) and kW == 0 reads it from w_.
 ///
-/// `tab` holds, W words per row: the successor rows (succ[a] = {b : a -> b
+/// tab_ holds, W words per row: the successor rows (succ[a] = {b : a -> b
 /// allowed}), the predecessor rows (pred[b] = {a : a -> b allowed}), the
 /// C_node row of every input, the first-node rule's row of every input
-/// (paths with such a rule only), the last mask and node 0's candidates.
-/// `reach` holds W words per node: forward, the labels at v that extend a
-/// valid prefix; after the backward pass, those that also extend to a valid
-/// suffix. The labels are then read greedily front to back.
-template <std::size_t kW>
-std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs,
-                              std::span<const std::optional<Label>> pins, std::size_t w) {
-  const std::size_t W = kW != 0 ? kW : w;
-  const std::size_t n = inputs.size();
+/// (paths with such a rule only), the last mask and node 0's candidates
+/// (the one row a run rewrites). reach_ holds W words per node: forward,
+/// the labels at v that extend a valid prefix; after the backward pass,
+/// those that also extend to a valid suffix. The labels are then read
+/// greedily front to back.
+PathDp::PathDp(const PairwiseProblem& problem)
+    : problem_(&problem),
+      w_(std::max<std::size_t>(1, (problem.num_outputs() + 63) / 64)),
+      cycle_(is_cycle(problem.topology())),
+      first_rule_(!cycle_ && problem.has_first_constraint()) {
+  const std::size_t W = w_;
   const std::size_t beta = problem.num_outputs();
   const std::size_t alpha = problem.num_inputs();
-  const bool cycle = is_cycle(problem.topology());
-  const bool first_rule = !cycle && problem.has_first_constraint();
-  for (const std::optional<Label>& pin : pins) {
-    if (pin.has_value() && *pin >= beta) {
-      throw std::out_of_range("complete_by_dp: pinned label out of range");
-    }
-  }
-
-  const std::size_t pred_at = beta * W;
-  const std::size_t cand_at = 2 * beta * W;
-  const std::size_t first_at = first_rule ? cand_at + alpha * W : cand_at;
-  const std::size_t last_at = first_at + alpha * W;
-  const std::size_t node0_at = last_at + W;
-  std::vector<std::uint64_t> tab(node0_at + W, 0);
-  const auto set_bit = [&tab, W](std::size_t row_at, std::size_t row, std::size_t bit) {
-    tab[row_at + row * W + bit / 64] |= std::uint64_t{1} << (bit % 64);
+  pred_at_ = beta * W;
+  cand_at_ = 2 * beta * W;
+  first_at_ = first_rule_ ? cand_at_ + alpha * W : cand_at_;
+  last_at_ = first_at_ + alpha * W;
+  node0_at_ = last_at_ + W;
+  tab_.assign(node0_at_ + W, 0);
+  const auto set_bit = [this, W](std::size_t row_at, std::size_t row, std::size_t bit) {
+    tab_[row_at + row * W + bit / 64] |= std::uint64_t{1} << (bit % 64);
   };
   const BitMatrix& edge = problem.edge_matrix();
   for (std::size_t a = 0; a < beta; ++a) {
     for (std::size_t b = 0; b < beta; ++b) {
       if (!edge.get(a, b)) continue;
       set_bit(0, a, b);
-      set_bit(pred_at, b, a);
+      set_bit(pred_at_, b, a);
     }
   }
   const auto copy_row = [&](std::size_t row_at, std::size_t row, const BitVector& labels) {
@@ -266,18 +258,41 @@ std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs
     }
   };
   for (Label in = 0; in < alpha; ++in) {
-    copy_row(cand_at, in, problem.outputs_for(in));
-    if (first_rule) copy_row(first_at, in, problem.outputs_for_first(in));
+    copy_row(cand_at_, in, problem.outputs_for(in));
+    if (first_rule_) copy_row(first_at_, in, problem.outputs_for_first(in));
   }
-  if (!cycle && problem.last_mask().dim() != 0) {
-    copy_row(last_at, 0, problem.last_mask());
+  if (!cycle_ && problem.last_mask().dim() != 0) {
+    copy_row(last_at_, 0, problem.last_mask());
   } else {
-    for (std::size_t b = 0; b < beta; ++b) set_bit(last_at, 0, b);
+    for (std::size_t b = 0; b < beta; ++b) set_bit(last_at_, 0, b);
   }
-  const std::uint64_t* succ = tab.data();
-  const std::uint64_t* pred = tab.data() + pred_at;
-  const std::uint64_t* last_mask = tab.data() + last_at;
-  std::uint64_t* node0 = tab.data() + node0_at;
+}
+
+bool PathDp::complete(std::span<const Label> inputs,
+                      std::span<const std::optional<Label>> pins, Word& out) {
+  if (inputs.empty() || (!pins.empty() && pins.size() != inputs.size())) return false;
+  if (w_ == 1) return run<1>(inputs, pins, out);
+  return run<0>(inputs, pins, out);
+}
+
+template <std::size_t kW>
+bool PathDp::run(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
+                 Word& out) {
+  const PairwiseProblem& problem = *problem_;
+  const std::size_t W = kW != 0 ? kW : w_;
+  const std::size_t n = inputs.size();
+  const std::size_t beta = problem.num_outputs();
+  const std::size_t alpha = problem.num_inputs();
+  const bool cycle = cycle_;
+  for (const std::optional<Label>& pin : pins) {
+    if (pin.has_value() && *pin >= beta) {
+      throw std::out_of_range("complete_by_dp: pinned label out of range");
+    }
+  }
+  const std::uint64_t* succ = tab_.data();
+  const std::uint64_t* pred = tab_.data() + pred_at_;
+  const std::uint64_t* last_mask = tab_.data() + last_at_;
+  std::uint64_t* node0 = tab_.data() + node0_at_;
 
   const auto has = [](const std::uint64_t* mask, std::size_t b) {
     return (mask[b / 64] >> (b % 64) & 1) != 0;
@@ -290,7 +305,7 @@ std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs
   // dst = the candidates at v: C_node (or the first-node rule), the last
   // mask at a path's last node, and the pin.
   const auto candidates = [&](std::size_t v, std::uint64_t* dst) {
-    const std::uint64_t* row = tab.data() + (v == 0 ? first_at : cand_at) + inputs[v] * W;
+    const std::uint64_t* row = tab_.data() + (v == 0 ? first_at_ : cand_at_) + inputs[v] * W;
     for (std::size_t i = 0; i < W; ++i) dst[i] = row[i];
     if (!cycle && v == n - 1) {
       for (std::size_t i = 0; i < W; ++i) dst[i] &= last_mask[i];
@@ -316,7 +331,8 @@ std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs
 
   // First pass: a bad input label throws, and an empty candidate set is
   // infeasible before any solve.
-  std::vector<std::uint64_t> reach(n * W);
+  if (reach_.size() < n * W) reach_.resize(n * W);
+  std::uint64_t* reach = reach_.data();
   for (std::size_t v = 0; v < n; ++v) {
     if (inputs[v] >= alpha) {
       // Out of range: the accessor throws std::out_of_range with its message.
@@ -324,23 +340,28 @@ std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs
                               : problem.outputs_for(inputs[v]));
     }
     candidates(v, &reach[v * W]);
-    if (!any(&reach[v * W])) return std::nullopt;
+    if (!any(&reach[v * W])) return false;
   }
   for (std::size_t i = 0; i < W; ++i) node0[i] = reach[i];
 
   // Forward from node 0's candidates (on a cycle, from the one label
   // `first`, closed by the wrap edge back to it), backward in place, then
-  // the greedy read into `out`.
-  Word out(n, 0);
+  // the greedy read into `out`. The first solve finds every node's
+  // candidates still in `reach` from the pass above; a retry (the next
+  // first label on a cycle) reloads them.
+  out.resize(n);
+  bool fresh = true;
   const auto solve = [&](std::optional<Label> first) {
     for (std::size_t i = 0; i < W; ++i) {
       reach[i] = !first.has_value()   ? node0[i]
                  : i == *first / 64 ? std::uint64_t{1} << (*first % 64)
                                     : 0;
     }
+    const bool reload = !fresh;
+    fresh = false;
     for (std::size_t v = 1; v < n; ++v) {
       std::uint64_t* cur = &reach[v * W];
-      candidates(v, cur);
+      if (reload) candidates(v, cur);
       for (std::size_t i = 0; i < W; ++i) cur[i] &= image_word(succ, cur - W, i);
       if (!any(cur)) return false;
     }
@@ -362,48 +383,42 @@ std::optional<Word> dp_kernel(const PairwiseProblem& problem, const Word& inputs
       }
       return Label{0};  // unreachable: the backward pass keeps a successor
     };
-    out[0] = lowest(reach.data(), reach.data());
+    out[0] = lowest(reach, reach);
     for (std::size_t v = 1; v < n; ++v) {
       out[v] = lowest(&reach[v * W], succ + out[v - 1] * W);
     }
     return true;
   };
 
-  if (!cycle) {
-    if (!solve(std::nullopt)) return std::nullopt;
-    return out;
-  }
+  if (!cycle) return solve(std::nullopt);
   if (n == 1) {
     // Degenerate self-loop cycle: the wrap edge is (b, b).
     for (Label b = 0; b < beta; ++b) {
-      if (has(node0, b) && has(succ + b * W, b)) return Word{b};
+      if (has(node0, b) && has(succ + b * W, b)) {
+        out[0] = b;
+        return true;
+      }
     }
-    return std::nullopt;
+    return false;
   }
   for (Label first = 0; first < beta; ++first) {
-    if (has(node0, first) && solve(first)) return out;
+    if (has(node0, first) && solve(first)) return true;
   }
-  return std::nullopt;
+  return false;
 }
-
-std::optional<Word> run_dp(const PairwiseProblem& problem, const Word& inputs,
-                           std::span<const std::optional<Label>> pins) {
-  if (inputs.empty()) return std::nullopt;
-  const std::size_t beta = problem.num_outputs();
-  if (beta <= 64) return dp_kernel<1>(problem, inputs, pins, 1);
-  return dp_kernel<0>(problem, inputs, pins, (beta + 63) / 64);
-}
-
-}  // namespace
 
 std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inputs) {
-  return run_dp(problem, inputs, {});
+  Word out;
+  if (!PathDp(problem).complete(inputs, {}, out)) return std::nullopt;
+  return out;
 }
 
 std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& inputs,
                                    const std::vector<std::optional<Label>>& fixed) {
   if (fixed.size() != inputs.size()) return std::nullopt;
-  return run_dp(problem, inputs, fixed);
+  Word out;
+  if (!PathDp(problem).complete(inputs, fixed, out)) return std::nullopt;
+  return out;
 }
 
 }  // namespace lclpath

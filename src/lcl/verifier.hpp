@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -155,5 +157,36 @@ std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inpu
 /// std::out_of_range before any node is read.
 std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& inputs,
                                    const std::vector<std::optional<Label>>& fixed);
+
+/// The DP of solve_by_dp and complete_by_dp with the problem's tables built
+/// once, for callers that complete many words against one problem (the
+/// synthesized algorithms' gap completions). The reach words are reused
+/// from call to call and grow only with the longest word seen, so a
+/// PathDp serves one thread at a time.
+class PathDp {
+ public:
+  explicit PathDp(const PairwiseProblem& problem);
+
+  /// complete_by_dp(problem, inputs, pins) into `out`: true with the
+  /// lexicographically smallest completion (pins empty = solve_by_dp),
+  /// false where those return nullopt. Same input-label and pin rules.
+  /// `out` is resized to inputs.size(); its contents are unspecified
+  /// after a false return.
+  bool complete(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
+                Word& out);
+
+ private:
+  template <std::size_t kW>
+  bool run(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
+           Word& out);
+
+  const PairwiseProblem* problem_;
+  std::size_t w_;  ///< words per label set
+  bool cycle_;
+  bool first_rule_;
+  std::size_t pred_at_ = 0, cand_at_ = 0, first_at_ = 0, last_at_ = 0, node0_at_ = 0;
+  std::vector<std::uint64_t> tab_;
+  std::vector<std::uint64_t> reach_;
+};
 
 }  // namespace lclpath

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "local/simulator.hpp"
@@ -32,6 +34,12 @@ std::uint64_t cv_step(std::uint64_t mine, std::uint64_t next);
 /// (`left_end` / `right_end`: a path end, or an orientation flip treated
 /// as one by the undirected synthesis strategies), where the recursion
 /// anchors and colors are trusted all the way to that side.
+/// Writes the colors into `color`, updating it in place round by round;
+/// it keeps its capacity, so a caller coloring many windows allocates it
+/// once.
+void cv_colors_window(std::span<const NodeId> ids, bool left_end, bool right_end,
+                      std::vector<std::uint64_t>& color);
+/// cv_colors_window returning fresh colors.
 std::vector<std::uint64_t> cv_colors_window(const std::vector<NodeId>& ids,
                                             bool left_end, bool right_end);
 

@@ -8,64 +8,70 @@ namespace lclpath {
 
 namespace {
 
-/// Level-0 member flags: 3-coloring + greedy MIS; gaps in [2, 3]. Flags
-/// are trusted within cv_radius()-ish of window edges, all the way to a
-/// *real* boundary (cv_colors_window anchors its recursion there).
-std::vector<char> level0_members(const std::vector<NodeId>& ids, bool left_real,
-                                 bool right_real) {
-  std::vector<char> member(ids.size(), 0);
-  const std::vector<std::uint64_t> color = cv_colors_window(ids, left_real, right_real);
+/// Greedy MIS by color class: for phase 0, 1, 2 in turn, every node of
+/// that color joins unless a neighbor already did. Writes flags into
+/// `member`.
+void greedy_mis(const std::vector<std::uint64_t>& color, std::size_t len,
+                std::vector<char>& member) {
+  member.assign(len, 0);
   for (std::uint64_t phase = 0; phase < 3; ++phase) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t i = 0; i < len; ++i) {
       if (color[i] != phase || member[i]) continue;
       const bool lb = i > 0 && member[i - 1];
-      const bool rb = i + 1 < ids.size() && member[i + 1];
+      const bool rb = i + 1 < len && member[i + 1];
       if (!lb && !rb) member[i] = 1;
     }
   }
-  return member;
+}
+
+/// Level-0 member flags: 3-coloring + greedy MIS; gaps in [2, 3]. Flags
+/// are trusted within cv_radius()-ish of window edges, all the way to a
+/// *real* boundary (cv_colors_window anchors its recursion there).
+void level0_members(std::span<const NodeId> ids, bool left_real, bool right_real,
+                    std::vector<char>& member, RulingScratch& scratch) {
+  cv_colors_window(ids, left_real, right_real, scratch.color);
+  greedy_mis(scratch.color, ids.size(), member);
 }
 
 /// One doubling level: MIS on the member subsequence, then repair so the
 /// gaps lie in [new_min, 2 * new_min]. Real boundaries act as virtual
 /// anchors: the repair measures from them, so the distance from a real
-/// end to the nearest member stays below 2 * new_min too.
-std::vector<char> double_level(const std::vector<NodeId>& ids,
-                               const std::vector<char>& member, std::size_t new_min,
-                               bool left_real, bool right_real) {
+/// end to the nearest member stays below 2 * new_min too. Updates
+/// `member` in place.
+void double_level(std::span<const NodeId> ids, std::vector<char>& member, std::size_t new_min,
+                  bool left_real, bool right_real, RulingScratch& scratch) {
   const std::size_t len = ids.size();
   // Collect member positions.
-  std::vector<std::size_t> pos;
+  std::vector<std::size_t>& pos = scratch.pos;
+  pos.clear();
+  pos.reserve(len);
   for (std::size_t i = 0; i < len; ++i) {
     if (member[i]) pos.push_back(i);
   }
   if (pos.size() < 2 && !left_real && !right_real) {
-    return member;  // window too small; margins cover this
+    return;  // window too small; margins cover this
   }
 
   // MIS over the subsequence (Cole-Vishkin on the member IDs; real window
   // boundaries anchor the color recursion exactly like path ends).
-  std::vector<char> sub_member(pos.size(), pos.size() == 1 ? 1 : 0);
+  std::vector<char>& sub_member = scratch.sub_member;
   if (pos.size() >= 2) {
-    std::vector<NodeId> sub_ids;
-    sub_ids.reserve(pos.size());
-    for (std::size_t p : pos) sub_ids.push_back(ids[p]);
-    const std::vector<std::uint64_t> color =
-        cv_colors_window(sub_ids, left_real, right_real);
-    for (std::uint64_t phase = 0; phase < 3; ++phase) {
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        if (color[i] != phase || sub_member[i]) continue;
-        const bool lb = i > 0 && sub_member[i - 1];
-        const bool rb = i + 1 < pos.size() && sub_member[i + 1];
-        if (!lb && !rb) sub_member[i] = 1;
-      }
-    }
+    scratch.sub_ids.clear();
+    scratch.sub_ids.reserve(pos.size());
+    for (std::size_t p : pos) scratch.sub_ids.push_back(ids[p]);
+    cv_colors_window(scratch.sub_ids, left_real, right_real, scratch.color);
+    greedy_mis(scratch.color, pos.size(), sub_member);
+  } else {
+    sub_member.assign(pos.size(), 1);
   }
   // Keep selected members; repair long gaps by inserting synthetic members
   // at multiples of new_min after the left anchor. Real boundaries join
   // the anchor sequence as virtual members just outside the window.
-  std::vector<char> out(len, 0);
-  std::vector<std::ptrdiff_t> anchors;
+  std::vector<char>& out = scratch.next_member;
+  out.assign(len, 0);
+  std::vector<std::ptrdiff_t>& anchors = scratch.anchors;
+  anchors.clear();
+  anchors.reserve(pos.size() + 2);
   if (left_real) anchors.push_back(-1);
   for (std::size_t i = 0; i < pos.size(); ++i) {
     if (sub_member[i]) {
@@ -82,7 +88,7 @@ std::vector<char> double_level(const std::vector<NodeId>& ids,
       if (p >= 0 && p < static_cast<std::ptrdiff_t>(len)) out[static_cast<std::size_t>(p)] = 1;
     }
   }
-  return out;
+  member.swap(out);
 }
 
 }  // namespace
@@ -115,15 +121,22 @@ std::size_t ruling_radius(std::size_t min_gap) {
   return radius + 4;
 }
 
-std::vector<char> ruling_members_segment(const std::vector<NodeId>& ids,
-                                         std::size_t min_gap, bool left_real,
-                                         bool right_real) {
-  std::vector<char> member = level0_members(ids, left_real, right_real);
+void ruling_members_segment(std::span<const NodeId> ids, std::size_t min_gap, bool left_real,
+                            bool right_real, std::vector<char>& member,
+                            RulingScratch& scratch) {
+  level0_members(ids, left_real, right_real, member, scratch);
   std::size_t m = 2;
   for (std::size_t level = 0; level < ruling_levels(min_gap); ++level) {
     m *= 2;
-    member = double_level(ids, member, m, left_real, right_real);
+    double_level(ids, member, m, left_real, right_real, scratch);
   }
+}
+
+std::vector<char> ruling_members_segment(const std::vector<NodeId>& ids, std::size_t min_gap,
+                                         bool left_real, bool right_real) {
+  std::vector<char> member;
+  RulingScratch scratch;
+  ruling_members_segment(ids, min_gap, left_real, right_real, member, scratch);
   return member;
 }
 

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "local/simulator.hpp"
@@ -55,5 +57,22 @@ std::vector<char> ruling_members_window(const std::vector<NodeId>& ids,
 std::vector<char> ruling_members_segment(const std::vector<NodeId>& ids,
                                          std::size_t min_gap, bool left_real,
                                          bool right_real);
+
+/// The buffers ruling_members_segment works in. A caller that runs it on
+/// many segments passes the same scratch every time, so only segments
+/// longer than all before them allocate.
+struct RulingScratch {
+  std::vector<std::uint64_t> color;     ///< Cole-Vishkin colors
+  std::vector<std::size_t> pos;         ///< member positions
+  std::vector<NodeId> sub_ids;          ///< member IDs
+  std::vector<char> sub_member;         ///< MIS over the members
+  std::vector<char> next_member;        ///< the next level's flags
+  std::vector<std::ptrdiff_t> anchors;  ///< repair anchors
+};
+
+/// ruling_members_segment writing the flags into `member`.
+void ruling_members_segment(std::span<const NodeId> ids, std::size_t min_gap, bool left_real,
+                            bool right_real, std::vector<char>& member,
+                            RulingScratch& scratch);
 
 }  // namespace lclpath

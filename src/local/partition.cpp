@@ -15,18 +15,20 @@ std::vector<char> irregular_independent_set(const Word& inputs, std::size_t gamm
   return member;
 }
 
-std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_period, bool wrap,
-                                             const ClaimRule& rule) {
+void claim_periodic_runs(std::span<const Label> in, std::size_t max_period, bool wrap,
+                         const ClaimRule& rule, std::vector<PeriodicRun>& claim) {
   const std::size_t n = in.size();
-  std::vector<PeriodicRun> claim(n);
+  claim.assign(n, PeriodicRun{});
   Word doubled;
   if (wrap) {
-    doubled = in;
+    doubled.assign(in.begin(), in.end());
     doubled.insert(doubled.end(), in.begin(), in.end());
   }
-  const Word& text = wrap ? doubled : in;
+  const std::span<const Label> text = wrap ? std::span<const Label>(doubled) : in;
   const std::size_t limit = text.size();
-  for (std::size_t q = 1; q <= max_period; ++q) {
+  // Once every position is claimed, longer periods can change nothing.
+  std::size_t unclaimed = n;
+  for (std::size_t q = 1; q <= max_period && unclaimed != 0; ++q) {
     std::size_t i = 0;
     while (i + q < limit) {
       if (text[i] != text[i + q]) {
@@ -40,17 +42,26 @@ std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_per
       if (const std::optional<std::size_t> margin = rule(q, begin, end)) {
         for (std::size_t k = begin; k < end && k < begin + n; ++k) {
           PeriodicRun& c = claim[k < n ? k : k - n];
-          if (c.period == 0) c = PeriodicRun{q, begin, end, *margin};
+          if (c.period == 0) {
+            c = PeriodicRun{q, begin, end, *margin};
+            --unclaimed;
+          }
         }
       }
       i = j + 1;
       if (wrap && begin == 0 && end == limit) break;  // fully periodic cycle
     }
   }
+}
+
+std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_period, bool wrap,
+                                             const ClaimRule& rule) {
+  std::vector<PeriodicRun> claim;
+  claim_periodic_runs(in, max_period, wrap, rule, claim);
   return claim;
 }
 
-Word canonical_rotation(const Word& w, std::size_t* phase0) {
+std::size_t least_rotation(std::span<const Label> w) {
   const std::size_t q = w.size();
   std::size_t best = 0;  // shift of the least rotation found so far
   for (std::size_t s = 1; s < q; ++s) {
@@ -63,6 +74,12 @@ Word canonical_rotation(const Word& w, std::size_t* phase0) {
       }
     }
   }
+  return best;
+}
+
+Word canonical_rotation(const Word& w, std::size_t* phase0) {
+  const std::size_t q = w.size();
+  const std::size_t best = least_rotation(w);
   Word canon;
   canon.reserve(q);
   for (std::size_t k = 0; k < q; ++k) canon.push_back(w[(best + k) % q]);

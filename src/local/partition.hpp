@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "local/instance.hpp"
@@ -60,12 +61,13 @@ struct Partition {
 /// Sliding-window argmax. For every p in [0, n) calls visit(p, best), where
 /// best is the leftmost maximum under `less` among the eligible positions
 /// in [p - radius, p + radius] (clamped to [0, n)), or n when none is
-/// eligible. O(n) comparisons through one monotonic deque; `eligible` and
-/// `less` are inlined, and the only allocation is the deque itself.
+/// eligible. O(n) comparisons through one monotonic deque kept in
+/// `deque` (grown to n, never shrunk, so a caller sweeping many windows
+/// allocates it once); `eligible` and `less` are inlined.
 template <class Eligible, class Less, class Visit>
 void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible, Less less,
-                           Visit visit) {
-  std::vector<std::size_t> deque(n);  // [head, tail), non-increasing under less
+                           Visit visit, std::vector<std::size_t>& deque) {
+  if (deque.size() < n) deque.resize(n);  // [head, tail), non-increasing under less
   std::size_t head = 0, tail = 0, next = 0;
   for (std::size_t p = 0; p < n; ++p) {
     const std::size_t hi = radius >= n - 1 - p ? n - 1 : p + radius;
@@ -80,8 +82,18 @@ void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible,
   }
 }
 
+/// sliding_window_argmax with a deque of its own.
+template <class Eligible, class Less, class Visit>
+void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible, Less less,
+                           Visit visit) {
+  std::vector<std::size_t> deque;
+  sliding_window_argmax(n, radius, eligible, less, visit, deque);
+}
+
 /// Window maxima: member[p] iff p is eligible and no eligible position
-/// within distance `radius` is strictly larger under `less`.
+/// within distance `radius` is strictly larger under `less`. Writes n
+/// flags into `member` (capacity reused) with `deque` as the argmax
+/// scratch.
 ///
 /// The guarantee is independence only: two members within `radius` of each
 /// other compare equal, so where the compared keys are distinct within
@@ -90,12 +102,22 @@ void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible,
 /// neighbor may itself be dominated, and a run of increasing keys leaves
 /// arbitrarily long stretches without a member.
 template <class Eligible, class Less>
+void window_maxima(std::size_t n, std::size_t radius, Eligible eligible, Less less,
+                   std::vector<char>& member, std::vector<std::size_t>& deque) {
+  member.assign(n, 0);
+  const auto visit = [&](std::size_t p, std::size_t best) {
+    member[p] = eligible(p) && !less(p, best) ? 1 : 0;
+  };
+  sliding_window_argmax(n, radius, eligible, less, visit, deque);
+}
+
+/// window_maxima returning fresh flags.
+template <class Eligible, class Less>
 std::vector<char> window_maxima(std::size_t n, std::size_t radius, Eligible eligible,
                                 Less less) {
-  std::vector<char> member(n, 0);
-  sliding_window_argmax(n, radius, eligible, less, [&](std::size_t p, std::size_t best) {
-    member[p] = eligible(p) && !less(p, best) ? 1 : 0;
-  });
+  std::vector<char> member;
+  std::vector<std::size_t> deque;
+  window_maxima(n, radius, eligible, less, member, deque);
   return member;
 }
 
@@ -134,12 +156,22 @@ using ClaimRule = std::function<std::optional<std::size_t>(std::size_t q, std::s
 /// Lemma 21's run scan. For q = 1..max_period, finds every maximal run
 /// [begin, end) with in[i] == in[i + q] for begin <= i < end - q and asks
 /// the rule for it; an accepted run claims its still-unclaimed positions,
-/// so shorter periods claim first. Returns the claim per position. With
-/// `wrap` the word is a cycle scanned doubled: run coordinates range over
-/// [0, 2n) (position k is k mod n), and a run covering the whole doubled
-/// word ends its period's scan.
+/// so shorter periods claim first; once every position is claimed the
+/// scan stops, asking about no further runs. Writes the claim per
+/// position into `claim` (capacity reused). With `wrap` the word is a
+/// cycle scanned doubled: run coordinates range over [0, 2n) (position k
+/// is k mod n), and a run covering the whole doubled word ends its
+/// period's scan.
+void claim_periodic_runs(std::span<const Label> in, std::size_t max_period, bool wrap,
+                         const ClaimRule& rule, std::vector<PeriodicRun>& claim);
+
+/// claim_periodic_runs returning fresh claims.
 std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_period, bool wrap,
                                              const ClaimRule& rule);
+
+/// The smallest shift s such that the rotation w[s..] w[..s] of the
+/// non-empty word w is lexicographically least.
+std::size_t least_rotation(std::span<const Label> w);
 
 /// The lexicographically least rotation of the non-empty word w; *phase0
 /// receives the index of w[0] within it (w[0] == result[*phase0]).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -138,6 +139,51 @@ EnginePlan plan_run(std::size_t n, const SimulationOptions& options) {
   return plan;
 }
 
+/// Charges `ticks` simulated nodes to the (nullable) budget, one
+/// checkpoint per call, so chunk workers touch the shared tick counter
+/// once per span instead of once per node.
+void charge(const ExecutionBudget* budget, std::size_t ticks) {
+  constexpr std::size_t kMaxCharge = std::numeric_limits<std::uint32_t>::max();
+  for (; ticks > kMaxCharge; ticks -= kMaxCharge) budget_checkpoint(budget, kMaxCharge);
+  budget_checkpoint(budget, static_cast<std::uint32_t>(ticks));
+}
+
+/// Runs `run_chunk(begin, end)` on each of the plan's chunks of [0, n),
+/// inline when the plan has one worker and on a ThreadPool otherwise, and
+/// returns the chunk verdicts in index order. Every chunk is collected
+/// before rethrowing, so the pool drains cleanly and the reported
+/// exception is the earliest chunk's (matching the serial reference,
+/// which throws at the first failing node).
+template <class RunChunk>
+std::vector<ChunkVerdict> run_chunks(std::size_t n, const EnginePlan& plan,
+                                     const RunChunk& run_chunk) {
+  std::vector<ChunkVerdict> verdicts;
+  verdicts.reserve(plan.num_chunks);
+  if (plan.threads <= 1) {
+    for (std::size_t begin = 0; begin < n; begin += plan.chunk) {
+      verdicts.push_back(run_chunk(begin, std::min(n, begin + plan.chunk)));
+    }
+    return verdicts;
+  }
+  ThreadPool pool(plan.threads);
+  std::vector<std::future<ChunkVerdict>> futures;
+  futures.reserve(plan.num_chunks);
+  for (std::size_t begin = 0; begin < n; begin += plan.chunk) {
+    const std::size_t end = std::min(n, begin + plan.chunk);
+    futures.push_back(pool.submit([&run_chunk, begin, end] { return run_chunk(begin, end); }));
+  }
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      verdicts.push_back(future.get());
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return verdicts;
+}
+
 /// Per-chunk execution: label nodes [begin, end) with one run_span sweep
 /// when the algorithm has one, else node by node on extract_view, and
 /// stream every (input, output) pair into a chunk verifier. Outputs are
@@ -155,9 +201,13 @@ class ChunkRunner {
         budget_(budget) {}
 
   ChunkVerdict run(std::size_t begin, std::size_t end) const {
+    // A chunk that starts after the budget tripped does no work (a check
+    // reads the limits without touching the shared tick counter).
+    budget_check(budget_);
     PairwiseChunkVerifier verifier(problem_, instance_.size(), begin, end);
     if (!try_span(begin, end, verifier)) {
       for (std::size_t v = begin; v < end; ++v) {
+        budget_checkpoint(budget_);
         emit(v, algorithm_.run(extract_view(instance_, v, radius_)), verifier);
       }
     }
@@ -165,11 +215,7 @@ class ChunkRunner {
   }
 
  private:
-  // One checkpoint per simulated node: both execution paths (span sweep,
-  // per-node views) funnel through emit, so deadlines and cancellation
-  // interrupt chunk workers wherever the work happens.
   void emit(std::size_t v, Label label, PairwiseChunkVerifier& verifier) const {
-    budget_checkpoint(budget_);
     verifier.push(instance_.inputs[v], label);
     if (out_ != nullptr) out_[v] = label;
   }
@@ -181,7 +227,9 @@ class ChunkRunner {
   /// arcs, not rotations; a radius whose views cover the whole cycle gets
   /// cap 0 and the per-node path); the first run_span call happens before
   /// anything is pushed into the verifier, so a false return falls back
-  /// cleanly to the node-by-node path.
+  /// cleanly to the node-by-node path. Each labeled sub-span is charged to
+  /// the budget once, with one tick per node, before its labels are
+  /// emitted.
   bool try_span(std::size_t begin, std::size_t end,
                 PairwiseChunkVerifier& verifier) const {
     const std::size_t n = instance_.size();
@@ -223,6 +271,7 @@ class ChunkRunner {
         if (s == begin) return false;
         throw std::logic_error("simulate: run_span support must be uniform");
       }
+      charge(budget_, e - s);
       for (std::size_t v = s; v < e; ++v) emit(v, labels[v - s], verifier);
       s = e;
     }
@@ -287,29 +336,36 @@ class CanonicalSolution {
   Word solution_;
 };
 
-/// Memoized full-view regime: solve the canonical word once and read every
-/// node's label off the shared solution. Streams the labels through one
-/// chunk verifier so keep_outputs = false still never materializes the
-/// output Word.
+/// Memoized full-view regime: solve the canonical word once, serially,
+/// then read and verify every node's label off the shared solution in the
+/// plan's chunks, on the pool when the plan has several workers. Labels
+/// stream through the chunk verifiers, so keep_outputs = false still never
+/// materializes the output Word.
 SimulationResult simulate_full_view_memo(const PairwiseProblem& fvp,
                                          const PairwiseProblem& problem,
                                          const Instance& instance, std::size_t radius,
-                                         bool keep_outputs,
-                                         const ExecutionBudget* budget) {
+                                         const SimulationOptions& options) {
   const std::size_t n = instance.size();
   const CanonicalSolution solution(fvp, instance.topology, instance.inputs,
                                    instance.ids);
+  const EnginePlan plan = plan_run(n, options);
   SimulationResult result;
   result.radius = radius;
-  if (keep_outputs) result.outputs.resize(n);
-  PairwiseChunkVerifier verifier(problem, n, 0, n);
-  for (std::size_t v = 0; v < n; ++v) {
-    budget_checkpoint(budget);
-    const Label label = solution.at(v);
-    verifier.push(instance.inputs[v], label);
-    if (keep_outputs) result.outputs[v] = label;
-  }
-  result.verdict = finish_chunked_verify(problem, {verifier.verdict()});
+  result.threads_used = plan.threads;
+  result.chunks = plan.num_chunks;
+  if (options.keep_outputs) result.outputs.resize(n);
+  Label* out = options.keep_outputs ? result.outputs.data() : nullptr;
+  const auto read_chunk = [&](std::size_t begin, std::size_t end) {
+    charge(options.budget, end - begin);
+    PairwiseChunkVerifier verifier(problem, n, begin, end);
+    for (std::size_t v = begin; v < end; ++v) {
+      const Label label = solution.at(v);
+      verifier.push(instance.inputs[v], label);
+      if (out != nullptr) out[v] = label;
+    }
+    return verifier.verdict();
+  };
+  result.verdict = finish_chunked_verify(problem, run_chunks(n, plan, read_chunk));
   return result;
 }
 
@@ -331,8 +387,7 @@ SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem
   const bool full_regime = cycle ? 2 * radius + 1 >= n : radius >= n - 1;
   const PairwiseProblem* fvp = algorithm.full_view_problem();
   if (fvp != nullptr && options.full_view_memo && full_regime) {
-    return simulate_full_view_memo(*fvp, problem, instance, radius,
-                                   options.keep_outputs, options.budget);
+    return simulate_full_view_memo(*fvp, problem, instance, radius, options);
   }
 
   const EnginePlan plan = plan_run(n, options);
@@ -344,37 +399,10 @@ SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem
   Label* out = options.keep_outputs ? result.outputs.data() : nullptr;
   const ChunkRunner runner(algorithm, problem, instance, radius, out,
                            options.budget);
-
-  std::vector<ChunkVerdict> verdicts;
-  verdicts.reserve(plan.num_chunks);
-  if (plan.threads <= 1) {
-    for (std::size_t begin = 0; begin < n; begin += plan.chunk) {
-      verdicts.push_back(runner.run(begin, std::min(n, begin + plan.chunk)));
-    }
-  } else {
-    ThreadPool pool(plan.threads);
-    std::vector<std::future<ChunkVerdict>> futures;
-    futures.reserve(plan.num_chunks);
-    for (std::size_t begin = 0; begin < n; begin += plan.chunk) {
-      const std::size_t end = std::min(n, begin + plan.chunk);
-      futures.push_back(pool.submit([&runner, begin, end] {
-        return runner.run(begin, end);
-      }));
-    }
-    // Collect every chunk before rethrowing so the pool drains cleanly and
-    // the reported exception is the earliest chunk's (matching the serial
-    // reference, which throws at the first failing node).
-    std::exception_ptr first_error;
-    for (auto& future : futures) {
-      try {
-        verdicts.push_back(future.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
-  result.verdict = finish_chunked_verify(problem, verdicts);
+  const auto run_chunk = [&runner](std::size_t begin, std::size_t end) {
+    return runner.run(begin, end);
+  };
+  result.verdict = finish_chunked_verify(problem, run_chunks(n, plan, run_chunk));
   return result;
 }
 

@@ -20,6 +20,16 @@
 // per-node presentation, undirected canonicalization included, is
 // extract_view's by construction.
 //
+// Workers share nothing they write per node. A budget (core/cancel.hpp)
+// is charged one tick per simulated node, but the span sweep charges each
+// labeled span with a single checkpoint(e - s), so the budget's shared
+// tick counter sees one read-modify-write per chunk rather than one per
+// node; only the per-node fallback ticks per node. A chunk that starts
+// after the budget tripped does no work. The synthesized algorithms' span
+// layouts keep their scratch (segment buffers, DP tables and completion
+// buffers) for the whole window, so a sweep allocates per chunk, not per
+// node or per gap.
+//
 // Verification is streaming: each chunk feeds its (input, output) pairs
 // into a PairwiseChunkVerifier as they are produced, and the per-chunk
 // verdicts are merged with the seam edges and the cycle wrap edge
@@ -33,8 +43,10 @@
 // full_view_problem()) that it answers such views with solve_full_view,
 // the engine solves the canonical word once and reads every node's label
 // off the shared solution — O(n) instead of the O(n^2) of n per-node
-// re-solves. SimulationOptions::full_view_memo = false disables the
-// memoization and restores the honest per-node gather baseline.
+// re-solves. The solve is serial; reading and verifying the labels runs
+// in the same chunks, on the same pool, as any other run.
+// SimulationOptions::full_view_memo = false disables the memoization and
+// restores the honest per-node gather baseline.
 //
 // Bit-identity: for every thread count and chunk size, simulate() produces
 // the same outputs, the same verdict (including failed_at and reason), and
@@ -155,8 +167,10 @@ struct SimulationOptions {
   /// When false, full-view-regime algorithms run node-by-node even if they
   /// declare full_view_problem() — the honest Theta(n^2) gather baseline.
   bool full_view_memo = true;
-  /// Optional cooperative cancellation/deadline budget (core/cancel.hpp),
-  /// checkpointed once per simulated node in every chunk worker. A tripped
+  /// Optional cooperative cancellation/deadline budget (core/cancel.hpp):
+  /// one tick per simulated node, charged per span — one checkpoint per
+  /// labeled span in the sweep and full-view paths, one per node in the
+  /// per-node path — and checked at the start of every chunk. A tripped
   /// limit aborts the run with CancelledError (the earliest chunk's, under
   /// the engine's deterministic error-collection order). Null = unbounded.
   const ExecutionBudget* budget = nullptr;

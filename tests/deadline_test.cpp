@@ -115,6 +115,32 @@ TEST(ExecutionBudget, CheckpointEventuallyObservesTheDeadline) {
       CancelledError);
 }
 
+// checkpoint(ticks) runs the real check exactly when the charged range
+// [before, before + ticks) contains a multiple of the stride.
+TEST(ExecutionBudget, ChargedTicksCheckWhenTheirRangeCrossesAStride) {
+  constexpr std::uint32_t kStride = ExecutionBudget::kCheckpointStride;
+  ExecutionBudget budget;
+  budget.checkpoint(1);  // tick 0: checks, nothing tripped yet
+  budget.cancel();
+  EXPECT_NO_THROW(budget.checkpoint(kStride - 2));  // ticks [1, stride - 1)
+  try {
+    budget.checkpoint(2);  // ticks [stride - 1, stride + 1) hold the stride
+    FAIL() << "expected CancelledError";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kCancelled);
+  }
+}
+
+TEST(ExecutionBudget, ChargeOfThreeStridesChecksFromAnyOffset) {
+  constexpr std::uint32_t kStride = ExecutionBudget::kCheckpointStride;
+  for (std::uint32_t offset : {0u, 1u, kStride / 2, kStride - 1, kStride, 2 * kStride + 7}) {
+    ExecutionBudget budget;
+    if (offset != 0) budget.checkpoint(offset);
+    budget.cancel();
+    EXPECT_THROW(budget.checkpoint(3 * kStride), CancelledError) << "offset " << offset;
+  }
+}
+
 TEST(ExecutionBudget, NullBudgetHelpersAreNoOps) {
   budget_checkpoint(nullptr);
   budget_check(nullptr);

@@ -269,7 +269,7 @@ TEST(MonoidDifferential, OfSymbolMatchesSeedElements) {
     const Monoid monoid = Monoid::enumerate(ts);
     for (Label sigma = 0; sigma < ts.num_inputs(); ++sigma) {
       const std::size_t e = monoid.of_symbol(sigma);
-      EXPECT_EQ(monoid.of_word({sigma}), e);
+      EXPECT_EQ(monoid.of_word(Word{sigma}), e);
       EXPECT_EQ(monoid.element(e).fwd, ts.step(sigma));
       EXPECT_EQ(monoid.witness(e).size(), 1u);
     }

@@ -15,11 +15,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/fault_injection.hpp"
 #include "decide/classifier.hpp"
 #include "lcl/catalog.hpp"
 #include "local/cole_vishkin.hpp"
@@ -312,6 +318,174 @@ TEST(SimulationEngine, SharedLazyCertificateHammerDirectedCycle) {
 
 TEST(SimulationEngine, SharedLazyCertificateHammerUndirectedCycle) {
   ExpectSynthesizedChunkedMatches(catalog::coloring(3, Topology::kUndirectedCycle), 14);
+}
+
+// ------------------------------------------------------------------------
+// Budgets: every execution path charges one tick per simulated node, a
+// tripped budget stops the run, and an untripped one changes nothing.
+// ------------------------------------------------------------------------
+
+/// One instance per execution path: the run_span sweep (synthesized
+/// 3-coloring in its structured regime), the per-node extract_view path
+/// (ViewHashAlgorithm) and the memoized full-view solve (gather-all).
+struct BudgetCase {
+  std::string path;
+  PairwiseProblem problem;
+  std::unique_ptr<ClassifiedProblem> classified;
+  std::unique_ptr<LocalAlgorithm> algorithm;
+  Instance instance;
+};
+
+/// The algorithms refer into their case, so the cases live in a deque
+/// and are built in place.
+std::deque<BudgetCase> budget_cases() {
+  std::deque<BudgetCase> cases;
+  Rng rng(404);
+  BudgetCase& span = cases.emplace_back();
+  span.path = "run_span";
+  span.problem = catalog::coloring(3, Topology::kDirectedCycle);
+  span.classified = std::make_unique<ClassifiedProblem>(classify(span.problem));
+  span.algorithm = span.classified->synthesize();
+  span.instance = random_instance(span.problem.topology(), 9000, 1, rng);
+
+  BudgetCase& per_node = cases.emplace_back();
+  per_node.path = "per-node";
+  per_node.problem = catalog::coloring(3, Topology::kUndirectedPath);
+  per_node.algorithm = std::make_unique<ViewHashAlgorithm>(2, per_node.problem.num_outputs());
+  per_node.instance = random_instance(per_node.problem.topology(), 5000, 1, rng);
+
+  BudgetCase& full_view = cases.emplace_back();
+  full_view.path = "full-view";
+  full_view.problem = catalog::coloring(3, Topology::kDirectedPath);
+  full_view.algorithm = std::make_unique<GatherAllAlgorithm>(full_view.problem);
+  full_view.instance = random_instance(full_view.problem.topology(), 5000, 1, rng);
+  return cases;
+}
+
+SimulationOptions budget_options(std::size_t threads, const ExecutionBudget* budget) {
+  SimulationOptions options;
+  options.threads = threads;
+  options.chunk_size = 1000;
+  options.budget = budget;
+  return options;
+}
+
+TEST(SimulationEngine, ZeroDeadlineBudgetStopsEveryPath) {
+  for (const BudgetCase& c : budget_cases()) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ExecutionBudget budget;
+      budget.set_timeout(std::chrono::milliseconds(0));
+      try {
+        simulate(*c.algorithm, c.problem, c.instance, budget_options(threads, &budget));
+        ADD_FAILURE() << c.path << " threads " << threads << ": no CancelledError";
+      } catch (const CancelledError& e) {
+        EXPECT_EQ(e.reason(), CancelReason::kDeadline) << c.path << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(SimulationEngine, UntrippedBudgetChangesNothingAndChargesOneTickPerNode) {
+  constexpr std::uint32_t kStride = ExecutionBudget::kCheckpointStride;
+  for (const BudgetCase& c : budget_cases()) {
+    const std::size_t n = c.instance.size();
+    ASSERT_NE(n % kStride, 0u);
+    const SimulationResult want = simulate(*c.algorithm, c.problem, c.instance);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string what = c.path + " threads " + std::to_string(threads);
+      ExecutionBudget budget;
+      budget.set_timeout(std::chrono::minutes(10));
+      const SimulationResult got =
+          simulate(*c.algorithm, c.problem, c.instance, budget_options(threads, &budget));
+      ExpectSameResult(got, want, what);
+      // The run charged exactly n ticks: the next multiple of the stride
+      // is that many ticks away and no closer.
+      budget.cancel();
+      const std::size_t to_stride = (n / kStride + 1) * kStride - n;
+      EXPECT_NO_THROW(budget.checkpoint(static_cast<std::uint32_t>(to_stride))) << what;
+      EXPECT_THROW(budget.checkpoint(1), CancelledError) << what;
+    }
+  }
+}
+
+// A sweep charges each labeled span once: the shared tick counter sees at
+// most one read-modify-write per chunk (plus one), not one per node. The
+// fault-injection harness counts checkpoint() calls, so this runs in the
+// LCLPATH_FAULT_INJECTION build only.
+TEST(SimulationEngine, ChunkWorkersTouchTheSharedCounterOncePerChunk) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "needs LCLPATH_FAULT_INJECTION";
+  for (const BudgetCase& c : budget_cases()) {
+    if (c.path == "per-node") continue;  // one tick per node by design
+    ExecutionBudget budget;
+    fault::arm(fault::Kind::kCancel, ~std::uint64_t{0});
+    const SimulationResult got =
+        simulate(*c.algorithm, c.problem, c.instance, budget_options(4, &budget));
+    const std::uint64_t checkpoints = fault::checkpoints();
+    fault::disarm();
+    EXPECT_LE(checkpoints, got.chunks + 1) << c.path;
+    EXPECT_GT(got.chunks, 1u) << c.path;
+  }
+}
+
+/// Forwards to `inner`; every run_span call announces itself and waits
+/// until the test has cancelled, so the cancellation lands while the run
+/// is under way and each worker labels at most the span it holds.
+class PausingAlgorithm final : public LocalAlgorithm {
+ public:
+  explicit PausingAlgorithm(const LocalAlgorithm& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t radius(std::size_t n) const override { return inner_.radius(n); }
+  Label run(const View& view) const override { return inner_.run(view); }
+  bool run_span(const View& window, std::size_t begin, std::size_t end,
+                Label* out) const override {
+    ++calls;
+    started.store(true);
+    while (!cancelled.load()) std::this_thread::yield();
+    return inner_.run_span(window, begin, end, out);
+  }
+
+  mutable std::atomic<std::size_t> calls{0};
+  mutable std::atomic<bool> started{false};
+  std::atomic<bool> cancelled{false};
+
+ private:
+  const LocalAlgorithm& inner_;
+};
+
+TEST(SimulationEngine, CancelFromAnotherThreadStopsAMillionNodeRun) {
+  const PairwiseProblem problem = catalog::coloring(3, Topology::kDirectedCycle);
+  const ClassifiedProblem classified = classify(problem);
+  const auto algorithm = classified.synthesize();
+  Rng rng(405);
+  const Instance instance = random_instance(problem.topology(), 1000000, 1, rng);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PausingAlgorithm pausing(*algorithm);
+    ExecutionBudget budget;
+    std::thread canceller([&] {
+      while (!pausing.started.load()) std::this_thread::yield();
+      budget.cancel();
+      pausing.cancelled.store(true);
+    });
+    SimulationOptions options;
+    options.threads = threads;
+    options.chunk_size = 4096;
+    options.keep_outputs = false;
+    options.budget = &budget;
+    try {
+      simulate(pausing, problem, instance, options);
+      ADD_FAILURE() << "threads " << threads << ": no CancelledError";
+    } catch (const CancelledError& e) {
+      EXPECT_EQ(e.reason(), CancelReason::kCancelled) << "threads " << threads;
+    } catch (...) {
+      ADD_FAILURE() << "threads " << threads << ": unexpected exception";
+    }
+    pausing.started.store(true);  // releases the canceller even if no span ran
+    canceller.join();
+    // Stopped early: of the run's 245 chunks, only those the workers held
+    // when the budget was cancelled were labeled; later chunks saw the
+    // tripped budget at their start.
+    EXPECT_LE(pausing.calls.load(), threads);
+  }
 }
 
 // ------------------------------------------------------------------------

@@ -224,6 +224,52 @@ TEST(SynthesisGolden, BlockyInputs) {
   }
 }
 
+// The O(1) and log* rows of the end-to-end simulation benchmark (plus
+// no_adjacent_x, whose labeling depends on where anchors fall), run at
+// 5 * 10^4 nodes in 4096-node chunks on 4 workers: every worker lays out
+// many windows in turn, so a memo or scratch buffer that goes stale from
+// one span to the next changes a hash here. The single-window goldens
+// above cannot see that. Recorded before the layouts reused scratch.
+TEST(SynthesisGolden, MultiChunkSweep) {
+  struct Case {
+    PairwiseProblem (*make)(Topology);
+    Topology topology;
+    const char* golden;
+  };
+  const std::vector<Case> cases = {
+      {catalog::constant_output, kDC, "a7e5ce80c4ce6e2f"},
+      {three_coloring, kDC, "bdb54da2f6a26c6e"},
+      {catalog::constant_output, kDP, "a7e5ce80c4ce6e2f"},
+      {three_coloring, kDP, "f16d66bf784276ed"},
+      {catalog::constant_output, kUC, "a7e5ce80c4ce6e2f"},
+      {three_coloring, kUC, "50f7e306b69e530f"},
+      {catalog::constant_output, kUP, "a7e5ce80c4ce6e2f"},
+      {three_coloring, kUP, "98a34f1cf5692b0c"},
+      {no_adjacent_x, kDC, "181d3fda3c238b4e"},
+      {no_adjacent_x, kDP, "9d9e4e58b9ce892e"},
+      {no_adjacent_x, kUC, "b189c81073854d6e"},
+      {no_adjacent_x, kUP, "b189c81073854d6e"},
+  };
+  constexpr std::size_t kNodes = 50000;
+  for (const Case& c : cases) {
+    const PairwiseProblem problem = c.make(c.topology);
+    const ClassifiedProblem classified = classify(problem);
+    const auto algorithm = classified.synthesize();
+    Rng rng(23);
+    const Instance instance = random_instance(c.topology, kNodes, problem.num_inputs(), rng);
+    SimulationOptions options;
+    options.threads = 4;
+    options.chunk_size = 4096;
+    const SimulationResult sim = simulate(*algorithm, problem, instance, options);
+    EXPECT_EQ(sim.chunks, (kNodes + 4095) / 4096);
+    Fnv1a hash;
+    hash.add(kNodes);
+    hash.add(sim.verdict.ok ? 1 : 0);
+    for (Label l : sim.outputs) hash.add(l);
+    EXPECT_EQ(hash.hex(), c.golden) << problem.name() << " on " << to_string(c.topology);
+  }
+}
+
 std::string partition_golden(const Instance& instance,
                              const PartitionParams& params = PartitionParams{3, 4, 3}) {
   const Partition part = partition(instance, params);
