@@ -144,6 +144,13 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
     monoid.symbol_index_[sigma] = intern(h, rh, kNoIndex, sigma).first;
   }
 
+  // Each BFS probe charges the budget in proportion to its six matrix
+  // products (beta rows of ceil(beta / 64) words each), so the amortized
+  // checkpoint still reads the clock every few probes on wide alphabets.
+  const std::size_t probe_cost = std::max<std::size_t>(6 * beta * words_per_row, 1);
+  const auto probe_ticks = static_cast<std::uint32_t>(
+      std::min<std::size_t>(probe_cost, std::numeric_limits<std::uint32_t>::max()));
+
   // BFS. Elements are interned (and therefore queued) in index order, so
   // the pop sequence is 0, 1, 2, ... and the extend table — whose entries
   // are exactly the intern results of the probes — is appended row by row
@@ -151,7 +158,7 @@ Monoid Monoid::enumerate(const TransitionSystem& ts, std::size_t max_elements,
   monoid.extend_table_.reserve(monoid.elements_.size() * num_inputs);
   for (std::size_t index = 0; index < monoid.elements_.size(); ++index) {
     for (Label sigma = 0; sigma < num_inputs; ++sigma) {
-      budget_checkpoint(budget);
+      budget_checkpoint(budget, probe_ticks);
       // Reads of src complete before intern() may grow elements_.
       const MonoidElement& src = monoid.elements_[index];
       src.fwd.multiply_into(ts.step(sigma), probe.fwd);

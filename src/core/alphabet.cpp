@@ -101,20 +101,6 @@ Word concat(const Word& a, const Word& b) {
   return out;
 }
 
-bool is_primitive(const Word& word) {
-  const std::size_t n = word.size();
-  if (n == 0) return false;
-  for (std::size_t period = 1; period * 2 <= n; ++period) {
-    if (n % period != 0) continue;
-    bool repeats = true;
-    for (std::size_t i = period; i < n && repeats; ++i) {
-      repeats = word[i] == word[i - period];
-    }
-    if (repeats) return false;
-  }
-  return true;
-}
-
 void for_each_word(std::size_t alphabet_size, std::size_t length,
                    const std::function<void(const Word&)>& fn) {
   Word word(length, 0);

@@ -78,10 +78,6 @@ Word repeated(const Word& word, std::size_t k);
 /// Concatenation.
 Word concat(const Word& a, const Word& b);
 
-/// True if the word cannot be written as x^i with i >= 2 (Section 4.3:
-/// "primitive" strings are the periods used by the O(1) partition).
-bool is_primitive(const Word& word);
-
 /// Enumerates all words of the given length over an alphabet of
 /// `alphabet_size` labels, invoking fn(word) for each. Lexicographic order.
 void for_each_word(std::size_t alphabet_size, std::size_t length,

@@ -96,6 +96,15 @@ const char* SynthesisStrategy::name() const {
   return "?";
 }
 
+std::size_t SynthesisStrategy::clamp_radius(std::size_t radius, std::size_t n) const {
+  const std::size_t full = cycle() ? (n + 1) / 2 : (n == 0 ? 0 : n - 1);
+  return std::min(radius, full);
+}
+
+bool SynthesisStrategy::covers_instance(const View& view, std::size_t radius) const {
+  return cycle() ? view.size() == view.n : view.n <= radius + 1;
+}
+
 std::size_t SynthesisStrategy::orientation_margin(std::size_t orient_ell) const {
   return directed() ? 0 : orientation_window_margin(orient_ell);
 }
@@ -170,11 +179,7 @@ SynthesizedLogStar::SynthesizedLogStar(const Monoid& monoid,
 }
 
 std::size_t SynthesizedLogStar::radius(std::size_t n) const {
-  // Clamp to the full-view threshold: radius(n) <= n always, and at the
-  // clamp run() answers with the canonical full-view solve — the
-  // gather-all self-selection rule (see the header).
-  const std::size_t full = strategy_.cycle() ? (n + 1) / 2 : (n == 0 ? 0 : n - 1);
-  return std::min(radius_, full);
+  return strategy_.clamp_radius(radius_, n);
 }
 
 namespace {
@@ -434,8 +439,7 @@ Label SynthesizedLogStar::run(const View& view) const {
   if (view.topology != strategy_.topology()) {
     throw std::invalid_argument("SynthesizedLogStar: view topology mismatch");
   }
-  const bool full = strategy_.cycle() ? view.size() == view.n : view.n <= radius_ + 1;
-  if (full) return solve_full_view(problem, view);
+  if (strategy_.covers_instance(view, radius_)) return solve_full_view(problem, view);
   LogStarLayout layout(*monoid_, *cert_, strategy_, view, ell_, min_gap_, gap_, orient_ell_);
   Label label = 0;
   layout.labels_span(view.center, view.center + 1, &label);
@@ -450,8 +454,7 @@ bool SynthesizedLogStar::run_span(const View& window, std::size_t begin,
   // Instance-covering windows route through the canonical full-view solve
   // (which the engine memoizes itself); the span path serves only the
   // structured regime.
-  const bool full = strategy_.cycle() ? window.size() == window.n : window.n <= radius_ + 1;
-  if (full) return false;
+  if (strategy_.covers_instance(window, radius_)) return false;
   LogStarLayout layout(*monoid_, *cert_, strategy_, window, ell_, min_gap_, gap_, orient_ell_);
   layout.labels_span(begin, end, out);
   return true;
@@ -520,11 +523,7 @@ SynthesizedConstant::SynthesizedConstant(const Monoid& monoid,
 }
 
 std::size_t SynthesizedConstant::radius(std::size_t n) const {
-  // Clamp to the full-view threshold: radius(n) <= n always, and at the
-  // clamp run() answers with the canonical full-view solve — the
-  // gather-all self-selection rule (see the header).
-  const std::size_t full = strategy_.cycle() ? (n + 1) / 2 : (n == 0 ? 0 : n - 1);
-  return std::min(radius_, full);
+  return strategy_.clamp_radius(radius_, n);
 }
 
 namespace {
@@ -653,7 +652,7 @@ class ConstAnalysis {
       if (end - begin < 2 * margin + 2 * q) return std::nullopt;
       return margin;
     };
-    claim_periodic_runs(in, p0, false, rule, run);
+    claim_periodic_runs(in, p0, rule, run);
   }
 
   void find_anchors() {
@@ -1051,8 +1050,7 @@ Label SynthesizedConstant::run(const View& view) const {
   if (view.topology != strategy_.topology()) {
     throw std::invalid_argument("SynthesizedConstant: view topology mismatch");
   }
-  const bool full = strategy_.cycle() ? view.size() == view.n : view.n <= radius_ + 1;
-  if (full) return solve_full_view(problem, view);
+  if (strategy_.covers_instance(view, radius_)) return solve_full_view(problem, view);
   ConstLayout layout(*monoid_, *cert_, strategy_, preperiod_, view, scale_, domin_,
                      orient_ell_);
   Label label = 0;
@@ -1065,8 +1063,7 @@ bool SynthesizedConstant::run_span(const View& window, std::size_t begin,
   if (window.topology != strategy_.topology()) {
     throw std::invalid_argument("SynthesizedConstant: view topology mismatch");
   }
-  const bool full = strategy_.cycle() ? window.size() == window.n : window.n <= radius_ + 1;
-  if (full) return false;
+  if (strategy_.covers_instance(window, radius_)) return false;
   ConstLayout layout(*monoid_, *cert_, strategy_, preperiod_, window, scale_, domin_,
                      orient_ell_);
   layout.labels_span(begin, end, out);

@@ -119,6 +119,12 @@ class SynthesisStrategy {
   /// (O(len) sliding-window form) with the given ell.
   std::vector<Segment> segments(const View& view, std::size_t orient_ell) const;
 
+  /// The gather-all self-selection rule (see the file comment): the
+  /// structured radius capped at the full-view threshold, and whether a
+  /// view taken at that radius covers the whole instance.
+  std::size_t clamp_radius(std::size_t radius, std::size_t n) const;
+  bool covers_instance(const View& view, std::size_t radius) const;
+
   /// Window margin the orientation layer consumes (0 when directed).
   std::size_t orientation_margin(std::size_t orient_ell) const;
 

@@ -11,8 +11,6 @@ std::size_t cv_steps_for_ids() {
   return 4;
 }
 
-std::size_t cv_radius() { return cv_steps_for_ids() + 3; }
-
 std::uint64_t cv_step(std::uint64_t mine, std::uint64_t next) {
   if (mine == next) {
     throw std::logic_error("cv_step: adjacent colors equal (invariant broken)");
@@ -67,45 +65,6 @@ void cv_colors_window(std::span<const NodeId> ids, bool left_end, bool right_end
     if (!left_end) ++left_margin;
     if (!right_end && right_margin + 1 < len) ++right_margin;
   }
-}
-
-std::vector<std::uint64_t> cv_colors_window(const std::vector<NodeId>& ids, bool left_end,
-                                            bool right_end) {
-  std::vector<std::uint64_t> color;
-  cv_colors_window(ids, left_end, right_end, color);
-  return color;
-}
-
-std::size_t cv_three_color(const View& view) {
-  const auto colors =
-      cv_colors_window(view.ids, view.sees_left_end, view.sees_right_end);
-  const std::uint64_t c = colors[view.center];
-  if (c > 2) throw std::logic_error("cv_three_color: center color not reduced");
-  return static_cast<std::size_t>(c);
-}
-
-std::size_t cv_spaced_mis_radius(std::size_t k) { return cv_radius() + 3 * k + 3; }
-
-bool cv_spaced_mis(const View& view, std::size_t k) {
-  // Greedy by color class over the distance-k conflict graph. Correct for
-  // k = 1 (colors make same-class nodes non-conflicting); used by the
-  // level-0 ruling set. For k > 1 use the ruling set in decomposition.hpp.
-  if (k != 1) {
-    throw std::invalid_argument("cv_spaced_mis: only k = 1 is supported; use ruling sets");
-  }
-  const auto colors =
-      cv_colors_window(view.ids, view.sees_left_end, view.sees_right_end);
-  const std::size_t len = colors.size();
-  std::vector<char> in_set(len, 0);
-  for (std::uint64_t phase = 0; phase < 3; ++phase) {
-    for (std::size_t i = 0; i < len; ++i) {
-      if (colors[i] != phase || in_set[i]) continue;
-      const bool left_blocked = i > 0 && in_set[i - 1];
-      const bool right_blocked = i + 1 < len && in_set[i + 1];
-      if (!left_blocked && !right_blocked) in_set[i] = 1;
-    }
-  }
-  return in_set[view.center] != 0;
 }
 
 }  // namespace lclpath

@@ -1,7 +1,5 @@
 #include "local/decomposition.hpp"
 
-#include <stdexcept>
-
 #include "local/cole_vishkin.hpp"
 
 namespace lclpath {
@@ -25,8 +23,9 @@ void greedy_mis(const std::vector<std::uint64_t>& color, std::size_t len,
 }
 
 /// Level-0 member flags: 3-coloring + greedy MIS; gaps in [2, 3]. Flags
-/// are trusted within cv_radius()-ish of window edges, all the way to a
-/// *real* boundary (cv_colors_window anchors its recursion there).
+/// are trusted away from mere window edges (ruling_radius() covers that
+/// margin) and all the way to a *real* boundary (cv_colors_window anchors
+/// its recursion there).
 void level0_members(std::span<const NodeId> ids, bool left_real, bool right_real,
                     std::vector<char>& member, RulingScratch& scratch) {
   cv_colors_window(ids, left_real, right_real, scratch.color);
@@ -130,27 +129,6 @@ void ruling_members_segment(std::span<const NodeId> ids, std::size_t min_gap, bo
     m *= 2;
     double_level(ids, member, m, left_real, right_real, scratch);
   }
-}
-
-std::vector<char> ruling_members_segment(const std::vector<NodeId>& ids, std::size_t min_gap,
-                                         bool left_real, bool right_real) {
-  std::vector<char> member;
-  RulingScratch scratch;
-  ruling_members_segment(ids, min_gap, left_real, right_real, member, scratch);
-  return member;
-}
-
-std::vector<char> ruling_members_window(const std::vector<NodeId>& ids,
-                                        std::size_t min_gap) {
-  return ruling_members_segment(ids, min_gap, false, false);
-}
-
-bool ruling_member(const View& view, std::size_t min_gap) {
-  if (!is_cycle(view.topology)) {
-    throw std::invalid_argument("ruling_member: directed cycles only");
-  }
-  const std::vector<char> member = ruling_members_window(view.ids, min_gap);
-  return member[view.center] != 0;
 }
 
 }  // namespace lclpath

@@ -13,10 +13,11 @@
 //            members at multiples of m_j from the left anchor — keeping
 //            the maximum gap below 2x the minimum at every level.
 //
-// Everything is computed inside a node's window, so locality holds by
-// construction; validity margins are tracked conservatively and
-// ruling_radius() reports the window radius that guarantees the center's
-// membership is stable (window-agreement property-tested).
+// ruling_members_segment computes every member flag of a window (or of
+// one oriented segment of it) in one pass, so locality holds by
+// construction: a flag at least ruling_radius() from both non-real window
+// edges depends only on the IDs within that radius (window-agreement
+// property-tested).
 #pragma once
 
 #include <cstddef>
@@ -24,7 +25,7 @@
 #include <span>
 #include <vector>
 
-#include "local/simulator.hpp"
+#include "local/instance.hpp"
 
 namespace lclpath {
 
@@ -34,29 +35,9 @@ std::size_t ruling_levels(std::size_t min_gap);
 /// Final guaranteed gap bounds [m, 2m] with m = 2^levels.
 std::size_t ruling_min_gap(std::size_t min_gap);
 
-/// Window radius required to decide center membership.
+/// Window margin that makes a member flag stable: a flag at least this far
+/// from both non-real window edges is the same in every window holding it.
 std::size_t ruling_radius(std::size_t min_gap);
-
-/// Membership of the view's center node in the ruling set with gap bounds
-/// [ruling_min_gap(min_gap), 2 * ruling_min_gap(min_gap)].
-/// Directed cycles only (the synthesized algorithms' substrate).
-bool ruling_member(const View& view, std::size_t min_gap);
-
-/// Whole-window membership flags (window-relative), trusted only within
-/// [margin, len - 1 - margin] where margin = ruling_radius(min_gap) is the
-/// caller's responsibility; exposed for the decomposition and tests.
-std::vector<char> ruling_members_window(const std::vector<NodeId>& ids,
-                                        std::size_t min_gap);
-
-/// Like ruling_members_window, but either array edge may be a *real*
-/// boundary (a path end, or an orientation flip that the undirected
-/// synthesis strategies treat as one): on a real side the Cole-Vishkin
-/// recursion anchors at the edge and the repair pass measures gaps from
-/// it, so member flags are trusted all the way to that side and the
-/// distance from the boundary to the nearest member stays below 2m.
-std::vector<char> ruling_members_segment(const std::vector<NodeId>& ids,
-                                         std::size_t min_gap, bool left_real,
-                                         bool right_real);
 
 /// The buffers ruling_members_segment works in. A caller that runs it on
 /// many segments passes the same scratch every time, so only segments
@@ -70,7 +51,15 @@ struct RulingScratch {
   std::vector<std::ptrdiff_t> anchors;  ///< repair anchors
 };
 
-/// ruling_members_segment writing the flags into `member`.
+/// Member flags (window-relative) of the ruling set with gap bounds
+/// [ruling_min_gap(min_gap), 2 * ruling_min_gap(min_gap)], written into
+/// `member`. Flags are trusted only at least ruling_radius(min_gap) from a
+/// non-real window edge. Either array edge may be a *real* boundary (a
+/// path end, or an orientation flip that the undirected synthesis
+/// strategies treat as one): on a real side the Cole-Vishkin recursion
+/// anchors at the edge and the repair pass measures gaps from it, so
+/// member flags are trusted all the way to that side and the distance from
+/// the boundary to the nearest member stays below 2m.
 void ruling_members_segment(std::span<const NodeId> ids, std::size_t min_gap, bool left_real,
                             bool right_real, std::vector<char>& member,
                             RulingScratch& scratch);

@@ -1,8 +1,5 @@
 #include "local/orientation.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "local/partition.hpp"
 
 namespace lclpath {
@@ -14,9 +11,9 @@ namespace {
 std::size_t internal_scale(std::size_t ell) { return 2 * ell + 2; }
 }  // namespace
 
-std::size_t orientation_radius(std::size_t ell) {
-  // A node must evaluate is-peak for every node within distance L, which
-  // needs IDs within 2L; plus the ball-max fallback (L).
+std::size_t orientation_window_margin(std::size_t ell) {
+  // A position evaluates is-peak for every node within distance L, which
+  // reads IDs within 2L of it.
   return 2 * internal_scale(ell) + 1;
 }
 
@@ -29,35 +26,8 @@ std::size_t orientation_radius(std::size_t ell) {
 // Direction flips then happen only at peak watersheds (>= (L+1)/2 > ell
 // from each peak) or at ball-max divergences whose dominating endpoint
 // forces >= L uniformly oriented nodes on each side. Every ball and peak
-// the center's rule reads lies within 2L of it, so the window form's edge
-// truncation never reaches them.
-Direction orient(const View& view, std::size_t ell) {
-  if (!is_cycle(view.topology)) {
-    throw std::invalid_argument("orient: cycles only");
-  }
-  const std::size_t len = view.size();
-  const std::size_t scale = internal_scale(ell);
-
-  if (len == view.n && view.n <= 2 * orientation_radius(ell) + 1) {
-    // Whole cycle visible: canonical global orientation.
-    const std::size_t max_pos = static_cast<std::size_t>(
-        std::max_element(view.ids.begin(), view.ids.end()) - view.ids.begin());
-    const NodeId succ = view.ids[(max_pos + 1) % len];
-    const NodeId pred = view.ids[(max_pos + len - 1) % len];
-    return succ > pred ? Direction::kForward : Direction::kBackward;
-  }
-
-  const std::size_t c = view.center;
-  if (c < 2 * scale || c + 2 * scale >= len) {
-    throw std::invalid_argument("orient: window too small for the requested ell");
-  }
-  return orientation_directions_window(view.ids, ell)[c];
-}
-
-std::size_t orientation_window_margin(std::size_t ell) {
-  return 2 * internal_scale(ell) + 1;
-}
-
+// a position's rule reads lies within 2L of it, so the edge truncation
+// never reaches a position orientation_window_margin() from the edge.
 std::vector<Direction> orientation_directions_window(const std::vector<NodeId>& ids,
                                                      std::size_t ell) {
   const std::size_t len = ids.size();
@@ -68,10 +38,11 @@ std::vector<Direction> orientation_directions_window(const std::vector<NodeId>& 
   // ball_max[p] = position of the maximum ID in [p - scale, p + scale]
   // (clamped at array edges); IDs are distinct, so the maximum is unique.
   std::vector<std::size_t> ball_max(len, 0);
-  sliding_window_argmax(
-      len, scale, [](std::size_t) { return true; },
-      [&](std::size_t a, std::size_t b) { return ids[a] < ids[b]; },
-      [&](std::size_t p, std::size_t best) { ball_max[p] = best; });
+  const auto all = [](std::size_t) { return true; };
+  const auto id_less = [&ids](std::size_t a, std::size_t b) { return ids[a] < ids[b]; };
+  const auto record = [&ball_max](std::size_t p, std::size_t best) { ball_max[p] = best; };
+  std::vector<std::size_t> deque;
+  sliding_window_argmax(len, scale, all, id_less, record, deque);
 
   // Peaks: radius-scale ball maxima. Balls truncate at the array edges —
   // exact at a real path end (no nodes exist beyond it), untrusted within
@@ -127,16 +98,6 @@ std::vector<Direction> orientation_directions_window(const std::vector<NodeId>& 
     }
     // Peakless zone: toward the ball maximum.
     out[p] = ball_max[p] > p ? Direction::kForward : Direction::kBackward;
-  }
-  return out;
-}
-
-std::vector<Direction> orient_all(const Instance& instance, std::size_t ell) {
-  std::vector<Direction> out;
-  out.reserve(instance.size());
-  const std::size_t radius = orientation_radius(ell);
-  for (std::size_t v = 0; v < instance.size(); ++v) {
-    out.push_back(orient(extract_view(instance, v, radius), ell));
   }
   return out;
 }

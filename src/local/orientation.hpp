@@ -13,30 +13,20 @@
 // monotone/zigzag/random ID patterns): every maximal uniformly-oriented
 // run has at least ell nodes — peak watersheds sit >= (L+1)/2 > ell from
 // both peaks, and ball-max divergences force >= L dominated, uniformly
-// oriented nodes on each side. If the whole cycle is visible, a canonical
-// global orientation is chosen instead.
+// oriented nodes on each side. Only windows smaller than the instance are
+// oriented: the synthesized algorithms answer an instance-covering view
+// with the canonical full-view solve, which needs no orientation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "local/simulator.hpp"
+#include "local/instance.hpp"
 
 namespace lclpath {
 
 enum class Direction : std::uint8_t { kForward, kBackward };
-
-/// Window radius used by orient().
-std::size_t orientation_radius(std::size_t ell);
-
-/// Direction of the view's center node for an ell-orientation: the center
-/// entry of orientation_directions_window, or the canonical global rule
-/// when the whole cycle is visible. kForward = toward the successor in the
-/// global path order.
-Direction orient(const View& view, std::size_t ell);
-
-/// Convenience: orientation of every node of an instance (via views).
-std::vector<Direction> orient_all(const Instance& instance, std::size_t ell);
 
 /// Window margin consumed by orientation_directions_window: directions at
 /// positions within this margin of a non-real window edge are not

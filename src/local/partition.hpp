@@ -1,21 +1,13 @@
-// The (l_width, l_count, l_pattern)-partition machinery of Section 4.3
-// (Lemmas 20, 21, 22), and the three primitives it is built from — shared
-// with the O(1) synthesized algorithm (decide/synthesized.cpp), which runs
-// the same construction with per-run margins:
+// The primitives of Section 4.3's partition (Lemmas 20, 21, 22), as the
+// O(1) synthesized algorithm (decide/synthesized.cpp) runs them on each
+// oriented segment of its window:
 //   * claim_periodic_runs: maximal period-q runs, shortest period first,
-//     each accepted or rejected by a caller-supplied claim rule;
-//   * window_maxima: the sliding-window argmax behind Lemma 20's
-//     independent set (and the ell-orientation's ball maxima);
-//   * canonical_rotation: a periodic run's pattern and phase.
-//
-// partition() decomposes a labeled cycle (or path) into
-//   * long components: maximal stretches whose inputs repeat a primitive
-//     pattern w with |w| <= l_pattern at least l_count times (after
-//     trimming l_width * |w| - 1 nodes from open ends), every member
-//     knowing w and its phase; and
-//   * short components: the remaining "irregular" stretches, chopped at
-//     the Lemma 20 independent set, every member knowing its rank within
-//     its piece.
+//     each accepted or rejected by a caller-supplied claim rule (Lemma 21's
+//     long periodic components);
+//   * window_maxima / sliding_window_argmax: the sliding-window argmax
+//     behind Lemma 20's independent set (the synthesizer's seeds) and the
+//     ell-orientation's ball maxima;
+//   * least_rotation: a periodic run's canonical pattern and phase.
 //
 // Lemma 20's O(1)-round independent set exploits input irregularity: in a
 // region with no period-<= gamma run of length >= l, length-l input
@@ -30,33 +22,9 @@
 #include <span>
 #include <vector>
 
-#include "local/instance.hpp"
+#include "core/alphabet.hpp"
 
 namespace lclpath {
-
-struct PartitionParams {
-  std::size_t l_width = 4;
-  std::size_t l_count = 4;
-  std::size_t l_pattern = 4;  ///< must be >= l_width
-};
-
-struct PartitionComponent {
-  bool long_component = false;
-  std::size_t begin = 0;  ///< first node (cycle positions mod n)
-  std::size_t size = 0;
-  /// Long components: the primitive pattern and each node's phase offset
-  /// (node begin+i has phase (phase0 + i) mod |pattern|).
-  Word pattern;
-  std::size_t phase0 = 0;
-};
-
-struct Partition {
-  std::vector<PartitionComponent> components;
-  /// component index per node.
-  std::vector<std::size_t> component_of;
-  /// True when the entire cycle is a single periodic long component.
-  bool whole_cycle_periodic = false;
-};
 
 /// Sliding-window argmax. For every p in [0, n) calls visit(p, best), where
 /// best is the leftmost maximum under `less` among the eligible positions
@@ -82,14 +50,6 @@ void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible,
   }
 }
 
-/// sliding_window_argmax with a deque of its own.
-template <class Eligible, class Less, class Visit>
-void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible, Less less,
-                           Visit visit) {
-  std::vector<std::size_t> deque;
-  sliding_window_argmax(n, radius, eligible, less, visit, deque);
-}
-
 /// Window maxima: member[p] iff p is eligible and no eligible position
 /// within distance `radius` is strictly larger under `less`. Writes n
 /// flags into `member` (capacity reused) with `deque` as the argmax
@@ -111,16 +71,6 @@ void window_maxima(std::size_t n, std::size_t radius, Eligible eligible, Less le
   sliding_window_argmax(n, radius, eligible, less, visit, deque);
 }
 
-/// window_maxima returning fresh flags.
-template <class Eligible, class Less>
-std::vector<char> window_maxima(std::size_t n, std::size_t radius, Eligible eligible,
-                                Less less) {
-  std::vector<char> member;
-  std::vector<std::size_t> deque;
-  window_maxima(n, radius, eligible, less, member, deque);
-  return member;
-}
-
 /// Lexicographic order on the length-l windows of `word`, by start position
 /// (both windows must fit inside the word). Captures `word` by reference.
 inline auto window_less(const Word& word, std::size_t l) {
@@ -131,14 +81,6 @@ inline auto window_less(const Word& word, std::size_t l) {
     return std::lexicographical_compare(at(a), at(a + l), at(b), at(b + l));
   };
 }
-
-/// Lemma 20: window maxima of the length-l input windows (lexicographic
-/// order) within distance gamma. Returns member flags; positions without a
-/// full window are never members. Independent in a stretch with no
-/// period-<= gamma run of length >= l; not dominating (see window_maxima).
-/// Deterministic and O(1)-round local.
-std::vector<char> irregular_independent_set(const Word& inputs, std::size_t gamma,
-                                            std::size_t l);
 
 /// A maximal periodic input run [begin, end) claimed with period `period`
 /// (0: the position is unclaimed), plus the margin its claim rule assigned.
@@ -158,35 +100,12 @@ using ClaimRule = std::function<std::optional<std::size_t>(std::size_t q, std::s
 /// the rule for it; an accepted run claims its still-unclaimed positions,
 /// so shorter periods claim first; once every position is claimed the
 /// scan stops, asking about no further runs. Writes the claim per
-/// position into `claim` (capacity reused). With `wrap` the word is a
-/// cycle scanned doubled: run coordinates range over [0, 2n) (position k
-/// is k mod n), and a run covering the whole doubled word ends its
-/// period's scan.
-void claim_periodic_runs(std::span<const Label> in, std::size_t max_period, bool wrap,
+/// position into `claim` (capacity reused).
+void claim_periodic_runs(std::span<const Label> in, std::size_t max_period,
                          const ClaimRule& rule, std::vector<PeriodicRun>& claim);
-
-/// claim_periodic_runs returning fresh claims.
-std::vector<PeriodicRun> claim_periodic_runs(const Word& in, std::size_t max_period, bool wrap,
-                                             const ClaimRule& rule);
 
 /// The smallest shift s such that the rotation w[s..] w[..s] of the
 /// non-empty word w is lexicographically least.
 std::size_t least_rotation(std::span<const Label> w);
-
-/// The lexicographically least rotation of the non-empty word w; *phase0
-/// receives the index of w[0] within it (w[0] == result[*phase0]).
-Word canonical_rotation(const Word& w, std::size_t* phase0);
-
-/// Lemmas 21-22: computes the partition of an instance. Works on directed
-/// cycles/paths; undirected inputs are first ordered by the instance's
-/// global order (Lemma 19's l-orientation is exercised separately in
-/// local/orientation.hpp and its tests).
-Partition partition(const Instance& instance, const PartitionParams& params);
-
-/// Validates the partition invariants (component sizes, pattern
-/// periodicity, coverage); returns an explanation on failure.
-std::optional<std::string> check_partition(const Instance& instance,
-                                           const PartitionParams& params,
-                                           const Partition& partition);
 
 }  // namespace lclpath

@@ -583,16 +583,6 @@ TEST(Alphabet, AddFindRoundTrip) {
   EXPECT_EQ(a.add_or_get("z"), 2u);
 }
 
-TEST(Words, PrimitiveDetection) {
-  EXPECT_TRUE(is_primitive({0}));
-  EXPECT_TRUE(is_primitive({0, 1}));
-  EXPECT_FALSE(is_primitive({0, 0}));
-  EXPECT_FALSE(is_primitive({0, 1, 0, 1}));
-  EXPECT_TRUE(is_primitive({0, 1, 0}));
-  EXPECT_TRUE(is_primitive({0, 0, 1}));
-  EXPECT_FALSE(is_primitive({1, 1, 1}));
-}
-
 TEST(Words, EnumerationCountsAndOrder) {
   std::size_t count = 0;
   Word previous;

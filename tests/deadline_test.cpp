@@ -197,6 +197,20 @@ TEST(Deadline, ConstGapDeciderStopsPromptlyOnWideOutputs) {
   EXPECT_LT(elapsed_ms(start), 2000);
 }
 
+// Monoid::enumerate charges each BFS probe by its matrix words: on the
+// Lemma 3 normalization of secret agreement (beta' = 1024) one probe takes
+// ~0.3 ms in Release, so a single tick per probe would read the clock once
+// per 4096 probes and let a 100 ms deadline run for seconds.
+TEST(Deadline, MonoidEnumerationStopsPromptlyOnWideOutputs) {
+  const TransitionSystem ts = TransitionSystem::build(
+      normalize_binary(catalog::agreement(Topology::kDirectedPath)).problem);
+  ExecutionBudget budget;
+  budget.set_timeout(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)Monoid::enumerate(ts, 500000, &budget), CancelledError);
+  EXPECT_LT(elapsed_ms(start), 2000);
+}
+
 // The oracle's own loops are checkpointed too: on the undirected lift of
 // 3-coloring (~1.8 * 10^5 points, quadratic work the oracle never
 // finishes) a short deadline interrupts it promptly.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
+#include <tuple>
+#include <vector>
 
 #include "local/cole_vishkin.hpp"
 #include "local/decomposition.hpp"
@@ -11,6 +15,30 @@
 
 namespace lclpath {
 namespace {
+
+// Per-node forms of the window primitives: node v runs the window form on
+// its radius-r view and keeps the center's entry, which is what v knows
+// after r rounds.
+std::uint64_t cv_color_at(const Instance& instance, std::size_t v) {
+  const View view = extract_view(instance, v, cv_steps_for_ids() + 3);
+  std::vector<std::uint64_t> color;
+  cv_colors_window(view.ids, view.sees_left_end, view.sees_right_end, color);
+  return color[view.center];
+}
+
+bool ruling_member_at(const Instance& instance, std::size_t v, std::size_t min_gap) {
+  const View view = extract_view(instance, v, ruling_radius(min_gap));
+  std::vector<char> member;
+  RulingScratch scratch;
+  ruling_members_segment(view.ids, min_gap, view.sees_left_end, view.sees_right_end, member,
+                         scratch);
+  return member[view.center] != 0;
+}
+
+Direction orientation_at(const Instance& instance, std::size_t v, std::size_t ell) {
+  const View view = extract_view(instance, v, orientation_window_margin(ell));
+  return orientation_directions_window(view.ids, ell)[view.center];
+}
 
 TEST(Instance, ValidationAndNeighbors) {
   Instance i = make_instance(Topology::kDirectedCycle, {0, 1, 0});
@@ -129,9 +157,9 @@ TEST(ColeVishkin, ThreeColoringViaViews) {
   Rng rng(4);
   for (std::size_t n : {50u, 173u}) {
     Instance instance = random_instance(Topology::kDirectedCycle, n, 2, rng);
-    std::vector<std::size_t> colors(n);
+    std::vector<std::uint64_t> colors(n);
     for (std::size_t v = 0; v < n; ++v) {
-      colors[v] = cv_three_color(extract_view(instance, v, cv_radius()));
+      colors[v] = cv_color_at(instance, v);
       EXPECT_LT(colors[v], 3u);
     }
     for (std::size_t v = 0; v < n; ++v) {
@@ -140,15 +168,15 @@ TEST(ColeVishkin, ThreeColoringViaViews) {
   }
 }
 
+// Level 0 of the ruling set (min_gap 2: no doubling level) is the
+// 3-coloring plus the greedy MIS by color class.
 TEST(ColeVishkin, SpacedMisIsMaximalIndependent) {
   Rng rng(5);
   const std::size_t n = 300;
   Instance instance = random_instance(Topology::kDirectedCycle, n, 2, rng);
+  ASSERT_EQ(ruling_levels(2), 0u);
   std::vector<char> member(n);
-  const std::size_t radius = cv_spaced_mis_radius(1);
-  for (std::size_t v = 0; v < n; ++v) {
-    member[v] = cv_spaced_mis(extract_view(instance, v, radius), 1) ? 1 : 0;
-  }
+  for (std::size_t v = 0; v < n; ++v) member[v] = ruling_member_at(instance, v, 2) ? 1 : 0;
   for (std::size_t v = 0; v < n; ++v) {
     if (member[v]) {
       EXPECT_FALSE(member[(v + 1) % n]) << v;
@@ -167,7 +195,7 @@ TEST(RulingSet, GapsWithinBounds) {
     Instance instance = random_instance(Topology::kDirectedCycle, n, 2, rng);
     std::vector<std::size_t> members;
     for (std::size_t v = 0; v < n; ++v) {
-      if (ruling_member(extract_view(instance, v, radius), min_gap)) members.push_back(v);
+      if (ruling_member_at(instance, v, min_gap)) members.push_back(v);
     }
     ASSERT_GE(members.size(), 2u) << "min_gap " << min_gap;
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -189,9 +217,7 @@ TEST(RulingSet, WindowAgreementLocality) {
   Instance b = a;
   const std::size_t far = (2 * radius + 50) % n;
   b.ids[far] = 999'999;
-  const bool ma = ruling_member(extract_view(a, 0, radius), min_gap);
-  const bool mb = ruling_member(extract_view(b, 0, radius), min_gap);
-  EXPECT_EQ(ma, mb);
+  EXPECT_EQ(ruling_member_at(a, 0, min_gap), ruling_member_at(b, 0, min_gap));
 }
 
 // Real boundaries (path ends / orientation flips) anchor the ruling-set
@@ -205,7 +231,9 @@ TEST(RulingSet, SegmentRealEndsAnchorTheConstruction) {
       const std::size_t len = 20 * m + rng.next_below(10 * m);
       std::vector<NodeId> ids;
       for (std::size_t id : rng.permutation(len)) ids.push_back(id);
-      const auto member = ruling_members_segment(ids, min_gap, true, true);
+      std::vector<char> member;
+      RulingScratch scratch;
+      ruling_members_segment(ids, min_gap, true, true, member, scratch);
       std::vector<std::size_t> pos;
       for (std::size_t i = 0; i < len; ++i) {
         if (member[i]) pos.push_back(i);
@@ -220,15 +248,6 @@ TEST(RulingSet, SegmentRealEndsAnchorTheConstruction) {
       }
     }
   }
-}
-
-// The windowless directed-cycle entry point must be unchanged by the
-// segment generalization (no real boundaries = the old construction).
-TEST(RulingSet, WindowDelegatesToSegment) {
-  Rng rng(15);
-  std::vector<NodeId> ids;
-  for (std::size_t id : rng.permutation(600)) ids.push_back(id);
-  EXPECT_EQ(ruling_members_window(ids, 16), ruling_members_segment(ids, 16, false, false));
 }
 
 // Reference for the ell-orientation: the per-node O(ell^2) rule, scanning
@@ -262,13 +281,13 @@ Direction naive_orient(const View& view, std::size_t ell) {
   return best > c ? Direction::kForward : Direction::kBackward;
 }
 
-// The O(len) sliding-window orientation (and orient(), its center entry)
-// must agree with the per-node reference rule wherever both have their
-// margins.
+// The O(len) sliding-window orientation must agree with the per-node
+// reference rule at every position at least its margin from the window
+// edges.
 TEST(Orientation, WindowDirectionsMatchOrient) {
   Rng rng(16);
   const std::size_t ell = 5;
-  const std::size_t radius = orientation_radius(ell);
+  const std::size_t margin = orientation_window_margin(ell);
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t n = 150 + rng.next_below(60);
     Instance instance = random_instance(Topology::kDirectedCycle, n, 2, rng);
@@ -276,15 +295,13 @@ TEST(Orientation, WindowDirectionsMatchOrient) {
       for (std::size_t v = 0; v < n; ++v) instance.ids[v] = v;  // monotone
     }
     // Evaluate the window form on each node's window and compare centers.
-    const std::size_t margin = orientation_window_margin(ell);
     for (std::size_t v = 0; v < n; ++v) {
-      const View view = extract_view(instance, v, radius);
-      if (view.size() == view.n) break;  // orient() switches to global rule
-      const Direction expected = naive_orient(view, ell);
-      EXPECT_EQ(orient(view, ell), expected) << "node " << v << " trial " << trial;
-      const auto dirs = orientation_directions_window(view.ids, ell);
+      const View view = extract_view(instance, v, margin);
+      ASSERT_LT(view.size(), view.n);
       ASSERT_GE(view.center, margin);
-      EXPECT_EQ(dirs[view.center], expected) << "node " << v << " trial " << trial;
+      const auto dirs = orientation_directions_window(view.ids, ell);
+      EXPECT_EQ(dirs[view.center], naive_orient(view, ell))
+          << "node " << v << " trial " << trial;
     }
   }
 }
@@ -301,7 +318,8 @@ TEST(Orientation, RunsAreLongOnAdversarialIds) {
     if (trial == 2) {  // zigzag
       for (std::size_t v = 0; v < n; ++v) instance.ids[v] = (v % 2 == 0) ? v : n + v;
     }
-    const auto directions = orient_all(instance, ell);
+    std::vector<Direction> directions;
+    for (std::size_t v = 0; v < n; ++v) directions.push_back(orientation_at(instance, v, ell));
     std::vector<std::size_t> run_lengths;
     std::size_t start = 0;
     while (start < n && directions[start] == directions[(start + n - 1) % n]) ++start;
@@ -334,9 +352,13 @@ TEST(Lemma20, IrregularIndependentSet) {
   for (std::size_t v = 0; v < 400; ++v) {
     inputs.push_back(static_cast<Label>(rng.next_below(3)));
   }
-  const auto member = irregular_independent_set(inputs, gamma, l);
+  const std::size_t windows = inputs.size() - l + 1;
+  std::vector<char> member;
+  std::vector<std::size_t> deque;
+  const auto all = [](std::size_t) { return true; };
+  window_maxima(windows, gamma, all, window_less(inputs, l), member, deque);
   std::ptrdiff_t last = -1;
-  for (std::size_t v = 0; v + l <= inputs.size(); ++v) {
+  for (std::size_t v = 0; v < windows; ++v) {
     if (!member[v]) continue;
     if (last >= 0 && v - static_cast<std::size_t>(last) <= gamma) {
       // Members this close must have identical windows — impossible in an
@@ -411,18 +433,15 @@ TEST(WindowMaxima, MatchesNaiveReference) {
     const NaiveWindowMaxima expected = naive_window_maxima(word, l, radius, eligible);
     const auto is_eligible = [&](std::size_t i) { return eligible[i] != 0; };
 
-    std::vector<char> member =
-        window_maxima(windows, radius, is_eligible, window_less(word, l));
+    std::vector<char> member;
+    std::vector<std::size_t> deque;
+    window_maxima(windows, radius, is_eligible, window_less(word, l), member, deque);
     member.resize(n, 0);
     EXPECT_EQ(member, expected.member) << "trial " << trial;
     std::vector<std::size_t> best;
-    sliding_window_argmax(windows, radius, is_eligible, window_less(word, l),
-                          [&](std::size_t, std::size_t b) { best.push_back(b); });
+    const auto record = [&best](std::size_t, std::size_t b) { best.push_back(b); };
+    sliding_window_argmax(windows, radius, is_eligible, window_less(word, l), record, deque);
     EXPECT_EQ(best, expected.best) << "trial " << trial;
-    if (trial % 2 == 0) {
-      EXPECT_EQ(irregular_independent_set(word, radius, l), expected.member)
-          << "trial " << trial;
-    }
 
     for (std::size_t i = 0; i < windows; ++i) {
       for (std::size_t j = i + 1; j < windows && j <= i + radius; ++j) {
@@ -440,33 +459,170 @@ TEST(WindowMaxima, MatchesNaiveReference) {
   EXPECT_GT(short_words, 0u);
 }
 
-TEST(Partition, InvariantsOnRandomAndPeriodicInputs) {
-  Rng rng(10);
-  PartitionParams params;
-  params.l_width = 3;
-  params.l_count = 4;
-  params.l_pattern = 3;
-  for (int trial = 0; trial < 12; ++trial) {
-    const std::size_t n = 60 + rng.next_below(120);
-    Instance instance =
-        trial % 3 == 0 ? periodic_instance(Topology::kDirectedCycle, n, {0, 1}, rng)
-                       : random_instance(Topology::kDirectedCycle, n, 2, rng);
-    const Partition part = partition(instance, params);
-    const auto failure = check_partition(instance, params, part);
-    EXPECT_FALSE(failure.has_value()) << "trial " << trial << ": "
-                                      << (failure ? *failure : "");
-  }
+// Reference for the periodic-run scan: for q = 1..max_period, every maximal
+// run [b, e) of period q, found by growing a brute-force periodicity check
+// from each left-maximal start, asked in order of b until no position is
+// left unclaimed. Appends every rule call to `calls`.
+struct RuleCall {
+  std::size_t q, begin, end;
+  bool operator==(const RuleCall&) const = default;
+};
+
+std::tuple<std::size_t, std::size_t, std::size_t, std::size_t> fields(const PeriodicRun& r) {
+  return {r.period, r.begin, r.end, r.margin};
 }
 
-TEST(Partition, WholePeriodicCycleDetected) {
-  Rng rng(11);
-  PartitionParams params{3, 4, 3};
-  Instance instance = periodic_instance(Topology::kDirectedCycle, 60, {0, 1}, rng);
-  const Partition part = partition(instance, params);
-  EXPECT_TRUE(part.whole_cycle_periodic);
-  ASSERT_EQ(part.components.size(), 1u);
-  EXPECT_TRUE(part.components[0].long_component);
-  EXPECT_EQ(part.components[0].pattern, (Word{0, 1}));
+bool has_period(const Word& w, std::size_t b, std::size_t e, std::size_t q) {
+  for (std::size_t k = b; k + q < e; ++k) {
+    if (w[k] != w[k + q]) return false;
+  }
+  return true;
+}
+
+std::vector<PeriodicRun> naive_claims(const Word& w, std::size_t max_period,
+                                      const ClaimRule& rule, std::vector<RuleCall>& calls) {
+  const std::size_t n = w.size();
+  std::vector<PeriodicRun> claim(n);
+  const auto unclaimed = [&claim] {
+    return std::ranges::any_of(claim, [](const PeriodicRun& c) { return c.period == 0; });
+  };
+  for (std::size_t q = 1; q <= max_period; ++q) {
+    for (std::size_t b = 0; b + q < n; ++b) {
+      if (!unclaimed()) return claim;
+      if (w[b] != w[b + q]) continue;                   // no run of length q + 1 here
+      if (b > 0 && w[b - 1] == w[b - 1 + q]) continue;  // not left-maximal
+      std::size_t e = b + q + 1;
+      while (e < n && has_period(w, b, e + 1, q)) ++e;
+      calls.push_back({q, b, e});
+      if (const std::optional<std::size_t> margin = rule(q, b, e)) {
+        for (std::size_t k = b; k < e; ++k) {
+          if (claim[k].period == 0) claim[k] = PeriodicRun{q, b, e, *margin};
+        }
+      }
+    }
+  }
+  return claim;
+}
+
+// Brute force: the smallest shift whose rotation is lexicographically least.
+std::size_t naive_least_rotation(std::span<const Label> w) {
+  const auto rotation = [&w](std::size_t s) {
+    Word r(w.begin() + static_cast<std::ptrdiff_t>(s), w.end());
+    r.insert(r.end(), w.begin(), w.begin() + static_cast<std::ptrdiff_t>(s));
+    return r;
+  };
+  std::size_t best = 0;
+  for (std::size_t s = 1; s < w.size(); ++s) {
+    if (rotation(s) < rotation(best)) best = s;
+  }
+  return best;
+}
+
+TEST(ClaimPeriodicRuns, MatchesNaiveScan) {
+  Rng rng(10);
+  std::size_t blocky = 0, rejected = 0, covered = 0, rotations = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t letters = 2 + rng.next_below(2);
+    const std::size_t n = rng.next_below(121);
+    Word word(n);
+    for (Label& l : word) l = static_cast<Label>(rng.next_below(letters));
+    if (trial % 3 == 1) {  // periodic blocks (period 1-4) between short noise
+      ++blocky;
+      for (std::size_t v = 0; v < n;) {
+        Word pattern(1 + rng.next_below(4));
+        for (Label& l : pattern) l = static_cast<Label>(rng.next_below(letters));
+        const std::size_t len = 5 + rng.next_below(40);
+        for (std::size_t k = 0; k < len && v < n; ++k, ++v) {
+          word[v] = pattern[k % pattern.size()];
+        }
+        v += rng.next_below(4);
+      }
+    } else if (trial % 7 == 0) {  // one period throughout
+      const std::size_t period = 1 + rng.next_below(3);
+      for (std::size_t i = period; i < n; ++i) word[i] = word[i - period];
+    }
+    // A rule deterministic in (q, begin, end): a length threshold, a
+    // position-dependent veto and a varying margin.
+    const std::size_t max_period = 1 + rng.next_below(6);
+    const std::size_t min_blocks = 1 + rng.next_below(4);
+    const std::size_t salt = rng.next_below(5);
+    const ClaimRule rule = [&](std::size_t q, std::size_t begin,
+                               std::size_t end) -> std::optional<std::size_t> {
+      if (end - begin < min_blocks * q + 1 || (begin + q + salt) % 5 == 0) return std::nullopt;
+      return (q * (begin + salt)) % 7;
+    };
+
+    std::vector<RuleCall> expected_calls;
+    const std::vector<PeriodicRun> expected =
+        naive_claims(word, max_period, rule, expected_calls);
+
+    // The counting rule mirrors the claims: every call must come while
+    // some position is still unclaimed.
+    std::vector<RuleCall> calls;
+    std::vector<char> mirror(n, 0);
+    std::size_t mirror_unclaimed = n;
+    const ClaimRule counting = [&](std::size_t q, std::size_t begin,
+                                   std::size_t end) -> std::optional<std::size_t> {
+      calls.push_back({q, begin, end});
+      EXPECT_GT(mirror_unclaimed, 0u) << "trial " << trial << ": call after full coverage";
+      const std::optional<std::size_t> margin = rule(q, begin, end);
+      if (!margin) ++rejected;
+      for (std::size_t k = begin; margin && k < end; ++k) {
+        if (!mirror[k]) {
+          mirror[k] = 1;
+          --mirror_unclaimed;
+        }
+      }
+      return margin;
+    };
+    std::vector<PeriodicRun> claim;
+    claim_periodic_runs(word, max_period, counting, claim);
+    covered += n > 0 && mirror_unclaimed == 0 ? 1 : 0;
+
+    EXPECT_EQ(calls, expected_calls) << "trial " << trial;
+    ASSERT_EQ(claim.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(fields(claim[k]), fields(expected[k])) << "trial " << trial << " at " << k;
+      // The production caller rotates each claimed window to canonical form.
+      const std::size_t q = claim[k].period;
+      if (q != 0 && k + q <= n) {
+        const auto window = std::span<const Label>(word).subspan(k, q);
+        EXPECT_EQ(least_rotation(window), naive_least_rotation(window))
+            << "trial " << trial << " position " << k;
+        ++rotations;
+      }
+    }
+    Word pattern(1 + rng.next_below(8));
+    for (Label& l : pattern) l = static_cast<Label>(rng.next_below(letters));
+    EXPECT_EQ(least_rotation(pattern), naive_least_rotation(pattern)) << "trial " << trial;
+  }
+  // Every case the scan must handle actually occurred.
+  EXPECT_GT(blocky, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(covered, 0u);
+  EXPECT_GT(rotations, 0u);
+}
+
+// A word repeating one primitive pattern is a single run of that period:
+// one rule call claims every position, the scan asks nothing more, and
+// every window of the run rotates to the same canonical pattern.
+TEST(ClaimPeriodicRuns, WholePeriodicWordIsOneRun) {
+  const Word word = repeated(Word{0, 1}, 30);
+  std::size_t calls = 0;
+  const ClaimRule accept = [&calls](std::size_t, std::size_t, std::size_t) {
+    ++calls;
+    return std::optional<std::size_t>(5);
+  };
+  std::vector<PeriodicRun> claim;
+  claim_periodic_runs(word, 3, accept, claim);
+  EXPECT_EQ(calls, 1u);
+  for (std::size_t k = 0; k < word.size(); ++k) {
+    EXPECT_EQ(fields(claim[k]), fields(PeriodicRun{2, 0, 60, 5})) << "position " << k;
+  }
+  for (std::size_t k = 0; k + 2 <= word.size(); ++k) {
+    const std::size_t best = least_rotation(std::span<const Label>(word).subspan(k, 2));
+    EXPECT_EQ(word[k + best], 0u) << "position " << k;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Bit-identity goldens for the Lemma 20-22 machinery: the periodic-run
-// scan, the window-maximum seeds and the canonical rotations feed both
-// partition() and the O(1) synthesized algorithm, and the window maxima
-// also feed the ell-orientation. The values were recorded before these
-// primitives were merged into local/partition, so any drift shows up as a
-// changed hash here.
+// scan, the window-maximum seeds and the canonical rotations feed the O(1)
+// synthesized algorithm, and the window maxima also feed the
+// ell-orientation. The values were recorded before these primitives were
+// merged into local/partition, so any drift shows up as a changed hash
+// here.
 //
 // Each synthesized case simulates the problem at its structured-regime n
 // (4r + 4 on cycles, 2r + 4 on paths, r the structured radius) on a fixed
@@ -11,8 +11,8 @@
 // records the message instead: that is the recorded behavior, defects
 // included. kGapNotEnclosed is the seed-domination defect (README,
 // Synthesis); copy_input on the directed cycle with seed 1270 is its
-// documented instance. The partition cases hash the components of random
-// directed-cycle instances over two inputs, plus periodic-block inputs.
+// documented instance. The orientation cases hash the window directions
+// of random and monotone/zigzag ID sequences.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,7 +22,6 @@
 #include "decide/classifier.hpp"
 #include "lcl/catalog.hpp"
 #include "local/orientation.hpp"
-#include "local/partition.hpp"
 
 namespace lclpath {
 namespace {
@@ -267,72 +266,6 @@ TEST(SynthesisGolden, MultiChunkSweep) {
     hash.add(sim.verdict.ok ? 1 : 0);
     for (Label l : sim.outputs) hash.add(l);
     EXPECT_EQ(hash.hex(), c.golden) << problem.name() << " on " << to_string(c.topology);
-  }
-}
-
-std::string partition_golden(const Instance& instance,
-                             const PartitionParams& params = PartitionParams{3, 4, 3}) {
-  const Partition part = partition(instance, params);
-  Fnv1a hash;
-  hash.add(part.whole_cycle_periodic ? 1 : 0);
-  hash.add(part.components.size());
-  for (const PartitionComponent& c : part.components) {
-    hash.add(c.long_component ? 1 : 0);
-    hash.add(c.begin);
-    hash.add(c.size);
-    hash.add(c.phase0);
-    hash.add(c.pattern.size());
-    for (Label l : c.pattern) hash.add(l);
-  }
-  for (std::size_t c : part.component_of) hash.add(c);
-  return hash.hex();
-}
-
-// Random directed-cycle instances over two inputs, a fresh Rng(3) per n.
-TEST(PartitionGolden, BenchWholePartitionInputs) {
-  const std::vector<std::pair<std::size_t, const char*>> cases = {
-      {1024, "de9a161d6b0800d1"},
-      {4096, "ab91f9ccc586de77"},
-      {16384, "372bc510d67c77ac"},
-  };
-  for (const auto& [n, golden] : cases) {
-    Rng rng(3);
-    EXPECT_EQ(partition_golden(random_instance(kDC, n, 2, rng)), golden) << "n=" << n;
-  }
-}
-
-// One Rng(4) drawing a random then a periodic instance per n.
-TEST(PartitionGolden, BenchStructureTableInputs) {
-  const std::vector<std::pair<const char*, const char*>> goldens = {
-      {"1b0a50645dc83749", "73c117c99d940a95"},
-      {"270207b432719757", "de638b9310b68d31"},
-  };
-  Rng rng(4);
-  std::size_t row = 0;
-  for (std::size_t n : {1024u, 4096u}) {
-    const Instance random = random_instance(kDC, n, 2, rng);
-    const Instance periodic = periodic_instance(kDC, n, {0, 1, 1}, rng);
-    EXPECT_EQ(partition_golden(random), goldens[row].first) << "random n=" << n;
-    EXPECT_EQ(partition_golden(periodic), goldens[row].second) << "periodic n=" << n;
-    ++row;
-  }
-}
-
-// Periodic-block inputs on both topologies and two parameter sets.
-TEST(PartitionGolden, BlockyInputs) {
-  const std::vector<const char*> goldens = {"a13edfc3dfba3e20", "76d6849c71630f24",
-                                           "0bd22077107286f9", "61eee9183343f639"};
-  Rng rng(6);
-  std::size_t row = 0;
-  for (Topology topology : {kDC, kDP}) {
-    Instance instance = random_instance(topology, 3000, 2, rng);
-    make_blocky(instance, rng);
-    for (const PartitionParams& params :
-         {PartitionParams{3, 4, 3}, PartitionParams{2, 3, 5}}) {
-      EXPECT_EQ(partition_golden(instance, params), goldens[row])
-          << to_string(topology) << " l_pattern " << params.l_pattern;
-      ++row;
-    }
   }
 }
 
