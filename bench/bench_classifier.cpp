@@ -1,14 +1,22 @@
 // Experiments E7 + E8: the decision procedure (Theorems 8 + 9) over the
 // validation catalog — verdicts, type-space sizes, and decision cost —
 // plus the serial-vs-batch comparison for the thread-pooled engine.
+//
+// --emit-json writes BENCH_classifier.json (catalog verdict rows with
+// their classify time, the lifted undirected 3-coloring row, and the
+// serial vs 8-thread batch wall clock); --perf-smoke additionally
+// requires every catalog verdict to match its textbook class and the
+// lift to classify O(1). See bench/bench_json.hpp for the protocol.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "decide/batch.hpp"
 #include "decide/classifier.hpp"
 #include "hardness/undirected.hpp"
@@ -127,57 +135,135 @@ BENCHMARK(ClassifyCatalogEntry)
     ->DenseRange(0, static_cast<long>(lclpath::catalog::validation_catalog().size()) - 1)
     ->Unit(benchmark::kMillisecond);
 
+/// One timed classify() of a catalog or lifted problem.
+struct ClassifyRow {
+  std::string problem;
+  std::string topology;
+  std::string expected;
+  std::string decided;
+  std::size_t monoid = 0;
+  double classify_ms = 0;  ///< fastest of kRepeats cold classifies
+};
+
+ClassifyRow time_classify(const PairwiseProblem& problem, const std::string& expected) {
+  constexpr int kRepeats = 5;
+  using clock = std::chrono::steady_clock;
+  ClassifyRow row{problem.name(), to_string(problem.topology()), expected, "", 0, 0};
+  double best_ms = -1;
+  for (int i = 0; i < kRepeats; ++i) {
+    const auto start = clock::now();
+    const ClassifiedProblem result = classify(problem);
+    const double ms = std::chrono::duration<double, std::milli>(clock::now() - start).count();
+    if (best_ms < 0 || ms < best_ms) best_ms = ms;
+    row.decided = to_string(result.complexity());
+    row.monoid = result.monoid_size();
+  }
+  row.classify_ms = best_ms;
+  return row;
+}
+
+struct BatchHeadline {
+  std::size_t problems = 0;
+  std::size_t threads = 8;
+  double serial_s = 0;
+  double batch_s = 0;
+};
+
+/// One serial pass vs one 8-thread batch over the same workload (catalog
+/// + cheap lifts), wall clock.
+BatchHeadline time_batch() {
+  BatchHeadline headline;
+  const auto problems = batch_workload();
+  headline.problems = problems.size();
+  using clock = std::chrono::steady_clock;
+  const auto serial_start = clock::now();
+  for (const PairwiseProblem& p : problems) {
+    try {
+      const ClassifiedProblem result = classify(p);
+      benchmark::DoNotOptimize(result.complexity());
+    } catch (const std::exception&) {
+    }
+  }
+  headline.serial_s = std::chrono::duration<double>(clock::now() - serial_start).count();
+  BatchOptions options;
+  options.num_threads = headline.threads;
+  options.dedup = false;
+  const auto batch_start = clock::now();
+  const auto results = classify_batch(problems, options);
+  headline.batch_s = std::chrono::duration<double>(clock::now() - batch_start).count();
+  return headline;
+}
+
+void write_json(const std::vector<ClassifyRow>& catalog_rows, const ClassifyRow& lifted,
+                const BatchHeadline& batch, const char* path) {
+  using benchjson::json_escaped;
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return;
+  }
+  const auto write_row = [out](const ClassifyRow& r) {
+    std::fprintf(out,
+                 "{\"problem\": \"%s\", \"topology\": \"%s\", \"expected\": \"%s\", "
+                 "\"decided\": \"%s\", \"monoid\": %zu, \"classify_ms\": %.6f}",
+                 json_escaped(r.problem).c_str(), r.topology.c_str(), r.expected.c_str(),
+                 r.decided.c_str(), r.monoid, r.classify_ms);
+  };
+  std::fprintf(out, "{\n  \"catalog\": [\n");
+  for (std::size_t i = 0; i < catalog_rows.size(); ++i) {
+    std::fprintf(out, "    ");
+    write_row(catalog_rows[i]);
+    std::fprintf(out, "%s\n", i + 1 < catalog_rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n  \"lifted\": ");
+  write_row(lifted);
+  std::fprintf(out,
+               ",\n  \"batch\": {\"problems\": %zu, \"threads\": %zu, \"serial_s\": %.6f, "
+               "\"batch_s\": %.6f}\n}\n",
+               batch.problems, batch.threads, batch.serial_s, batch.batch_s);
+  std::fclose(out);
+  std::printf("wrote %s\n\n", path);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchjson::Harness harness(argc, argv, "BENCH_classifier.json");
+  if (harness.filtered_only()) return harness.run_benchmarks();
+
   // Table E7/E8: verdict per catalog problem.
   std::printf("=== E7/E8: classifier verdicts (Theorems 8+9) ===\n");
-  std::printf("%-28s %-14s %-14s %8s\n", "problem", "expected", "decided", "monoid");
-  for (const auto& entry : lclpath::catalog::validation_catalog()) {
-    const auto result = lclpath::classify(entry.problem);
-    std::printf("%-28s %-14s %-14s %8zu\n", entry.problem.name().c_str(),
-                lclpath::to_string(entry.expected).c_str(),
-                lclpath::to_string(result.complexity()).c_str(), result.monoid_size());
+  std::printf("%-28s %-14s %-14s %8s %12s\n", "problem", "expected", "decided", "monoid",
+              "classify");
+  std::vector<ClassifyRow> catalog_rows;
+  for (const auto& entry : catalog::validation_catalog()) {
+    catalog_rows.push_back(time_classify(entry.problem, to_string(entry.expected)));
+    const ClassifyRow& r = catalog_rows.back();
+    std::printf("%-28s %-14s %-14s %8zu %10.4fms\n", r.problem.c_str(), r.expected.c_str(),
+                r.decided.c_str(), r.monoid, r.classify_ms);
   }
-  std::printf("\n");
+  const ClassifyRow lifted = time_classify(
+      hardness::lift_to_undirected(catalog::coloring(3, Topology::kDirectedPath)),
+      to_string(ComplexityClass::kConstant));
+  std::printf("%-28s %-14s %-14s %8zu %10.4fms  (undirected lift)\n\n",
+              lifted.problem.c_str(), lifted.expected.c_str(), lifted.decided.c_str(),
+              lifted.monoid, lifted.classify_ms);
 
-  // Headline number for the batch engine: one serial pass vs one 8-thread
-  // batch over the same workload (catalog + cheap lifts), wall clock.
-  // Skipped when a filter is given — a filtered run wants one benchmark,
-  // not seconds of fixed-cost preamble.
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strstr(argv[i], "--benchmark_filter") != nullptr) filtered = true;
-  }
-  if (!filtered) {
-    using namespace lclpath;
-    const auto problems = batch_workload();
-    using clock = std::chrono::steady_clock;
-    const auto serial_start = clock::now();
-    for (const PairwiseProblem& p : problems) {
-      try {
-        const ClassifiedProblem result = classify(p);
-        benchmark::DoNotOptimize(result.complexity());
-      } catch (const std::exception&) {
-      }
-    }
-    const double serial_s =
-        std::chrono::duration<double>(clock::now() - serial_start).count();
-    BatchOptions options;
-    options.num_threads = 8;
-    options.dedup = false;
-    const auto batch_start = clock::now();
-    const auto results = classify_batch(problems, options);
-    const double batch_s =
-        std::chrono::duration<double>(clock::now() - batch_start).count();
-    std::printf("=== batch engine: %zu problems ===\n", problems.size());
-    std::printf("serial:          %.3fs\n", serial_s);
-    std::printf("batch@8threads:  %.3fs  (speedup %.2fx, %u hardware threads)\n\n",
-                batch_s, batch_s > 0 ? serial_s / batch_s : 0.0,
-                std::thread::hardware_concurrency());
-  }
+  const BatchHeadline batch = time_batch();
+  std::printf("=== batch engine: %zu problems ===\n", batch.problems);
+  std::printf("serial:          %.3fs\n", batch.serial_s);
+  std::printf("batch@%zuthreads:  %.3fs  (speedup %.2fx, %u hardware threads)\n\n",
+              batch.threads, batch.batch_s,
+              batch.batch_s > 0 ? batch.serial_s / batch.batch_s : 0.0,
+              std::thread::hardware_concurrency());
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  if (harness.emit_json()) write_json(catalog_rows, lifted, batch, harness.json_path());
+
+  harness.check_smoke_budget();
+  harness.require(std::ranges::all_of(catalog_rows,
+                                      [](const ClassifyRow& r) { return r.decided == r.expected; }),
+                  "every catalog verdict matches its textbook class");
+  harness.require(lifted.decided == lifted.expected,
+                  "the undirected lift of directed-path 3-coloring classifies O(1)");
+  return harness.run_benchmarks();
 }

@@ -11,7 +11,7 @@ namespace lclpath {
 namespace {
 constexpr std::size_t kWordBits = 64;
 
-// Inline (dim <= 8) kernels. Entry (i, j) of a packed matrix is bit 8i + j.
+// Packed (dim <= 8) helpers. Entry (i, j) of a packed matrix is bit 8i + j.
 constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
 constexpr std::uint64_t kDiagonal = 0x8040201008040201ull;
 
@@ -22,18 +22,6 @@ std::uint64_t packed_mask(std::size_t dim) {
       dim == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * dim)) - 1;
   const std::uint64_t cols = ((std::uint64_t{1} << dim) - 1) * kByteLowBits;
   return rows & cols;
-}
-
-/// Packed product: row i of a*b is the OR of rows k of b over the set bits
-/// k of row i of a. Column k of a, spread to the low bit of each row byte,
-/// times row k of b places that row in exactly the bytes whose rows have
-/// bit k set; the terms occupy disjoint bytes, so the sum never carries.
-std::uint64_t packed_product(std::uint64_t a, std::uint64_t b, std::size_t dim) {
-  std::uint64_t out = 0;
-  for (std::size_t k = 0; k < dim; ++k) {
-    out |= ((a >> k) & kByteLowBits) * ((b >> (8 * k)) & 0xFF);
-  }
-  return out;
 }
 
 /// 8x8 bit-matrix transpose by three delta swaps (2x2, 4x4, then 8x8
@@ -68,20 +56,14 @@ void heap_product(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t*
 }
 }  // namespace
 
-BitMatrix::BitMatrix(std::size_t dim) : dim_(dim) {
-  if (!is_inline()) heap_ = new std::uint64_t[num_words()]();
+void BitMatrix::allocate_heap() { heap_ = new std::uint64_t[num_words()](); }
+
+void BitMatrix::copy_heap(const BitMatrix& other) {
+  heap_ = new std::uint64_t[num_words()];
+  std::copy_n(other.heap_, num_words(), heap_);
 }
 
-BitMatrix::BitMatrix(const BitMatrix& other) : dim_(other.dim_) {
-  if (is_inline()) {
-    word_ = other.word_;
-  } else {
-    heap_ = new std::uint64_t[num_words()];
-    std::copy_n(other.heap_, num_words(), heap_);
-  }
-}
-
-BitMatrix& BitMatrix::operator=(const BitMatrix& other) {
+BitMatrix& BitMatrix::assign_heap(const BitMatrix& other) {
   if (this == &other) return *this;
   if (other.is_inline()) {
     release();
@@ -118,51 +100,8 @@ BitMatrix BitMatrix::ones(std::size_t dim) {
   return m;
 }
 
-bool BitMatrix::get(std::size_t row, std::size_t col) const {
-  assert(row < dim_ && col < dim_);
-  if (is_inline()) return (word_ >> (8 * row + col)) & 1u;
-  return (heap_row(row)[col / kWordBits] >> (col % kWordBits)) & 1u;
-}
-
-void BitMatrix::set(std::size_t row, std::size_t col, bool value) {
-  assert(row < dim_ && col < dim_);
-  std::uint64_t* w = &word_;
-  std::size_t bit = 8 * row + col;
-  if (!is_inline()) {
-    w = &heap_[row * words_per_row() + col / kWordBits];
-    bit = col % kWordBits;
-  }
-  if (value) {
-    *w |= std::uint64_t{1} << bit;
-  } else {
-    *w &= ~(std::uint64_t{1} << bit);
-  }
-}
-
-BitMatrix BitMatrix::operator*(const BitMatrix& other) const {
-  BitMatrix result(dim_);
-  multiply_into(other, result);
-  return result;
-}
-
-BitMatrix& BitMatrix::operator*=(const BitMatrix& other) {
-  assert(dim_ == other.dim_);
-  if (is_inline()) {
-    word_ = packed_product(word_, other.word_, dim_);
-  } else {
-    *this = *this * other;
-  }
-  return *this;
-}
-
-void BitMatrix::multiply_into(const BitMatrix& other, BitMatrix& out) const {
-  assert(dim_ == other.dim_ && out.dim_ == dim_);
-  assert(&out != this && &out != &other);  // out is cleared before reads
-  if (is_inline()) {
-    out.word_ = packed_product(word_, other.word_, dim_);
-  } else {
-    heap_product(heap_, other.heap_, out.heap_, dim_, words_per_row());
-  }
+void BitMatrix::multiply_heap(const BitMatrix& other, BitMatrix& out) const {
+  heap_product(heap_, other.heap_, out.heap_, dim_, words_per_row());
 }
 
 BitMatrix BitMatrix::operator|(const BitMatrix& other) const {
@@ -231,8 +170,7 @@ BitMatrix::Stabilization BitMatrix::stabilize() const {
   }
 }
 
-bool BitMatrix::any() const {
-  if (is_inline()) return word_ != 0;
+bool BitMatrix::any_heap() const {
   return std::any_of(heap_, heap_ + num_words(), [](std::uint64_t w) { return w != 0; });
 }
 
@@ -243,8 +181,7 @@ bool BitMatrix::any_diagonal() const {
   return false;
 }
 
-std::size_t BitMatrix::count() const {
-  if (is_inline()) return static_cast<std::size_t>(std::popcount(word_));
+std::size_t BitMatrix::count_heap() const {
   std::size_t total = 0;
   for (std::size_t i = 0; i < num_words(); ++i) {
     total += static_cast<std::size_t>(std::popcount(heap_[i]));
@@ -252,9 +189,7 @@ std::size_t BitMatrix::count() const {
   return total;
 }
 
-bool BitMatrix::operator==(const BitMatrix& other) const {
-  if (dim_ != other.dim_) return false;
-  if (is_inline()) return word_ == other.word_;
+bool BitMatrix::equal_heap(const BitMatrix& other) const {
   return std::equal(heap_, heap_ + num_words(), other.heap_);
 }
 
@@ -268,29 +203,22 @@ std::string BitMatrix::to_string() const {
   return out;
 }
 
-std::size_t BitMatrix::hash() const {
+std::size_t BitMatrix::hash_heap() const {
   std::size_t h = hash_mix(0x1234, dim_);
-  if (is_inline()) return hash_mix(h, static_cast<std::size_t>(word_));
   for (std::size_t i = 0; i < num_words(); ++i) {
     h = hash_mix(h, static_cast<std::size_t>(heap_[i]));
   }
   return h;
 }
 
-BitVector::BitVector(std::size_t dim) : dim_(dim) {
-  if (!is_inline()) heap_ = new std::uint64_t[num_words()]();
+void BitVector::allocate_heap() { heap_ = new std::uint64_t[num_words()](); }
+
+void BitVector::copy_heap(const BitVector& other) {
+  heap_ = new std::uint64_t[num_words()];
+  std::copy_n(other.heap_, num_words(), heap_);
 }
 
-BitVector::BitVector(const BitVector& other) : dim_(other.dim_) {
-  if (is_inline()) {
-    word_ = other.word_;
-  } else {
-    heap_ = new std::uint64_t[num_words()];
-    std::copy_n(other.heap_, num_words(), heap_);
-  }
-}
-
-BitVector& BitVector::operator=(const BitVector& other) {
+BitVector& BitVector::assign_heap(const BitVector& other) {
   if (this == &other) return *this;
   if (other.is_inline()) {
     release();
@@ -312,61 +240,31 @@ BitVector BitVector::unit(std::size_t dim, std::size_t index) {
 
 BitVector BitVector::ones(std::size_t dim) {
   BitVector v(dim);
-  for (std::size_t i = 0; i < dim; ++i) v.set(i, true);
+  if (v.is_inline()) {
+    v.word_ = dim == kInlineBits ? ~std::uint64_t{0} : (std::uint64_t{1} << dim) - 1;
+  } else {
+    for (std::size_t i = 0; i < dim; ++i) v.set(i, true);
+  }
   return v;
 }
 
-bool BitVector::get(std::size_t index) const {
-  assert(index < dim_);
-  return (words()[index / kWordBits] >> (index % kWordBits)) & 1u;
+bool BitVector::any_heap() const {
+  return std::any_of(heap_, heap_ + num_words(), [](std::uint64_t w) { return w != 0; });
 }
 
-void BitVector::set(std::size_t index, bool value) {
-  assert(index < dim_);
-  std::uint64_t& w = words()[index / kWordBits];
-  const std::uint64_t bit = std::uint64_t{1} << (index % kWordBits);
-  if (value) {
-    w |= bit;
-  } else {
-    w &= ~bit;
-  }
-}
-
-bool BitVector::any() const {
-  const std::uint64_t* a = words();
-  for (std::size_t w = 0; w < num_words(); ++w)
-    if (a[w] != 0) return true;
-  return false;
-}
-
-std::size_t BitVector::count() const {
-  const std::uint64_t* a = words();
+std::size_t BitVector::count_heap() const {
   std::size_t total = 0;
   for (std::size_t w = 0; w < num_words(); ++w) {
-    total += static_cast<std::size_t>(std::popcount(a[w]));
+    total += static_cast<std::size_t>(std::popcount(heap_[w]));
   }
   return total;
 }
 
-BitVector BitVector::multiplied(const BitMatrix& m) const {
-  BitVector result(dim_);
-  multiply_into(m, result);
-  return result;
-}
-
-void BitVector::multiply_into(const BitMatrix& m, BitVector& out) const {
-  assert(dim_ == m.dim() && out.dim_ == dim_);
-  assert(&out != this);  // out is cleared before this is read
-  if (is_inline()) {
+void BitVector::multiply_heap(const BitMatrix& m, BitVector& out) const {
+  if (is_inline()) {  // 8 < dim <= 64: one-word rows of a heap matrix
     std::uint64_t acc = 0;
-    if (m.is_inline()) {
-      for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
-        acc |= m.inline_row(static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    } else {
-      for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
-        acc |= m.heap_row(static_cast<std::size_t>(std::countr_zero(bits)))[0];
-      }
+    for (std::uint64_t bits = word_; bits != 0; bits &= bits - 1) {
+      acc |= m.heap_row(static_cast<std::size_t>(std::countr_zero(bits)))[0];
     }
     out.word_ = acc;
     return;
@@ -384,81 +282,52 @@ void BitVector::multiply_into(const BitMatrix& m, BitVector& out) const {
   }
 }
 
-bool BitVector::intersects(const BitVector& other) const {
-  assert(dim_ == other.dim_);
-  const std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
+bool BitVector::intersects_heap(const BitVector& other) const {
   for (std::size_t w = 0; w < num_words(); ++w)
-    if ((a[w] & b[w]) != 0) return true;
+    if ((heap_[w] & other.heap_[w]) != 0) return true;
   return false;
 }
 
-bool BitVector::subset_of(const BitVector& other) const {
-  assert(dim_ == other.dim_);
-  const std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
+bool BitVector::subset_of_heap(const BitVector& other) const {
   for (std::size_t w = 0; w < num_words(); ++w)
-    if ((a[w] & ~b[w]) != 0) return false;
+    if ((heap_[w] & ~other.heap_[w]) != 0) return false;
   return true;
 }
 
-std::size_t BitVector::next_set(std::size_t from) const {
-  const std::uint64_t* a = words();
+std::size_t BitVector::next_set_heap(std::size_t from) const {
   for (std::size_t w = from / kWordBits; w < num_words(); ++w) {
-    std::uint64_t bits = a[w];
+    std::uint64_t bits = heap_[w];
     if (w == from / kWordBits) bits &= ~std::uint64_t{0} << (from % kWordBits);
     if (bits != 0) return w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
   }
   return dim_;
 }
 
-BitVector BitVector::operator|(const BitVector& other) const {
-  BitVector result = *this;
-  result |= other;
-  return result;
-}
-
-BitVector BitVector::operator&(const BitVector& other) const {
-  BitVector result = *this;
-  result &= other;
-  return result;
-}
-
-BitVector& BitVector::operator|=(const BitVector& other) {
-  assert(dim_ == other.dim_);
-  std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
-  for (std::size_t w = 0; w < num_words(); ++w) a[w] |= b[w];
+BitVector& BitVector::or_heap(const BitVector& other) {
+  for (std::size_t w = 0; w < num_words(); ++w) heap_[w] |= other.heap_[w];
   return *this;
 }
 
-BitVector& BitVector::operator&=(const BitVector& other) {
-  assert(dim_ == other.dim_);
-  std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
-  for (std::size_t w = 0; w < num_words(); ++w) a[w] &= b[w];
+BitVector& BitVector::and_heap(const BitVector& other) {
+  for (std::size_t w = 0; w < num_words(); ++w) heap_[w] &= other.heap_[w];
   return *this;
 }
 
-BitVector& BitVector::remove(const BitVector& other) {
-  assert(dim_ == other.dim_);
-  std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
-  for (std::size_t w = 0; w < num_words(); ++w) a[w] &= ~b[w];
+BitVector& BitVector::remove_heap(const BitVector& other) {
+  for (std::size_t w = 0; w < num_words(); ++w) heap_[w] &= ~other.heap_[w];
   return *this;
 }
 
-void BitVector::clear() { std::fill_n(words(), num_words(), 0); }
+void BitVector::clear_heap() { std::fill_n(heap_, num_words(), 0); }
 
-bool BitVector::operator==(const BitVector& other) const {
-  return dim_ == other.dim_ && std::equal(words(), words() + num_words(), other.words());
+bool BitVector::equal_heap(const BitVector& other) const {
+  return std::equal(heap_, heap_ + num_words(), other.heap_);
 }
 
-std::size_t BitVector::hash() const {
-  const std::uint64_t* a = words();
+std::size_t BitVector::hash_heap() const {
   std::size_t h = hash_mix(0x5678, dim_);
   for (std::size_t w = 0; w < num_words(); ++w) {
-    h = hash_mix(h, static_cast<std::size_t>(a[w]));
+    h = hash_mix(h, static_cast<std::size_t>(heap_[w]));
   }
   return h;
 }

@@ -41,7 +41,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/monoid.hpp"

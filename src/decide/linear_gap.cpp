@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <iterator>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+
+#include "core/id_slots.hpp"
 
 namespace lclpath {
 
@@ -305,33 +307,38 @@ class FactorizedSearch {
     AggregateCaps caps(n_cls_ * (1 + alpha_), BitVector::ones(beta_));
 
     // Depth-first over conflict branches, iterative (PR-1 lesson: one
-    // stack frame per decision can get deep on lifted problems).
+    // stack frame per decision can get deep on lifted problems). Popped
+    // frames stay in `stack` and a later branch at their depth reuses
+    // their cap storage; stack[0, depth) are the live ones.
     struct BranchFrame {
       AggregateCaps saved;
       GlueConflict conflict;
       bool tried_accept = false;
     };
     std::vector<BranchFrame> stack;
+    std::size_t depth = 0;
     while (true) {
       budget_checkpoint(budget_);
-      bool alive = propagate(caps);
-      GlueConflict conflict;
-      bool conflicted = false;
-      if (alive) conflicted = first_conflict(caps, conflict);
-      if (alive && !conflicted) {
+      std::optional<GlueConflict> conflict;
+      const bool alive = propagate(caps, conflict);
+      if (alive && !conflict) {
         cert.feasible = true;
         cert.adopt(solution(caps));
         return cert;
       }
       if (alive) {
-        stack.push_back(BranchFrame{caps, conflict, false});
-        caps[emit_at(conflict.c1)].set(conflict.sym1, false);
+        if (depth == stack.size()) stack.emplace_back();
+        BranchFrame& frame = stack[depth++];
+        frame.saved = caps;  // same shape: copies into the frame's storage
+        frame.conflict = *conflict;
+        frame.tried_accept = false;
+        caps[emit_at(conflict->c1)].set(conflict->sym1, false);
         continue;
       }
       // Dead end: take the deepest branch whose accept side is untried.
-      while (!stack.empty() && stack.back().tried_accept) stack.pop_back();
-      if (stack.empty()) return cert;  // infeasible
-      BranchFrame& frame = stack.back();
+      while (depth > 0 && stack[depth - 1].tried_accept) --depth;
+      if (depth == 0) return cert;  // infeasible
+      BranchFrame& frame = stack[depth - 1];
       frame.tried_accept = true;
       caps = frame.saved;
       caps[accept_at(frame.conflict.c2, frame.conflict.s0)].set(frame.conflict.sym2, false);
@@ -391,7 +398,8 @@ class FactorizedSearch {
   std::vector<BitVector> all_a_;  ///< [s0]
   BitVector row_scratch_;
   BitVector mask_scratch_;
-  BitVector all_ones_;  ///< ones(beta_), copied into mask_scratch_ per conflict scan
+  BitVector glued_scratch_;
+  BitVector all_ones_;  ///< ones(beta_), copied into glued_scratch_ per glue triple
 
   std::size_t at(std::size_t k, Label s) const { return k * alpha_ + s; }
   std::size_t at(std::size_t k, Label s0, Label s1) const { return at(k, s0) * alpha_ + s1; }
@@ -402,32 +410,25 @@ class FactorizedSearch {
 
   void build_classes() {
     // Classes: equal fwd matrix (and, on paths, equal prefix vector — the
-    // only other per-context data any table reads). Classes with equal
-    // hashes are chained newest-first.
+    // only other per-context data any table reads), numbered in first-seen
+    // context order.
     const std::size_t n_ctx = contexts_.elements.size();
+    const auto element_of = [&](std::size_t c) -> const MonoidElement& {
+      return monoid_.element(contexts_.elements[c]);
+    };
+    std::vector<std::size_t> slots;  // first-seen id lookup (core/id_slots.hpp)
+    reset_id_slots(slots, n_ctx);
     ctx_class_.assign(n_ctx, 0);
-    {
-      std::unordered_map<std::size_t, std::size_t> newest_with_hash;
-      std::vector<std::size_t> same_hash_next;  // [class] -> older class with its hash
-      for (std::size_t c = 0; c < n_ctx; ++c) {
-        const MonoidElement& elem = monoid_.element(contexts_.elements[c]);
-        std::size_t h = elem.fwd.hash();
-        if (!cycle_) h = hash_mix(h, elem.pvec.hash());
-        auto [it, fresh] = newest_with_hash.try_emplace(h, cls_rep_.size());
-        const std::size_t older = fresh ? kNone : it->second;
-        std::size_t k = older;
-        for (; k != kNone; k = same_hash_next[k]) {
-          const MonoidElement& rep = monoid_.element(contexts_.elements[cls_rep_[k]]);
-          if (rep.fwd == elem.fwd && (cycle_ || rep.pvec == elem.pvec)) break;
-        }
-        if (k == kNone) {
-          k = cls_rep_.size();
-          it->second = k;
-          same_hash_next.push_back(older);
-          cls_rep_.push_back(c);
-        }
-        ctx_class_[c] = k;
-      }
+    for (std::size_t c = 0; c < n_ctx; ++c) {
+      const MonoidElement& elem = element_of(c);
+      std::size_t h = elem.fwd.hash();
+      if (!cycle_) h = hash_mix(h, elem.pvec.hash());
+      const std::size_t k = find_or_add_id(slots, h, cls_rep_.size(), [&](std::size_t k) {
+        const MonoidElement& rep = element_of(cls_rep_[k]);
+        return rep.fwd == elem.fwd && (cycle_ || rep.pvec == elem.pvec);
+      });
+      if (k == cls_rep_.size()) cls_rep_.push_back(c);
+      ctx_class_[c] = k;
     }
     n_cls_ = cls_rep_.size();
 
@@ -440,8 +441,11 @@ class FactorizedSearch {
       n_pairs_ = n_cls_;
       return;
     }
+    const auto pair_hash = [](std::size_t k, std::size_t krev) {
+      return hash_mix(hash_mix(0x9A1, k), krev);
+    };
+    reset_id_slots(slots, n_ctx);
     ctx_pair_.assign(n_ctx, 0);
-    std::map<std::pair<std::size_t, std::size_t>, std::size_t> pair_index;
     for (std::size_t c = 0; c < n_ctx; ++c) {
       const std::size_t reversed_element = monoid_.reversed_index(contexts_.elements[c]);
       const std::size_t reversed = context_position(contexts_.elements, reversed_element);
@@ -449,19 +453,22 @@ class FactorizedSearch {
         throw std::logic_error("decide_linear_gap: reversed context missing");
       }
       const auto key = std::pair(ctx_class_[c], ctx_class_[reversed]);
-      auto [pit, inserted] = pair_index.emplace(key, pairs_.size());
-      if (inserted) pairs_.push_back(key);
-      ctx_pair_[c] = pit->second;
+      const std::size_t id =
+          find_or_add_id(slots, pair_hash(key.first, key.second), pairs_.size(),
+                         [&](std::size_t i) { return pairs_[i] == key; });
+      if (id == pairs_.size()) pairs_.push_back(key);
+      ctx_pair_[c] = id;
     }
     n_pairs_ = pairs_.size();
     rev_pair_.resize(n_pairs_);
     for (std::size_t i = 0; i < n_pairs_; ++i) {
       // (k', k) is realized by the reversal of any context realizing (k, k').
-      auto it = pair_index.find(std::pair(pairs_[i].second, pairs_[i].first));
-      if (it == pair_index.end()) {
+      const auto key = std::pair(pairs_[i].second, pairs_[i].first);
+      rev_pair_[i] = find_id(slots, pair_hash(key.first, key.second),
+                             [&](std::size_t j) { return pairs_[j] == key; });
+      if (rev_pair_[i] == kNoId) {
         throw std::logic_error("decide_linear_gap: reversed pair missing");
       }
-      rev_pair_[i] = it->second;
     }
   }
 
@@ -521,6 +528,7 @@ class FactorizedSearch {
     all_a_.assign(alpha_, BitVector(beta_));
     row_scratch_ = BitVector(beta_);
     mask_scratch_ = BitVector(beta_);
+    glued_scratch_ = BitVector(beta_);
     all_ones_ = BitVector::ones(beta_);
   }
 
@@ -643,15 +651,26 @@ class FactorizedSearch {
   /// accepting point would die), and an accepted symbol no emitted symbol
   /// of some context glues with is equally dead. Returns false when a cap
   /// empties; sets `changed` on any prune.
-  bool glue_prune_pass(AggregateCaps& caps, bool& changed) {
+  ///
+  /// The same sweep finds the branch point. It ANDs each (c1, c2, s0)
+  /// triple's glue rows into glued_by_all; the first triple whose accept
+  /// cap is not inside it is a gluing violation, recorded as `conflict`
+  /// with sym2 = its lowest unglued accepted symbol and sym1 = the lowest
+  /// emitted symbol that does not glue with sym2. The conflict is dropped
+  /// if the pass changed a cap: only a pass that changes nothing has seen
+  /// the fixpoint caps throughout.
+  bool glue_prune_pass(AggregateCaps& caps, bool& changed,
+                       std::optional<GlueConflict>& conflict) {
     BitVector& glue = row_scratch_;
     BitVector& support = mask_scratch_;
+    BitVector& glued_by_all = glued_scratch_;
     for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
       for (std::size_t c2 = 0; c2 < n_cls_; ++c2) {
         for (Label s0 = 0; s0 < alpha_; ++s0) {
           budget_checkpoint(budget_);
           BitVector& acc = caps[accept_at(c2, s0)];
           support.clear();
+          glued_by_all = all_ones_;  // same dim: no allocation
           BitVector& emit = caps[emit_at(c1)];
           for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
                sym1 = emit.next_set(sym1 + 1)) {
@@ -663,62 +682,42 @@ class FactorizedSearch {
               continue;
             }
             support |= glue;
+            glued_by_all &= glue;
           }
           if (!acc.subset_of(support)) {
             acc &= support;
             changed = true;
             if (!acc.any()) return false;
           }
+          if (changed || conflict || acc.subset_of(glued_by_all)) continue;
+          BitVector& bad = support;  // acc minus glued_by_all
+          bad = acc;
+          bad.remove(glued_by_all);
+          const Label sym2 = static_cast<Label>(bad.first_set());
+          std::size_t sym1 = emit.first_set();
+          for (;; sym1 = emit.next_set(sym1 + 1)) {
+            row(c1, sym1).multiply_into(head_[at(c2, s0)], glue);
+            if (!glue.get(sym2)) break;
+          }
+          conflict = GlueConflict{c1, c2, s0, static_cast<Label>(sym1), sym2};
         }
       }
     }
+    if (changed) conflict.reset();
     return true;
   }
 
-  /// Runs shrink and glue passes to a joint fixpoint. False = dead end.
-  bool propagate(AggregateCaps& caps) {
+  /// Runs shrink and glue passes to a joint fixpoint. False = dead end;
+  /// otherwise `conflict` holds the fixpoint's first gluing violation in
+  /// (c1, c2, s0, sym2, sym1) order, or nothing if the caps are solved.
+  bool propagate(AggregateCaps& caps, std::optional<GlueConflict>& conflict) {
     while (true) {
       bool changed = false;
       if (!shrink_pass(caps, changed)) return false;
       if (changed) continue;  // the cheap pass first, to its own fixpoint
-      if (!glue_prune_pass(caps, changed)) return false;
+      if (!glue_prune_pass(caps, changed, conflict)) return false;
       if (!changed) return true;
     }
-  }
-
-  /// Scans for the first gluing violation left at the fixpoint, in
-  /// deterministic (c1, c2, s0, sym2, sym1) order.
-  bool first_conflict(const AggregateCaps& caps, GlueConflict& out) {
-    BitVector& glue = row_scratch_;
-    BitVector& glued_by_all = mask_scratch_;
-    for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
-      for (std::size_t c2 = 0; c2 < n_cls_; ++c2) {
-        for (Label s0 = 0; s0 < alpha_; ++s0) {
-          budget_checkpoint(budget_);
-          const BitVector& acc = caps[accept_at(c2, s0)];
-          const BitVector& emit = caps[emit_at(c1)];
-          glued_by_all = all_ones_;  // same dim: no allocation
-          for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
-               sym1 = emit.next_set(sym1 + 1)) {
-            row(c1, sym1).multiply_into(head_[at(c2, s0)], glue);
-            glued_by_all &= glue;
-          }
-          if (acc.subset_of(glued_by_all)) continue;
-          BitVector bad = acc;
-          bad.remove(glued_by_all);
-          const Label sym2 = static_cast<Label>(bad.first_set());
-          for (std::size_t sym1 = emit.first_set(); sym1 < beta_;
-               sym1 = emit.next_set(sym1 + 1)) {
-            row(c1, sym1).multiply_into(head_[at(c2, s0)], glue);
-            if (!glue.get(sym2)) {
-              out = GlueConflict{c1, c2, s0, static_cast<Label>(sym1), sym2};
-              return true;
-            }
-          }
-        }
-      }
-    }
-    return false;
   }
 
   /// Builds the certificate's class-level solution: a

@@ -58,14 +58,6 @@ void PairwiseProblem::forbid_edge(Label from_output, Label to_output) {
   edge_matrix_.set(from_output, to_output, false);
 }
 
-bool PairwiseProblem::node_ok(Label input, Label output) const {
-  return node_allowed_[input].get(output);
-}
-
-bool PairwiseProblem::edge_ok(Label from_output, Label to_output) const {
-  return edge_matrix_.get(from_output, to_output);
-}
-
 void PairwiseProblem::allow_node_first(Label input, Label output) {
   if (input >= inputs_.size() || output >= outputs_.size()) {
     throw std::out_of_range("PairwiseProblem::allow_node_first: label out of range");
@@ -78,11 +70,6 @@ void PairwiseProblem::allow_node_first(Label input, Label output) {
 
 void PairwiseProblem::allow_node_first(std::string_view input, std::string_view output) {
   allow_node_first(inputs_.at(input), outputs_.at(output));
-}
-
-bool PairwiseProblem::node_first_ok(Label input, Label output) const {
-  if (node_first_.empty()) return node_ok(input, output);
-  return node_first_[input].get(output);
 }
 
 const BitVector& PairwiseProblem::outputs_for_first(Label input) const {
@@ -103,11 +90,6 @@ void PairwiseProblem::restrict_last(const BitVector& allowed) {
 void PairwiseProblem::forbid_last(Label output) {
   if (last_mask_.dim() == 0) last_mask_ = BitVector::ones(outputs_.size());
   last_mask_.set(output, false);
-}
-
-bool PairwiseProblem::last_ok(Label output) const {
-  if (last_mask_.dim() == 0) return true;
-  return last_mask_.get(output);
 }
 
 const BitVector& PairwiseProblem::last_mask() const {

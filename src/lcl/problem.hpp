@@ -68,8 +68,10 @@ class PairwiseProblem {
   void allow_edge(std::string_view from_output, std::string_view to_output);
   void forbid_edge(Label from_output, Label to_output);
 
-  bool node_ok(Label input, Label output) const;
-  bool edge_ok(Label from_output, Label to_output) const;
+  bool node_ok(Label input, Label output) const { return node_allowed_[input].get(output); }
+  bool edge_ok(Label from_output, Label to_output) const {
+    return edge_matrix_.get(from_output, to_output);
+  }
 
   /// Path topologies only: a distinct node constraint for the *first* node
   /// (the one with no predecessor) and an allowed-output mask for the
@@ -78,13 +80,16 @@ class PairwiseProblem {
   /// mask). Defaults: first nodes use C_node; last nodes allow everything.
   void allow_node_first(Label input, Label output);
   void allow_node_first(std::string_view input, std::string_view output);
-  bool node_first_ok(Label input, Label output) const;
+  bool node_first_ok(Label input, Label output) const {
+    if (node_first_.empty()) return node_ok(input, output);
+    return node_first_[input].get(output);
+  }
   bool has_first_constraint() const { return !node_first_.empty(); }
   const BitVector& outputs_for_first(Label input) const;
 
   void restrict_last(const BitVector& allowed);
   void forbid_last(Label output);
-  bool last_ok(Label output) const;
+  bool last_ok(Label output) const { return last_mask_.dim() == 0 || last_mask_.get(output); }
   const BitVector& last_mask() const;
 
   /// Drop the endpoint rules again (first nodes fall back to C_node, last

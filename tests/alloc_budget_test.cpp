@@ -1,19 +1,21 @@
-// Heap-allocation budgets for the two per-problem hot paths of a cold
-// classify, Monoid::enumerate and decide_linear_gap, for the path DP
-// (complete_by_dp) that gather-all and the synthesized completions run,
-// and for simulate() of the synthesized O(1) and log* algorithms.
-// This binary replaces the global operator new / delete (sized variants
-// included) with counting wrappers around malloc / free, so it measures
-// exactly the allocations the library asks for. Only the measured calls are counted; gtest's own
-// allocations are not.
+// Heap-allocation budgets for the three per-problem hot paths of a cold
+// classify, Monoid::enumerate, decide_linear_gap and decide_const_gap, for
+// the path DP (complete_by_dp) that gather-all and the synthesized
+// completions run, and for simulate() of the synthesized O(1) and log*
+// algorithms. This binary replaces the global operator new / delete (sized
+// variants included) with counting wrappers around malloc / free, so it
+// measures exactly the allocations the library asks for. Only the
+// measured calls are counted; gtest's own allocations are not.
 //
 // The workload is a fixed seeded set of directed problems with at most
 // five outputs (so every BitMatrix is the inline one-word kind) plus the
-// directed validation catalog. The bounds sit ~20% above the means
-// measured when they were set (enumerate 46.0, decide_linear_gap 50.2 per
-// call; the same in Release, Debug and ASan builds). Nested per-row
-// vectors in the decider state, or a vector per intern-index bucket,
-// measure 298.7 and 61.1 here and fail it.
+// directed validation catalog (tests/directed_workload.hpp). The bounds
+// sit ~20% above the means measured when they were set (enumerate 46.0,
+// decide_linear_gap 40.2, decide_const_gap 13.6 per call; the same in
+// Release, Debug and ASan builds). Nested per-row vectors in the decider
+// state, or a vector per intern-index bucket, measure 298.7 and 61.1 for
+// the linear-gap decider; per-element vectors and node-based hash indexes
+// in the const-gap decider measured 220.0.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +30,9 @@
 #include "automata/solvability.hpp"
 #include "core/rng.hpp"
 #include "decide/classifier.hpp"
+#include "decide/const_gap.hpp"
 #include "decide/linear_gap.hpp"
+#include "directed_workload.hpp"
 #include "lcl/catalog.hpp"
 #include "lcl/verifier.hpp"
 #include "local/simulator.hpp"
@@ -80,75 +84,44 @@ std::size_t count_allocations(Fn&& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-/// Seeded directed problems: 1-3 inputs, 2-5 outputs, node and edge pairs
-/// each allowed with probability 6/8, monoids of at most 300 elements
-/// (larger draws are skipped), then the directed validation catalog.
-std::vector<PairwiseProblem> workload() {
-  std::vector<PairwiseProblem> problems;
-  Rng rng(20240521);
-  while (problems.size() < 400) {
-    const std::size_t alpha = 1 + rng.next_below(3);
-    const std::size_t beta = 2 + rng.next_below(4);
-    Alphabet inputs;
-    Alphabet outputs;
-    for (std::size_t i = 0; i < alpha; ++i) {
-      inputs.add(std::string("i").append(std::to_string(i)));
-    }
-    for (std::size_t o = 0; o < beta; ++o) {
-      outputs.add(std::string("o").append(std::to_string(o)));
-    }
-    const Topology topology =
-        problems.size() % 2 == 0 ? Topology::kDirectedPath : Topology::kDirectedCycle;
-    PairwiseProblem problem("random", inputs, outputs, topology);
-    for (Label i = 0; i < alpha; ++i) {
-      for (Label o = 0; o < beta; ++o) {
-        if (rng.next_bool(6, 8)) problem.allow_node(i, o);
-      }
-    }
-    for (Label a = 0; a < beta; ++a) {
-      for (Label b = 0; b < beta; ++b) {
-        if (rng.next_bool(6, 8)) problem.allow_edge(a, b);
-      }
-    }
-    try {
-      Monoid::enumerate(TransitionSystem::build(problem), 300);
-    } catch (const MonoidBudgetError&) {
-      continue;
-    }
-    problems.push_back(std::move(problem));
-  }
-  for (const CatalogEntry& entry : catalog::validation_catalog()) {
-    if (is_directed(entry.problem.topology())) problems.push_back(entry.problem);
-  }
-  return problems;
-}
-
-TEST(AllocationBudget, EnumerateAndLinearGapStayWithinTheirBudgets) {
+TEST(AllocationBudget, EnumerateAndDecidersStayWithinTheirBudgets) {
   std::size_t enumerate_calls = 0;
   std::size_t enumerate_allocations = 0;
   std::size_t decide_calls = 0;
   std::size_t decide_allocations = 0;
-  for (const PairwiseProblem& problem : workload()) {
+  std::size_t const_calls = 0;
+  std::size_t const_allocations = 0;
+  for (const PairwiseProblem& problem : testing::seeded_directed_workload()) {
     const TransitionSystem ts = TransitionSystem::build(problem);
     std::optional<Monoid> monoid;
     enumerate_allocations += count_allocations([&] { monoid.emplace(Monoid::enumerate(ts)); });
     ++enumerate_calls;
-    // classify() runs the linear-gap decider on solvable problems only.
+    // classify() runs the linear-gap decider on solvable problems only,
+    // and the const-gap decider only where the linear-gap one succeeds.
     if (!check_solvability(*monoid, problem.topology()).solvable) continue;
     std::optional<LinearGapCertificate> certificate;
     decide_allocations +=
         count_allocations([&] { certificate.emplace(decide_linear_gap(*monoid)); });
     ++decide_calls;
+    if (!certificate->feasible) continue;
+    std::optional<ConstGapCertificate> constant;
+    const_allocations += count_allocations([&] { constant.emplace(decide_const_gap(*monoid)); });
+    ++const_calls;
   }
   ASSERT_GT(decide_calls, 100u);
-  const double per_enumerate =
-      static_cast<double>(enumerate_allocations) / static_cast<double>(enumerate_calls);
-  const double per_decide =
-      static_cast<double>(decide_allocations) / static_cast<double>(decide_calls);
-  std::printf("allocations per call: Monoid::enumerate %.1f, decide_linear_gap %.1f\n",
-              per_enumerate, per_decide);
+  ASSERT_GT(const_calls, 100u);
+  const auto mean = [](std::size_t allocations, std::size_t calls) {
+    return static_cast<double>(allocations) / static_cast<double>(calls);
+  };
+  const double per_enumerate = mean(enumerate_allocations, enumerate_calls);
+  const double per_decide = mean(decide_allocations, decide_calls);
+  const double per_const = mean(const_allocations, const_calls);
+  std::printf("allocations per call: Monoid::enumerate %.1f, decide_linear_gap %.1f, "
+              "decide_const_gap %.1f\n",
+              per_enumerate, per_decide, per_const);
   EXPECT_LE(per_enumerate, 55.0) << enumerate_calls << " Monoid::enumerate calls";
-  EXPECT_LE(per_decide, 60.0) << decide_calls << " decide_linear_gap calls";
+  EXPECT_LE(per_decide, 48.0) << decide_calls << " decide_linear_gap calls";
+  EXPECT_LE(per_const, 20.0) << const_calls << " decide_const_gap calls";
 }
 
 /// Proper coloring with `beta` colors (every color allowed at every node,

@@ -6,7 +6,8 @@
 # instead of carrying one copy-pasted step block per bench.
 #
 # Usage: tools/run_bench_gate.sh FAMILY [BUILD_DIR]
-#   FAMILY    linear_gap | monoid | synthesized | hardness | simulation
+#   FAMILY    linear_gap | monoid | synthesized | hardness | simulation |
+#             classifier
 #   BUILD_DIR cmake build directory holding the bench binaries (default:
 #             build)
 #
@@ -37,6 +38,13 @@ case "$family" in
     # beyond the overall fixed-cost budget it bounds the lifted
     # shift-input end-to-end classify at a sixth of the budget.
     run "$build/bench_gap_scaling" --emit-json=BENCH_linear_gap.fresh.json \
+      --perf-smoke=60 --benchmark_list_tests=true
+    ;;
+  classifier)
+    # --perf-smoke also asserts every catalog verdict matches its textbook
+    # class and the undirected 3-coloring lift classifies O(1); the
+    # compare step pins verdicts and monoid sizes row by row.
+    run "$build/bench_classifier" --emit-json=BENCH_classifier.fresh.json \
       --perf-smoke=60 --benchmark_list_tests=true
     ;;
   monoid)
@@ -92,7 +100,7 @@ PYEOF
     ;;
   *)
     echo "unknown bench family: $family (expected linear_gap | monoid |" \
-      "synthesized | hardness | simulation)" >&2
+      "synthesized | hardness | simulation | classifier)" >&2
     exit 2
     ;;
 esac
