@@ -1,10 +1,11 @@
 // Experiments E7 + E8: the decision procedure (Theorems 8 + 9) over the
 // validation catalog — verdicts, type-space sizes, and decision cost —
-// plus the serial-vs-batch comparison for the thread-pooled engine.
+// plus registered serial and 1/2/4/8-thread batch benchmarks for the
+// thread-pooled engine.
 //
 // --emit-json writes BENCH_classifier.json (catalog verdict rows with
-// their classify time, the lifted undirected 3-coloring row, and the
-// serial vs 8-thread batch wall clock); --perf-smoke additionally
+// their classify time and the lifted undirected 3-coloring row);
+// --perf-smoke additionally
 // requires every catalog verdict to match its textbook class and the
 // lift to classify O(1). See bench/bench_json.hpp for the protocol.
 #include <benchmark/benchmark.h>
@@ -13,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -162,40 +162,8 @@ ClassifyRow time_classify(const PairwiseProblem& problem, const std::string& exp
   return row;
 }
 
-struct BatchHeadline {
-  std::size_t problems = 0;
-  std::size_t threads = 8;
-  double serial_s = 0;
-  double batch_s = 0;
-};
-
-/// One serial pass vs one 8-thread batch over the same workload (catalog
-/// + cheap lifts), wall clock.
-BatchHeadline time_batch() {
-  BatchHeadline headline;
-  const auto problems = batch_workload();
-  headline.problems = problems.size();
-  using clock = std::chrono::steady_clock;
-  const auto serial_start = clock::now();
-  for (const PairwiseProblem& p : problems) {
-    try {
-      const ClassifiedProblem result = classify(p);
-      benchmark::DoNotOptimize(result.complexity());
-    } catch (const std::exception&) {
-    }
-  }
-  headline.serial_s = std::chrono::duration<double>(clock::now() - serial_start).count();
-  BatchOptions options;
-  options.num_threads = headline.threads;
-  options.dedup = false;
-  const auto batch_start = clock::now();
-  const auto results = classify_batch(problems, options);
-  headline.batch_s = std::chrono::duration<double>(clock::now() - batch_start).count();
-  return headline;
-}
-
 void write_json(const std::vector<ClassifyRow>& catalog_rows, const ClassifyRow& lifted,
-                const BatchHeadline& batch, const char* path) {
+                const char* path) {
   using benchjson::json_escaped;
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -217,10 +185,7 @@ void write_json(const std::vector<ClassifyRow>& catalog_rows, const ClassifyRow&
   }
   std::fprintf(out, "  ],\n  \"lifted\": ");
   write_row(lifted);
-  std::fprintf(out,
-               ",\n  \"batch\": {\"problems\": %zu, \"threads\": %zu, \"serial_s\": %.6f, "
-               "\"batch_s\": %.6f}\n}\n",
-               batch.problems, batch.threads, batch.serial_s, batch.batch_s);
+  std::fprintf(out, "\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n\n", path);
 }
@@ -249,15 +214,7 @@ int main(int argc, char** argv) {
               lifted.problem.c_str(), lifted.expected.c_str(), lifted.decided.c_str(),
               lifted.monoid, lifted.classify_ms);
 
-  const BatchHeadline batch = time_batch();
-  std::printf("=== batch engine: %zu problems ===\n", batch.problems);
-  std::printf("serial:          %.3fs\n", batch.serial_s);
-  std::printf("batch@%zuthreads:  %.3fs  (speedup %.2fx, %u hardware threads)\n\n",
-              batch.threads, batch.batch_s,
-              batch.batch_s > 0 ? batch.serial_s / batch.batch_s : 0.0,
-              std::thread::hardware_concurrency());
-
-  if (harness.emit_json()) write_json(catalog_rows, lifted, batch, harness.json_path());
+  if (harness.emit_json()) write_json(catalog_rows, lifted, harness.json_path());
 
   harness.check_smoke_budget();
   harness.require(std::ranges::all_of(catalog_rows,

@@ -109,17 +109,19 @@ std::size_t SynthesisStrategy::orientation_margin(std::size_t orient_ell) const 
   return directed() ? 0 : orientation_window_margin(orient_ell);
 }
 
-std::vector<SynthesisStrategy::Segment> SynthesisStrategy::segments(
-    const View& view, std::size_t orient_ell) const {
+const std::vector<SynthesisStrategy::Segment>& SynthesisStrategy::segments(
+    const View& view, std::size_t orient_ell, SegmentScratch& scratch) const {
   const std::size_t len = view.size();
-  std::vector<Segment> out;
+  std::vector<Segment>& out = scratch.segments;
+  out.clear();
   const bool left_end = !cycle() && view.sees_left_end;
   const bool right_end = !cycle() && view.sees_right_end;
   if (directed()) {
     out.push_back(Segment{0, len, Direction::kForward, left_end, right_end});
     return out;
   }
-  const std::vector<Direction> dir = orientation_directions_window(view.ids, orient_ell);
+  std::vector<Direction>& dir = scratch.directions;
+  orientation_directions_window(view.ids, orient_ell, dir, scratch.orientation);
   std::size_t start = 0;
   for (std::size_t i = 1; i <= len; ++i) {
     if (i < len && dir[i] == dir[start]) continue;
@@ -208,10 +210,11 @@ class LogStarLayout {
     const bool path = !strategy.cycle();
 
     // Scratch reused by every segment of the window.
+    SynthesisStrategy::SegmentScratch segments;
     std::vector<NodeId> reversed_ids;
-    std::vector<char> member;
+    std::vector<std::size_t> members;
     RulingScratch ruling;
-    for (const SynthesisStrategy::Segment& seg : strategy.segments(view, orient_ell)) {
+    for (const SynthesisStrategy::Segment& seg : strategy.segments(view, orient_ell, segments)) {
       const bool fwd = seg.dir == Direction::kForward;
       std::span<const NodeId> sub(view.ids.data() + seg.begin, seg.end - seg.begin);
       if (!fwd) {
@@ -220,15 +223,14 @@ class LogStarLayout {
       }
       const bool sub_left_real = fwd ? seg.left_real : seg.right_real;
       const bool sub_right_real = fwd ? seg.right_real : seg.left_real;
-      ruling_members_segment(sub, min_gap, sub_left_real, sub_right_real, member, ruling);
+      ruling_members_segment(sub, min_gap, sub_left_real, sub_right_real, members, ruling);
       const bool left_is_path_end = path && seg.begin == 0 && view.sees_left_end;
       const bool right_is_path_end = path && seg.end == len && view.sees_right_end;
       const std::size_t need_left =
           seg.left_real ? (left_is_path_end ? h_end : h_flip) : 0;
       const std::size_t need_right =
           seg.right_real ? (right_is_path_end ? h_end : h_flip) : 0;
-      for (std::size_t i = 0; i < sub.size(); ++i) {
-        if (!member[i]) continue;
+      for (const std::size_t i : members) {
         const std::size_t p = fwd ? seg.begin + i : seg.end - 1 - i;
         if (!fwd && p == 0) continue;
         const std::size_t anchor = fwd ? p : p - 1;
@@ -534,7 +536,8 @@ namespace {
 /// overlapping windows of nearby nodes. One analysis serves every segment
 /// of a layout: analyze() replaces the previous segment's results in the
 /// same buffers, and the periodic labelings it derives are kept for the
-/// layout's lifetime.
+/// layout's lifetime. Every result is a sorted list (claimed stretches,
+/// anchored stretches, seeds).
 class ConstAnalysis {
  public:
   ConstAnalysis(const Monoid& monoid, const ConstGapCertificate& cert,
@@ -563,21 +566,34 @@ class ConstAnalysis {
     find_seeds();
   }
 
+  /// A stretch of anchored positions: inside one claimed stretch, at least
+  /// its run's margin from both visible run ends. The anchored window
+  /// [i, i + q) is the run's rotation at i, so position i sits at phase
+  /// `(q - s) mod q` of the canonical rotation, where s is the window's
+  /// least-rotation shift; s falls by one (mod the canonical rotation's
+  /// smallest period `root`, a divisor of q) per position.
+  struct Anchored {
+    std::size_t from = 0, to = 0;
+    std::size_t period = 0;
+    std::size_t root = 0;
+    std::size_t shift = 0;  ///< least-rotation shift of the window at `from`
+    const Word* labeling = nullptr;  ///< the canonical rotation's labeling
+  };
+
   /// Maximum claimed period (see SynthesizedConstant's constructor).
   const std::size_t p0;
   /// The segment's inputs in segment direction.
   Word in;
   std::size_t len = 0;
-  /// Periodic-region claims per position (period 0 if none): the maximal
-  /// run extent (clipped at the segment) and the run's anchor margin,
-  /// derived from the pre-period of its own rotations' forward matrices.
-  std::vector<PeriodicRun> run;
-  /// anchored[i]: inside a claimed region, at least its margin from both
-  /// visible run ends.
-  std::vector<char> anchored;
-  std::vector<Label> anchor_label;
-  /// Seed flags (chunk boundaries in irregular zones).
-  std::vector<char> seed;
+  /// The claimed periodic stretches, ascending and disjoint: each carries
+  /// its maximal run extent (clipped at the segment) and the run's anchor
+  /// margin, derived from the pre-period of its own rotations' forward
+  /// matrices. Positions in none are unclaimed.
+  std::vector<PeriodicRun> claims;
+  /// The anchored stretches, ascending.
+  std::vector<Anchored> anchors;
+  /// Seed positions (chunk boundaries in irregular zones), ascending.
+  std::vector<std::size_t> seeds;
 
   /// Pre-period of an element's forward-matrix power sequence (>= 1) —
   /// the per-pattern buffer length.
@@ -617,15 +633,10 @@ class ConstAnalysis {
   Completions& dp_;
   /// Every pattern labeled so far (a deque: references stay valid).
   std::deque<PeriodicLabeling> labelings_;
-  /// find_anchors: per residue of the current run, the phase within the
-  /// canonical rotation, and the canonical rotation itself.
-  std::vector<std::size_t> phase_;
+  /// find_anchors' canonical rotation and find_seeds' scratch.
   Word canon_;
-  /// find_seeds scratch.
   std::vector<char> candidate_;
   std::vector<std::size_t> deque_;
-
-  static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
 
   /// The claimed run's buffer pre-period: the maximum over the pattern's q
   /// rotations (all of which occur as subwords of the run), so the value
@@ -652,58 +663,52 @@ class ConstAnalysis {
       if (end - begin < 2 * margin + 2 * q) return std::nullopt;
       return margin;
     };
-    claim_periodic_runs(in, p0, rule, run);
+    claim_periodic_runs(in, p0, rule, claims);
   }
 
   void find_anchors() {
-    anchored.assign(len, 0);
-    anchor_label.assign(len, 0);
-    // An anchored window [i, i + q) lies inside its run, so it is the
-    // run's rotation at residue (i - begin) mod q: each run resolves its
-    // canonical rotation (hence its labeling) once and each residue's
-    // phase once.
-    const PeriodicRun* current = nullptr;
-    const Word* labeling = nullptr;
-    for (std::size_t i = 0; i < len; ++i) {
-      const PeriodicRun& r = run[i];
-      if (r.period == 0) continue;
-      if (i < r.begin + r.margin || i + r.margin >= r.end) continue;
+    // Each anchored stretch resolves its canonical rotation (hence its
+    // labeling) and that rotation's smallest period once.
+    anchors.clear();
+    for (const PeriodicRun& r : claims) {
+      const std::size_t from = std::max(r.from, r.begin + r.margin);
+      const std::size_t to = std::min(r.to, r.end - std::min(r.end, r.margin));
+      if (from >= to) continue;
       const std::size_t q = r.period;
-      if (current == nullptr || current->begin != r.begin || current->end != r.end ||
-          current->period != q) {
-        current = &r;
-        labeling = nullptr;
-        phase_.assign(q, kUnknown);
+      const std::span<const Label> window = std::span<const Label>(in).subspan(from, q);
+      const std::size_t best = least_rotation(window);
+      canon_.clear();
+      for (std::size_t k = 0; k < q; ++k) canon_.push_back(window[(best + k) % q]);
+      std::size_t root = 1;
+      while (q % root != 0 || !std::equal(canon_.begin() + static_cast<std::ptrdiff_t>(root),
+                                          canon_.end(), canon_.begin())) {
+        ++root;
       }
-      std::size_t& phase = phase_[(i - r.begin) % q];
-      if (phase == kUnknown) {
-        // i sits at `phase` within the canonical rotation of its period.
-        const std::span<const Label> window = std::span<const Label>(in).subspan(i, q);
-        const std::size_t best = least_rotation(window);
-        phase = (q - best) % q;
-        if (labeling == nullptr) {
-          canon_.clear();
-          for (std::size_t k = 0; k < q; ++k) canon_.push_back(window[(best + k) % q]);
-          labeling = &periodic_labeling(canon_);
-        }
-      }
-      anchored[i] = 1;
-      anchor_label[i] = (*labeling)[phase];
+      anchors.push_back(Anchored{from, to, q, root, best, &periodic_labeling(canon_)});
     }
   }
 
   void find_seeds() {
     // Candidate positions: window fully inside the segment and fully
-    // unclaimed (irregular zone).
+    // unclaimed (irregular zone), i.e. the starts s of an unclaimed gap
+    // [g0, g1) with s + scale <= g1.
+    seeds.clear();
     candidate_.assign(len, 0);
-    std::size_t unclaimed_run = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      unclaimed_run = run[i].period == 0 ? unclaimed_run + 1 : 0;
-      if (unclaimed_run >= scale_ && i + 1 >= scale_) candidate_[i + 1 - scale_] = 1;
+    bool any = false;
+    std::size_t gap = 0;
+    for (std::size_t k = 0; k <= claims.size(); ++k) {
+      const std::size_t gap_end = k < claims.size() ? claims[k].from : len;
+      if (gap_end >= gap + scale_) {
+        any = true;
+        std::fill(candidate_.begin() + static_cast<std::ptrdiff_t>(gap),
+                  candidate_.begin() + static_cast<std::ptrdiff_t>(gap_end - scale_ + 1), 1);
+      }
+      if (k < claims.size()) gap = claims[k].to;
     }
+    if (!any) return;
     // Seeds: candidates no candidate window within domin strictly exceeds.
     const auto is_candidate = [this](std::size_t i) { return candidate_[i] != 0; };
-    window_maxima(len, domin_, is_candidate, window_less(in, scale_), seed, deque_);
+    window_maxima(len, domin_, is_candidate, window_less(in, scale_), seeds, deque_);
   }
 };
 
@@ -733,14 +738,13 @@ class ConstLayout {
     ConstAnalysis az(monoid, cert, strategy, preperiod, scale, domin, dp_);
     first_seen_.assign(monoid.size(), kNotSeen);
     const std::span<const Label> inputs(view.inputs);
-    for (const SynthesisStrategy::Segment& seg : strategy.segments(view, orient_ell)) {
+    SynthesisStrategy::SegmentScratch segments;
+    for (const SynthesisStrategy::Segment& seg : strategy.segments(view, orient_ell, segments)) {
       const bool backward = seg.dir == Direction::kBackward;
       az.analyze(inputs.subspan(seg.begin, seg.end - seg.begin), backward);
       append_segment(seg, az);
     }
-    for (std::size_t vi = 0; vi < vseq_.size(); ++vi) {
-      if (vseq_[vi].real >= 0) v_of_real_[static_cast<std::size_t>(vseq_[vi].real)] = vi;
-    }
+    std::ranges::sort(interiors_, {}, &Interior::begin);
   }
 
   /// Labels every window position in [begin, end) into out. Each
@@ -751,14 +755,15 @@ class ConstLayout {
   void labels_span(std::size_t begin, std::size_t end, Label* out) {
     bool have_gap = false;
     const Interior* cached_interior = nullptr;
+    std::size_t next_interior = 0;  // interiors_ is sorted and disjoint
     for (std::size_t c = begin; c < end; ++c) {
-      const Interior* hit = nullptr;
-      for (const Interior& interior : interiors_) {
-        if (c >= interior.begin && c < interior.end) {
-          hit = &interior;
-          break;
-        }
+      while (next_interior < interiors_.size() && interiors_[next_interior].end <= c) {
+        ++next_interior;
       }
+      const Interior* hit = next_interior < interiors_.size() &&
+                                    interiors_[next_interior].begin <= c
+                                ? &interiors_[next_interior]
+                                : nullptr;
       if (hit != nullptr) {
         if (hit != cached_interior) {
           interior_word(*hit);
@@ -816,7 +821,6 @@ class ConstLayout {
   std::vector<Interior> interiors_;
   Completions dp_;
   /// Segment scratch.
-  std::vector<std::size_t> seeds_;
   std::vector<SubInterior> sub_interiors_;
   std::vector<std::size_t> first_seen_;  ///< pump_split scratch
   /// Completion scratch: labels_span's current gap, the gap last read by
@@ -829,7 +833,7 @@ class ConstLayout {
   void append_segment(const SynthesisStrategy::Segment& seg, ConstAnalysis& az) {
     const bool fwd = seg.dir == Direction::kForward;
     auto present = [&](std::size_t sub_pos) {
-      return fwd ? seg.begin + sub_pos : seg.end - 1 - sub_pos;
+      return static_cast<std::ptrdiff_t>(fwd ? seg.begin + sub_pos : seg.end - 1 - sub_pos);
     };
     const std::span<const Label> in(az.in);
 
@@ -837,13 +841,11 @@ class ConstLayout {
     // stretches, pumped and virtually anchored when long enough.
     std::vector<SubInterior>& interiors = sub_interiors_;
     interiors.clear();
-    seeds_.clear();
-    for (std::size_t i = 0; i < az.len; ++i) {
-      if (az.seed[i]) seeds_.push_back(i);
-    }
-    for (std::size_t j = 0; j + 1 < seeds_.size(); ++j) {
-      const std::size_t cb = seeds_[j];
-      const std::size_t ce = seeds_[j + 1];
+    const std::vector<std::size_t>& seeds = az.seeds;
+    std::size_t claim = 0;  // the first claimed stretch ending after cb
+    for (std::size_t j = 0; j + 1 < seeds.size(); ++j) {
+      const std::size_t cb = seeds[j];
+      const std::size_t ce = seeds[j + 1];
       // Seeds closer than p0 cannot coexist (equal windows at shift
       // d <= p0 witness a claimable run; unequal ones dominate), so the
       // interior is >= ell_pump + 5 long and always pumps. Defensive.
@@ -852,9 +854,8 @@ class ConstLayout {
       // a claimed periodic run must not be pumped (it would swallow the
       // run's anchors and leave everything beyond the pumped middle
       // unanchored). The run's own anchors bound those gaps instead.
-      bool irregular = true;
-      for (std::size_t k = cb; k < ce && irregular; ++k) irregular = az.run[k].period == 0;
-      if (!irregular) continue;
+      while (claim < az.claims.size() && az.claims[claim].to <= cb) ++claim;
+      if (claim < az.claims.size() && az.claims[claim].from < ce) continue;
       const std::span<const Label> word = in.subspan(cb + 2, ce - cb - 4);
       const auto split = pump_split(monoid_, word, first_seen_);
       if (!split) {
@@ -866,28 +867,33 @@ class ConstLayout {
       interior.y_labeling = &az.periodic_labeling(interior.y);
       interiors.push_back(interior);
     }
-    auto interior_of = [&](std::size_t pos) -> const SubInterior* {
-      for (const SubInterior& it : interiors) {
-        if (pos >= it.begin && pos < it.end) return &it;
-      }
-      return nullptr;
-    };
 
     // Append the segment's virtual entries in segment order, then flip
     // them into presentation order for backward segments.
     const std::size_t first_entry = vseq_.size();
     std::size_t i = 0;
-    while (i < az.len) {
-      const SubInterior* interior = interior_of(i);
-      if (interior == nullptr) {
-        VirtualEntry e;
-        e.input = az.in[i];
-        e.real = static_cast<std::ptrdiff_t>(present(i));
-        if (az.anchored[i]) e.fixed = az.anchor_label[i];
-        vseq_.push_back(e);
-        ++i;
-        continue;
+    std::size_t anchor = 0;  // the first anchored stretch ending after i
+    for (std::size_t k = 0; k <= interiors.size(); ++k) {
+      // Real positions up to the next interior, fixed where anchored.
+      const std::size_t stop = k < interiors.size() ? interiors[k].begin : az.len;
+      while (i < stop) {
+        while (anchor < az.anchors.size() && az.anchors[anchor].to <= i) ++anchor;
+        if (anchor == az.anchors.size() || az.anchors[anchor].from > i) {
+          const std::size_t free_end =
+              anchor < az.anchors.size() ? std::min(stop, az.anchors[anchor].from) : stop;
+          for (; i < free_end; ++i) vseq_.push_back(VirtualEntry{in[i], std::nullopt, present(i)});
+          continue;
+        }
+        const ConstAnalysis::Anchored& a = az.anchors[anchor];
+        const std::size_t q = a.period;
+        const Word& labeling = *a.labeling;
+        std::size_t shift = (a.shift + a.root - (i - a.from) % a.root) % a.root;
+        for (const std::size_t e = std::min(stop, a.to); i < e; ++i) {
+          vseq_.push_back(VirtualEntry{in[i], labeling[shift == 0 ? 0 : q - shift], present(i)});
+          shift = shift == 0 ? a.root - 1 : shift - 1;
+        }
       }
+      if (k == interiors.size()) break;
       // Emit the pumped interior: x, y^K (with the middle blocks fixed to
       // the periodic labeling), z. Real positions map to the x/z parts;
       // inserted nodes carry real = -1; the pumped-away middle stays
@@ -897,37 +903,34 @@ class ConstLayout {
       // the buffer realizes a certificate-verified power (excess folds
       // into the quantified middle element), so the worst-case ell-sized
       // buffers are unnecessary.
-      const std::span<const Label> x = interior->x;
-      const std::span<const Label> y = interior->y;
-      const std::span<const Label> z = interior->z;
+      const SubInterior& interior = interiors[k];
+      const std::span<const Label> x = interior.x;
+      const std::span<const Label> y = interior.y;
+      const std::span<const Label> z = interior.z;
       const std::size_t a_y = az.preperiod_of(monoid_.of_word(y));
       const std::size_t k_blocks = 2 * a_y + 8;
       for (std::size_t t = 0; t < x.size(); ++t) {
-        VirtualEntry e;
-        e.input = x[t];
-        e.real = static_cast<std::ptrdiff_t>(present(interior->begin + t));
-        vseq_.push_back(e);
+        vseq_.push_back(VirtualEntry{x[t], std::nullopt, present(interior.begin + t)});
       }
       for (std::size_t b = 0; b < k_blocks; ++b) {
         const bool anchored_block = b >= a_y + 2 && b + a_y + 2 < k_blocks;
         for (std::size_t t = 0; t < y.size(); ++t) {
-          VirtualEntry e;
-          e.input = y[t];
-          e.real = -1;
-          if (anchored_block) e.fixed = (*interior->y_labeling)[t];
+          VirtualEntry e{y[t], std::nullopt, -1};
+          if (anchored_block) e.fixed = (*interior.y_labeling)[t];
           vseq_.push_back(e);
         }
       }
       for (std::size_t t = 0; t < z.size(); ++t) {
-        VirtualEntry e;
-        e.input = z[t];
-        e.real = static_cast<std::ptrdiff_t>(present(interior->end - z.size() + t));
-        vseq_.push_back(e);
+        vseq_.push_back(
+            VirtualEntry{z[t], std::nullopt, present(interior.end - z.size() + t)});
       }
-      i = interior->end;
+      i = interior.end;
     }
     if (!fwd) {
       std::reverse(vseq_.begin() + static_cast<std::ptrdiff_t>(first_entry), vseq_.end());
+    }
+    for (std::size_t vi = first_entry; vi < vseq_.size(); ++vi) {
+      if (vseq_[vi].real >= 0) v_of_real_[static_cast<std::size_t>(vseq_[vi].real)] = vi;
     }
 
     for (const SubInterior& interior : interiors) {

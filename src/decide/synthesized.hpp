@@ -114,10 +114,19 @@ class SynthesisStrategy {
     bool right_real = false;
   };
 
-  /// Splits the window into oriented segments. Directed topologies return
-  /// one forward segment; undirected ones run the window ell-orientation
-  /// (O(len) sliding-window form) with the given ell.
-  std::vector<Segment> segments(const View& view, std::size_t orient_ell) const;
+  /// The buffers segments() refills: a layout keeps one and passes it for
+  /// every window it splits.
+  struct SegmentScratch {
+    std::vector<Segment> segments;
+    std::vector<Direction> directions;
+    OrientationScratch orientation;
+  };
+
+  /// Splits the window into oriented segments, returned in `scratch`.
+  /// Directed topologies return one forward segment; undirected ones run
+  /// the window ell-orientation with the given ell.
+  const std::vector<Segment>& segments(const View& view, std::size_t orient_ell,
+                                       SegmentScratch& scratch) const;
 
   /// The gather-all self-selection rule (see the file comment): the
   /// structured radius capped at the full-view threshold, and whether a

@@ -6,88 +6,78 @@ namespace lclpath {
 
 namespace {
 
-/// Greedy MIS by color class: for phase 0, 1, 2 in turn, every node of
-/// that color joins unless a neighbor already did. Writes flags into
-/// `member`.
-void greedy_mis(const std::vector<std::uint64_t>& color, std::size_t len,
-                std::vector<char>& member) {
-  member.assign(len, 0);
-  for (std::uint64_t phase = 0; phase < 3; ++phase) {
-    for (std::size_t i = 0; i < len; ++i) {
-      if (color[i] != phase || member[i]) continue;
-      const bool lb = i > 0 && member[i - 1];
-      const bool rb = i + 1 < len && member[i + 1];
-      if (!lb && !rb) member[i] = 1;
-    }
-  }
-}
+constexpr std::uint64_t kNoColor = ~std::uint64_t{0};
 
-/// Level-0 member flags: 3-coloring + greedy MIS; gaps in [2, 3]. Flags
-/// are trusted away from mere window edges (ruling_radius() covers that
-/// margin) and all the way to a *real* boundary (cv_colors_window anchors
-/// its recursion there).
-void level0_members(std::span<const NodeId> ids, bool left_real, bool right_real,
-                    std::vector<char>& member, RulingScratch& scratch) {
-  cv_colors_window(ids, left_real, right_real, scratch.color);
-  greedy_mis(scratch.color, ids.size(), member);
-}
-
-/// One doubling level: MIS on the member subsequence, then repair so the
-/// gaps lie in [new_min, 2 * new_min]. Real boundaries act as virtual
-/// anchors: the repair measures from them, so the distance from a real
-/// end to the nearest member stays below 2 * new_min too. Updates
-/// `member` in place.
-void double_level(std::span<const NodeId> ids, std::vector<char>& member, std::size_t new_min,
-                  bool left_real, bool right_real, RulingScratch& scratch) {
-  const std::size_t len = ids.size();
-  // Collect member positions.
-  std::vector<std::size_t>& pos = scratch.pos;
-  pos.clear();
-  pos.reserve(len);
+/// Greedy MIS by color class in one pass: the rule "for phase 0, 1, 2 in
+/// turn, in index order, a node of that color joins unless a neighbor
+/// already did" resolved per node. Node i of color c <= 2 joins unless its
+/// left neighbor joined with a color <= c or its right neighbor joins with
+/// a color < c. Such a right neighbor has no left blocker, so it joins
+/// unless *its* right neighbor has a still smaller color: color 0 always
+/// joins, color 1 unless followed by 0. Colors above 2 (untrusted window
+/// margins) never join. Calls emit(i) for every joining i, ascending.
+template <class Emit>
+void greedy_mis(std::span<const std::uint64_t> color, Emit emit) {
+  const std::size_t len = color.size();
+  bool prev_joined = false;
+  std::uint64_t prev = kNoColor;
   for (std::size_t i = 0; i < len; ++i) {
-    if (member[i]) pos.push_back(i);
+    const std::uint64_t c = color[i];
+    const std::uint64_t c1 = i + 1 < len ? color[i + 1] : kNoColor;
+    const std::uint64_t c2 = i + 2 < len ? color[i + 2] : kNoColor;
+    const bool left_blocks = prev_joined && prev <= c;
+    const bool right_blocks = c1 < c && !(c1 == 1 && c2 == 0);
+    const bool joined = c <= 2 && !left_blocks && !right_blocks;
+    if (joined) emit(i);
+    prev_joined = joined;
+    prev = c;
   }
+}
+
+/// One doubling level over the member positions `pos`: MIS on the member
+/// subsequence (Cole-Vishkin on the member IDs; real window boundaries
+/// anchor the color recursion exactly like path ends), then repair so the
+/// gaps lie in [new_min, 2 * new_min] by inserting synthetic members at
+/// multiples of new_min after each kept member. Real boundaries act as
+/// virtual anchors just outside the window, so the distance from a real
+/// end to the nearest member stays below 2 * new_min too. Replaces `pos`
+/// with the next level's positions, still ascending.
+void double_level(std::span<const NodeId> ids, std::vector<std::size_t>& pos,
+                  std::size_t new_min, bool left_real, bool right_real,
+                  RulingScratch& scratch) {
+  const std::size_t len = ids.size();
   if (pos.size() < 2 && !left_real && !right_real) {
     return;  // window too small; margins cover this
   }
-
-  // MIS over the subsequence (Cole-Vishkin on the member IDs; real window
-  // boundaries anchor the color recursion exactly like path ends).
-  std::vector<char>& sub_member = scratch.sub_member;
+  std::vector<std::size_t>& next = scratch.next;
+  next.clear();
+  next.reserve(len);
+  const auto step = static_cast<std::ptrdiff_t>(new_min);
+  std::ptrdiff_t last = -1;  // the previous anchor
+  bool have_last = left_real;
+  const auto anchor = [&](std::ptrdiff_t v) {
+    if (have_last) {
+      for (std::ptrdiff_t p = last + step; p + step <= v; p += step) {
+        next.push_back(static_cast<std::size_t>(p));
+      }
+    }
+    last = v;
+    have_last = true;
+  };
+  const auto keep = [&](std::size_t k) {
+    anchor(static_cast<std::ptrdiff_t>(pos[k]));
+    next.push_back(pos[k]);
+  };
   if (pos.size() >= 2) {
     scratch.sub_ids.clear();
-    scratch.sub_ids.reserve(pos.size());
     for (std::size_t p : pos) scratch.sub_ids.push_back(ids[p]);
     cv_colors_window(scratch.sub_ids, left_real, right_real, scratch.color);
-    greedy_mis(scratch.color, pos.size(), sub_member);
+    greedy_mis(scratch.color, keep);
   } else {
-    sub_member.assign(pos.size(), 1);
+    for (std::size_t k = 0; k < pos.size(); ++k) keep(k);
   }
-  // Keep selected members; repair long gaps by inserting synthetic members
-  // at multiples of new_min after the left anchor. Real boundaries join
-  // the anchor sequence as virtual members just outside the window.
-  std::vector<char>& out = scratch.next_member;
-  out.assign(len, 0);
-  std::vector<std::ptrdiff_t>& anchors = scratch.anchors;
-  anchors.clear();
-  anchors.reserve(pos.size() + 2);
-  if (left_real) anchors.push_back(-1);
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    if (sub_member[i]) {
-      out[pos[i]] = 1;
-      anchors.push_back(static_cast<std::ptrdiff_t>(pos[i]));
-    }
-  }
-  if (right_real) anchors.push_back(static_cast<std::ptrdiff_t>(len));
-  for (std::size_t i = 0; i + 1 < anchors.size(); ++i) {
-    const std::ptrdiff_t u = anchors[i];
-    const std::ptrdiff_t v = anchors[i + 1];
-    const std::ptrdiff_t step = static_cast<std::ptrdiff_t>(new_min);
-    for (std::ptrdiff_t p = u + step; p + step <= v; p += step) {
-      if (p >= 0 && p < static_cast<std::ptrdiff_t>(len)) out[static_cast<std::size_t>(p)] = 1;
-    }
-  }
-  member.swap(out);
+  if (right_real) anchor(static_cast<std::ptrdiff_t>(len));
+  pos.swap(next);
 }
 
 }  // namespace
@@ -121,13 +111,20 @@ std::size_t ruling_radius(std::size_t min_gap) {
 }
 
 void ruling_members_segment(std::span<const NodeId> ids, std::size_t min_gap, bool left_real,
-                            bool right_real, std::vector<char>& member,
+                            bool right_real, std::vector<std::size_t>& members,
                             RulingScratch& scratch) {
-  level0_members(ids, left_real, right_real, member, scratch);
+  // Level 0: 3-coloring + greedy MIS, gaps in [2, 3]. Flags are trusted
+  // away from mere window edges (ruling_radius() covers that margin) and
+  // all the way to a *real* boundary (cv_colors_window anchors its
+  // recursion there).
+  cv_colors_window(ids, left_real, right_real, scratch.color);
+  members.clear();
+  members.reserve(ids.size());
+  greedy_mis(scratch.color, [&members](std::size_t i) { members.push_back(i); });
   std::size_t m = 2;
   for (std::size_t level = 0; level < ruling_levels(min_gap); ++level) {
     m *= 2;
-    double_level(ids, member, m, left_real, right_real, scratch);
+    double_level(ids, members, m, left_real, right_real, scratch);
   }
 }
 

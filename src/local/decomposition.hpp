@@ -13,11 +13,16 @@
 //            members at multiples of m_j from the left anchor — keeping
 //            the maximum gap below 2x the minimum at every level.
 //
-// ruling_members_segment computes every member flag of a window (or of
-// one oriented segment of it) in one pass, so locality holds by
-// construction: a flag at least ruling_radius() from both non-real window
-// edges depends only on the IDs within that radius (window-agreement
-// property-tested).
+// ruling_members_segment computes every member of a window (or of one
+// oriented segment of it) at once, so locality holds by construction: a
+// member flag at least ruling_radius() from both non-real window edges
+// depends only on the IDs within that radius (window-agreement
+// property-tested). Each level is one Cole-Vishkin coloring plus one
+// sequential pass: level 0 over the window, level j over the sorted
+// position list of the level-(j-1) members, which the greedy MIS (a node
+// joins unless an earlier-phase neighbor joined; its lookahead is at most
+// two nodes) and the repair rewrite into the next level's list. Every
+// buffer lives in a caller-owned RulingScratch.
 #pragma once
 
 #include <cstddef>
@@ -43,25 +48,22 @@ std::size_t ruling_radius(std::size_t min_gap);
 /// many segments passes the same scratch every time, so only segments
 /// longer than all before them allocate.
 struct RulingScratch {
-  std::vector<std::uint64_t> color;     ///< Cole-Vishkin colors
-  std::vector<std::size_t> pos;         ///< member positions
-  std::vector<NodeId> sub_ids;          ///< member IDs
-  std::vector<char> sub_member;         ///< MIS over the members
-  std::vector<char> next_member;        ///< the next level's flags
-  std::vector<std::ptrdiff_t> anchors;  ///< repair anchors
+  std::vector<std::uint64_t> color;  ///< Cole-Vishkin colors
+  std::vector<NodeId> sub_ids;       ///< the current members' IDs
+  std::vector<std::size_t> next;     ///< the next level's member positions
 };
 
-/// Member flags (window-relative) of the ruling set with gap bounds
-/// [ruling_min_gap(min_gap), 2 * ruling_min_gap(min_gap)], written into
-/// `member`. Flags are trusted only at least ruling_radius(min_gap) from a
-/// non-real window edge. Either array edge may be a *real* boundary (a
-/// path end, or an orientation flip that the undirected synthesis
-/// strategies treat as one): on a real side the Cole-Vishkin recursion
-/// anchors at the edge and the repair pass measures gaps from it, so
-/// member flags are trusted all the way to that side and the distance from
-/// the boundary to the nearest member stays below 2m.
+/// Positions (window-relative, ascending) of the members of the ruling set
+/// with gap bounds [ruling_min_gap(min_gap), 2 * ruling_min_gap(min_gap)],
+/// written into `members`. Member flags are trusted only at least
+/// ruling_radius(min_gap) from a non-real window edge. Either array edge
+/// may be a *real* boundary (a path end, or an orientation flip that the
+/// undirected synthesis strategies treat as one): on a real side the
+/// Cole-Vishkin recursion anchors at the edge and the repair pass measures
+/// gaps from it, so member flags are trusted all the way to that side and
+/// the distance from the boundary to the nearest member stays below 2m.
 void ruling_members_segment(std::span<const NodeId> ids, std::size_t min_gap, bool left_real,
-                            bool right_real, std::vector<char>& member,
+                            bool right_real, std::vector<std::size_t>& members,
                             RulingScratch& scratch);
 
 }  // namespace lclpath

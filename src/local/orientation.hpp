@@ -16,10 +16,17 @@
 // oriented nodes on each side. Only windows smaller than the instance are
 // oriented: the synthesized algorithms answer an instance-covering view
 // with the canonical full-view solve, which needs no orientation.
+//
+// The window kernel makes four sequential, mostly branch-free passes over
+// two caller-owned buffers: a block (van Herk / Gil-Werman) sliding
+// maximum of width L, whose entries give each position's left and right
+// half-ball maxima; a forward pass that marks peaks and the peakless
+// direction; and a backward pass that applies the nearest-peak rule.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "local/instance.hpp"
@@ -33,17 +40,26 @@ enum class Direction : std::uint8_t { kForward, kBackward };
 /// meaningful.
 std::size_t orientation_window_margin(std::size_t ell);
 
+/// The buffers orientation_directions_window works in, reused across
+/// windows: only a window longer than all before it allocates.
+struct OrientationScratch {
+  /// Block prefix maxima, then the nearest peak at or before each position.
+  std::vector<std::uint64_t> prefix;
+  /// max(ids[s], ..., ids[s + L - 1]), clipped at the window's right edge.
+  std::vector<NodeId> width_max;
+};
+
 /// Per-position directions over a whole window of IDs by the peak /
-/// nearest-peak / ball-max rule, in O(len) total via sliding-window maxima
+/// nearest-peak / ball-max rule, in O(len) total, written into `out`
 /// (the synthesized undirected algorithms need every position of a large
-/// window). Directions are relative to the window's
+/// window). IDs must be distinct. Directions are relative to the window's
 /// presentation order and the rule is equivariant under reversing it, so
 /// two observers with opposite presentations of the same cycle segment
 /// derive the same physical orientation. Balls are truncated at the
 /// array edges; that is exact where the edge is a real path end (there
 /// simply are no nodes beyond it) and it is why directions within
 /// orientation_window_margin() of a mere window edge are untrusted.
-std::vector<Direction> orientation_directions_window(const std::vector<NodeId>& ids,
-                                                     std::size_t ell);
+void orientation_directions_window(std::span<const NodeId> ids, std::size_t ell,
+                                   std::vector<Direction>& out, OrientationScratch& scratch);
 
 }  // namespace lclpath

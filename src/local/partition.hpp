@@ -3,10 +3,11 @@
 // oriented segment of its window:
 //   * claim_periodic_runs: maximal period-q runs, shortest period first,
 //     each accepted or rejected by a caller-supplied claim rule (Lemma 21's
-//     long periodic components);
+//     long periodic components). One comparison pass per period; the
+//     result is the ascending list of claimed stretches;
 //   * window_maxima / sliding_window_argmax: the sliding-window argmax
-//     behind Lemma 20's independent set (the synthesizer's seeds) and the
-//     ell-orientation's ball maxima;
+//     behind Lemma 20's independent set (the synthesizer's seeds), one
+//     monotonic deque in a caller-owned buffer;
 //   * least_rotation: a periodic run's canonical pattern and phase.
 //
 // Lemma 20's O(1)-round independent set exploits input irregularity: in a
@@ -17,7 +18,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,10 +50,10 @@ void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible,
   }
 }
 
-/// Window maxima: member[p] iff p is eligible and no eligible position
-/// within distance `radius` is strictly larger under `less`. Writes n
-/// flags into `member` (capacity reused) with `deque` as the argmax
-/// scratch.
+/// Window maxima: the eligible positions p that no eligible position
+/// within distance `radius` exceeds strictly under `less`, written in
+/// ascending order into `members` (capacity reused) with `deque` as the
+/// argmax scratch.
 ///
 /// The guarantee is independence only: two members within `radius` of each
 /// other compare equal, so where the compared keys are distinct within
@@ -63,10 +63,10 @@ void sliding_window_argmax(std::size_t n, std::size_t radius, Eligible eligible,
 /// arbitrarily long stretches without a member.
 template <class Eligible, class Less>
 void window_maxima(std::size_t n, std::size_t radius, Eligible eligible, Less less,
-                   std::vector<char>& member, std::vector<std::size_t>& deque) {
-  member.assign(n, 0);
+                   std::vector<std::size_t>& members, std::vector<std::size_t>& deque) {
+  members.clear();
   const auto visit = [&](std::size_t p, std::size_t best) {
-    member[p] = eligible(p) && !less(p, best) ? 1 : 0;
+    if (eligible(p) && !less(p, best)) members.push_back(p);
   };
   sliding_window_argmax(n, radius, eligible, less, visit, deque);
 }
@@ -82,27 +82,68 @@ inline auto window_less(const Word& word, std::size_t l) {
   };
 }
 
-/// A maximal periodic input run [begin, end) claimed with period `period`
-/// (0: the position is unclaimed), plus the margin its claim rule assigned.
+/// A claimed stretch [from, to): positions claimed by the maximal periodic
+/// input run [begin, end) of period `period`, with the margin its claim
+/// rule assigned. A run claims only positions no earlier run claimed, so
+/// one run may leave several stretches.
 struct PeriodicRun {
   std::size_t period = 0;
   std::size_t begin = 0, end = 0;
   std::size_t margin = 0;
+  std::size_t from = 0, to = 0;
 };
-
-/// Claim rule: the margin of the run [begin, end) of period q, or nullopt
-/// to leave it unclaimed.
-using ClaimRule = std::function<std::optional<std::size_t>(std::size_t q, std::size_t begin,
-                                                            std::size_t end)>;
 
 /// Lemma 21's run scan. For q = 1..max_period, finds every maximal run
 /// [begin, end) with in[i] == in[i + q] for begin <= i < end - q and asks
-/// the rule for it; an accepted run claims its still-unclaimed positions,
-/// so shorter periods claim first; once every position is claimed the
-/// scan stops, asking about no further runs. Writes the claim per
-/// position into `claim` (capacity reused).
-void claim_periodic_runs(std::span<const Label> in, std::size_t max_period,
-                         const ClaimRule& rule, std::vector<PeriodicRun>& claim);
+/// rule(q, begin, end) for it: the run's margin, or nullopt to leave it
+/// unclaimed (a std::optional<std::size_t>). An accepted run claims its
+/// still-unclaimed positions, so shorter periods claim first; once every
+/// position is claimed the scan stops, asking about no further runs.
+/// Writes the claimed stretches into `claims` (capacity reused), ascending
+/// and disjoint; positions in none are unclaimed.
+template <class Rule>
+void claim_periodic_runs(std::span<const Label> in, std::size_t max_period, Rule&& rule,
+                         std::vector<PeriodicRun>& claims) {
+  const std::size_t n = in.size();
+  claims.clear();
+  std::size_t unclaimed = n;
+  for (std::size_t q = 1; q <= max_period && unclaimed != 0; ++q) {
+    // Runs of one period come with ascending begins and ends, so they meet
+    // the earlier periods' stretches, claims[0, earlier), in order (one
+    // cursor) and overlap this period's claims only below the last
+    // accepted end. This period's stretches are appended, then sorted in.
+    const std::size_t earlier = claims.size();
+    std::size_t cursor = 0;
+    std::size_t claimed_to = 0;
+    std::size_t i = 0;
+    while (i + q < n && unclaimed != 0) {
+      if (in[i] != in[i + q]) {
+        ++i;
+        continue;
+      }
+      std::size_t j = i;
+      while (j + q < n && in[j] == in[j + q]) ++j;
+      const std::size_t begin = i;
+      const std::size_t end = j + q;  // exclusive
+      if (const std::optional<std::size_t> margin = rule(q, begin, end)) {
+        for (std::size_t pos = std::max(begin, claimed_to); pos < end;) {
+          while (cursor < earlier && claims[cursor].to <= pos) ++cursor;
+          if (cursor < earlier && claims[cursor].from <= pos) {
+            pos = claims[cursor].to;
+            continue;
+          }
+          const std::size_t stop = cursor < earlier ? std::min(end, claims[cursor].from) : end;
+          claims.push_back(PeriodicRun{q, begin, end, *margin, pos, stop});
+          unclaimed -= stop - pos;
+          pos = stop;
+        }
+        claimed_to = end;
+      }
+      i = j + 1;
+    }
+    if (claims.size() > earlier) std::ranges::sort(claims, {}, &PeriodicRun::from);
+  }
+}
 
 /// The smallest shift s such that the rotation w[s..] w[..s] of the
 /// non-empty word w is lexicographically least.

@@ -258,13 +258,10 @@ class ChunkRunner {
         window.sees_left_end = wlo == 0;
         window.sees_right_end = whi == n - 1;
       }
-      window.inputs.resize(wlen);
-      window.ids.resize(wlen);
-      for (std::size_t k = 0; k < wlen; ++k) {
-        const std::size_t idx = cycle ? (wlo + k) % n : wlo + k;
-        window.inputs[k] = instance_.inputs[idx];
-        window.ids[k] = instance_.ids[idx];
-      }
+      // [wlo, wlo + wlen), wrapping past n on cycles: two contiguous copies.
+      const std::size_t head = std::min(wlen, n - wlo);
+      copy_wrapped(instance_.inputs, wlo, head, wlen, window.inputs);
+      copy_wrapped(instance_.ids, wlo, head, wlen, window.ids);
       window.center = offset;
       labels.resize(e - s);
       if (!algorithm_.run_span(window, offset, offset + (e - s), labels.data())) {
@@ -276,6 +273,14 @@ class ChunkRunner {
       s = e;
     }
     return true;
+  }
+
+  template <class T>
+  static void copy_wrapped(const std::vector<T>& from, std::size_t lo, std::size_t head,
+                           std::size_t len, std::vector<T>& to) {
+    to.resize(len);
+    std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(lo), head, to.begin());
+    std::copy_n(from.begin(), len - head, to.begin() + static_cast<std::ptrdiff_t>(head));
   }
 
   const LocalAlgorithm& algorithm_;
@@ -308,8 +313,13 @@ class CanonicalSolution {
         forward_ = ids[(anchor_ + 1) % n_] < ids[(anchor_ + n_ - 1) % n_];
       }
       Word canonical(n_);
-      for (std::size_t k = 0; k < n_; ++k) {
-        canonical[k] = inputs[forward_ ? (anchor_ + k) % n_ : (anchor_ + n_ - k) % n_];
+      if (forward_) {
+        std::rotate_copy(inputs.begin(), inputs.begin() + static_cast<std::ptrdiff_t>(anchor_),
+                         inputs.end(), canonical.begin());
+      } else {
+        std::rotate_copy(inputs.rbegin(),
+                         inputs.rbegin() + static_cast<std::ptrdiff_t>(n_ - 1 - anchor_),
+                         inputs.rend(), canonical.begin());
       }
       solution = solve_by_dp(problem, canonical);
     } else {
@@ -325,7 +335,8 @@ class CanonicalSolution {
   /// index in the canonical word inverts the rotation (and the direction).
   Label at(std::size_t pos) const {
     if (!cycle_) return solution_[pos];
-    return solution_[forward_ ? (pos + n_ - anchor_) % n_ : (anchor_ + n_ - pos) % n_];
+    if (forward_) return solution_[pos >= anchor_ ? pos - anchor_ : pos + n_ - anchor_];
+    return solution_[pos <= anchor_ ? anchor_ - pos : anchor_ + n_ - pos];
   }
 
  private:

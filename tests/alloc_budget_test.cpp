@@ -1,8 +1,9 @@
 // Heap-allocation budgets for the three per-problem hot paths of a cold
 // classify, Monoid::enumerate, decide_linear_gap and decide_const_gap, for
 // the path DP (complete_by_dp) that gather-all and the synthesized
-// completions run, and for simulate() of the synthesized O(1) and log*
-// algorithms. This binary replaces the global operator new / delete (sized
+// completions run, for the ruling-set and ell-orientation window kernels
+// (0 once their scratch has grown), and for simulate() of the synthesized
+// O(1) and log* algorithms (1.8-7.3 per 1000 nodes, bound 9). This binary replaces the global operator new / delete (sized
 // variants included) with counting wrappers around malloc / free, so it
 // measures exactly the allocations the library asks for. Only the
 // measured calls are counted; gtest's own allocations are not.
@@ -35,6 +36,8 @@
 #include "directed_workload.hpp"
 #include "lcl/catalog.hpp"
 #include "lcl/verifier.hpp"
+#include "local/decomposition.hpp"
+#include "local/orientation.hpp"
 #include "local/simulator.hpp"
 
 namespace {
@@ -178,13 +181,48 @@ TEST(AllocationBudget, CompleteByDpAllocatesIndependentlyOfTheWordLength) {
   }
 }
 
+// The ruling-set and ell-orientation window kernels work only in their
+// caller-owned scratch: once it has grown to the longest window, a call
+// allocates nothing (the multi-pass orientation made five window-length
+// vectors per call).
+TEST(AllocationBudget, WindowKernelsAllocateNothingOnceTheirScratchHasGrown) {
+  Rng rng(26);
+  std::vector<std::vector<NodeId>> windows;
+  for (const std::size_t len : {3000, 1, 17, 2999, 640, 2048}) {
+    std::vector<NodeId> ids;
+    for (const std::size_t id : rng.permutation(len)) ids.push_back(id);
+    windows.push_back(std::move(ids));
+  }
+  windows.push_back(adversarial_ids(3000, 7));
+  RulingScratch ruling;
+  std::vector<std::size_t> members;
+  OrientationScratch orientation;
+  std::vector<Direction> directions;
+  const auto sweep = [&] {
+    for (const std::vector<NodeId>& ids : windows) {
+      for (const std::size_t min_gap : {2, 20, 64}) {
+        ruling_members_segment(ids, min_gap, min_gap == 20, min_gap != 2, members, ruling);
+      }
+      for (const std::size_t ell : {1, 40}) {
+        orientation_directions_window(ids, ell, directions, orientation);
+      }
+    }
+  };
+  sweep();  // grows the scratch
+  const std::size_t allocations = count_allocations(sweep);
+  std::printf("allocations in %zu warm ruling-set and orientation calls: %zu\n",
+              windows.size() * 5, allocations);
+  EXPECT_EQ(allocations, 0u);
+}
+
 // simulate() of the synthesized O(1) and Theta(log* n) algorithms keeps
 // its layout and completion buffers across the segments, gaps and blocks
 // of a window, so what it allocates is per chunk, not per node. Measured
-// at 5 * 10^4 nodes and one worker (four chunks): 2.1-9.2 allocations per
+// at 5 * 10^4 nodes and one worker (four chunks): 1.8-7.3 allocations per
 // 1000 nodes over every catalog problem of those classes on all four
-// topologies, down from 535-2759 when every segment, gap completion and
-// anchored position allocated.
+// topologies (2.1-9.2 while the window kernels kept per-position records
+// and the orientation allocated per window), down from 535-2759 when
+// every segment, gap completion and anchored position allocated.
 TEST(AllocationBudget, SynthesizedSimulationAllocatesPerChunkNotPerNode) {
   constexpr std::size_t kNodes = 50000;
   std::size_t cases = 0;
@@ -215,7 +253,7 @@ TEST(AllocationBudget, SynthesizedSimulationAllocatesPerChunkNotPerNode) {
           1000.0 * static_cast<double>(allocations) / static_cast<double>(kNodes);
       std::printf("allocations per 1000 simulated nodes, %s: %.2f\n",
                   classified.summary().c_str(), per_1000);
-      EXPECT_LE(per_1000, 20.0) << classified.summary();
+      EXPECT_LE(per_1000, 9.0) << classified.summary();
       ++cases;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "local/orientation.hpp"
 #include "local/partition.hpp"
 #include "local/simulator.hpp"
+#include "local_oracle.hpp"
 #include "test_util.hpp"
 
 namespace lclpath {
@@ -28,16 +30,30 @@ std::uint64_t cv_color_at(const Instance& instance, std::size_t v) {
 
 bool ruling_member_at(const Instance& instance, std::size_t v, std::size_t min_gap) {
   const View view = extract_view(instance, v, ruling_radius(min_gap));
-  std::vector<char> member;
+  std::vector<std::size_t> members;
   RulingScratch scratch;
-  ruling_members_segment(view.ids, min_gap, view.sees_left_end, view.sees_right_end, member,
+  ruling_members_segment(view.ids, min_gap, view.sees_left_end, view.sees_right_end, members,
                          scratch);
-  return member[view.center] != 0;
+  return std::ranges::binary_search(members, view.center);
+}
+
+std::vector<Direction> orientation_window(std::span<const NodeId> ids, std::size_t ell) {
+  std::vector<Direction> directions;
+  OrientationScratch scratch;
+  orientation_directions_window(ids, ell, directions, scratch);
+  return directions;
 }
 
 Direction orientation_at(const Instance& instance, std::size_t v, std::size_t ell) {
   const View view = extract_view(instance, v, orientation_window_margin(ell));
-  return orientation_directions_window(view.ids, ell)[view.center];
+  return orientation_window(view.ids, ell)[view.center];
+}
+
+/// Flags of the ascending positions `members` over [0, n).
+std::vector<char> flags_of(const std::vector<std::size_t>& members, std::size_t n) {
+  std::vector<char> flags(n, 0);
+  for (std::size_t p : members) flags[p] = 1;
+  return flags;
 }
 
 TEST(Instance, ValidationAndNeighbors) {
@@ -231,13 +247,9 @@ TEST(RulingSet, SegmentRealEndsAnchorTheConstruction) {
       const std::size_t len = 20 * m + rng.next_below(10 * m);
       std::vector<NodeId> ids;
       for (std::size_t id : rng.permutation(len)) ids.push_back(id);
-      std::vector<char> member;
-      RulingScratch scratch;
-      ruling_members_segment(ids, min_gap, true, true, member, scratch);
       std::vector<std::size_t> pos;
-      for (std::size_t i = 0; i < len; ++i) {
-        if (member[i]) pos.push_back(i);
-      }
+      RulingScratch scratch;
+      ruling_members_segment(ids, min_gap, true, true, pos, scratch);
       ASSERT_GE(pos.size(), 2u);
       EXPECT_LT(pos.front() + 1, 2 * m);  // anchored at the left boundary
       EXPECT_LT(len - pos.back(), 2 * m + 1);
@@ -299,7 +311,7 @@ TEST(Orientation, WindowDirectionsMatchOrient) {
       const View view = extract_view(instance, v, margin);
       ASSERT_LT(view.size(), view.n);
       ASSERT_GE(view.center, margin);
-      const auto dirs = orientation_directions_window(view.ids, ell);
+      const auto dirs = orientation_window(view.ids, ell);
       EXPECT_EQ(dirs[view.center], naive_orient(view, ell))
           << "node " << v << " trial " << trial;
     }
@@ -353,13 +365,12 @@ TEST(Lemma20, IrregularIndependentSet) {
     inputs.push_back(static_cast<Label>(rng.next_below(3)));
   }
   const std::size_t windows = inputs.size() - l + 1;
-  std::vector<char> member;
+  std::vector<std::size_t> members;
   std::vector<std::size_t> deque;
   const auto all = [](std::size_t) { return true; };
-  window_maxima(windows, gamma, all, window_less(inputs, l), member, deque);
+  window_maxima(windows, gamma, all, window_less(inputs, l), members, deque);
   std::ptrdiff_t last = -1;
-  for (std::size_t v = 0; v < windows; ++v) {
-    if (!member[v]) continue;
+  for (const std::size_t v : members) {
     if (last >= 0 && v - static_cast<std::size_t>(last) <= gamma) {
       // Members this close must have identical windows — impossible in an
       // irregular stretch unless the word happened to repeat; verify.
@@ -433,11 +444,10 @@ TEST(WindowMaxima, MatchesNaiveReference) {
     const NaiveWindowMaxima expected = naive_window_maxima(word, l, radius, eligible);
     const auto is_eligible = [&](std::size_t i) { return eligible[i] != 0; };
 
-    std::vector<char> member;
+    std::vector<std::size_t> members;
     std::vector<std::size_t> deque;
-    window_maxima(windows, radius, is_eligible, window_less(word, l), member, deque);
-    member.resize(n, 0);
-    EXPECT_EQ(member, expected.member) << "trial " << trial;
+    window_maxima(windows, radius, is_eligible, window_less(word, l), members, deque);
+    EXPECT_EQ(flags_of(members, n), expected.member) << "trial " << trial;
     std::vector<std::size_t> best;
     const auto record = [&best](std::size_t, std::size_t b) { best.push_back(b); };
     sliding_window_argmax(windows, radius, is_eligible, window_less(word, l), record, deque);
@@ -468,8 +478,31 @@ struct RuleCall {
   bool operator==(const RuleCall&) const = default;
 };
 
-std::tuple<std::size_t, std::size_t, std::size_t, std::size_t> fields(const PeriodicRun& r) {
+using oracle::ClaimRule;
+using oracle::PositionClaim;
+
+std::tuple<std::size_t, std::size_t, std::size_t, std::size_t> fields(const PositionClaim& r) {
   return {r.period, r.begin, r.end, r.margin};
+}
+
+/// The per-position claims of claim_periodic_runs' stretches, after
+/// checking that they are ascending, disjoint, non-empty and inside their
+/// runs.
+std::vector<PositionClaim> per_position(const std::vector<PeriodicRun>& claims, std::size_t n) {
+  std::vector<PositionClaim> out(n);
+  std::size_t covered_to = 0;
+  for (const PeriodicRun& r : claims) {
+    EXPECT_LE(covered_to, r.from);
+    EXPECT_LT(r.from, r.to);
+    EXPECT_LE(r.begin, r.from);
+    EXPECT_LE(r.to, r.end);
+    EXPECT_LE(r.to, n);
+    for (std::size_t k = r.from; k < r.to && k < n; ++k) {
+      out[k] = PositionClaim{r.period, r.begin, r.end, r.margin};
+    }
+    covered_to = r.to;
+  }
+  return out;
 }
 
 bool has_period(const Word& w, std::size_t b, std::size_t e, std::size_t q) {
@@ -479,12 +512,12 @@ bool has_period(const Word& w, std::size_t b, std::size_t e, std::size_t q) {
   return true;
 }
 
-std::vector<PeriodicRun> naive_claims(const Word& w, std::size_t max_period,
-                                      const ClaimRule& rule, std::vector<RuleCall>& calls) {
+std::vector<PositionClaim> naive_claims(const Word& w, std::size_t max_period,
+                                        const ClaimRule& rule, std::vector<RuleCall>& calls) {
   const std::size_t n = w.size();
-  std::vector<PeriodicRun> claim(n);
+  std::vector<PositionClaim> claim(n);
   const auto unclaimed = [&claim] {
-    return std::ranges::any_of(claim, [](const PeriodicRun& c) { return c.period == 0; });
+    return std::ranges::any_of(claim, [](const PositionClaim& c) { return c.period == 0; });
   };
   for (std::size_t q = 1; q <= max_period; ++q) {
     for (std::size_t b = 0; b + q < n; ++b) {
@@ -496,7 +529,7 @@ std::vector<PeriodicRun> naive_claims(const Word& w, std::size_t max_period,
       calls.push_back({q, b, e});
       if (const std::optional<std::size_t> margin = rule(q, b, e)) {
         for (std::size_t k = b; k < e; ++k) {
-          if (claim[k].period == 0) claim[k] = PeriodicRun{q, b, e, *margin};
+          if (claim[k].period == 0) claim[k] = PositionClaim{q, b, e, *margin};
         }
       }
     }
@@ -553,7 +586,7 @@ TEST(ClaimPeriodicRuns, MatchesNaiveScan) {
     };
 
     std::vector<RuleCall> expected_calls;
-    const std::vector<PeriodicRun> expected =
+    const std::vector<PositionClaim> expected =
         naive_claims(word, max_period, rule, expected_calls);
 
     // The counting rule mirrors the claims: every call must come while
@@ -575,12 +608,12 @@ TEST(ClaimPeriodicRuns, MatchesNaiveScan) {
       }
       return margin;
     };
-    std::vector<PeriodicRun> claim;
-    claim_periodic_runs(word, max_period, counting, claim);
+    std::vector<PeriodicRun> claims;
+    claim_periodic_runs(word, max_period, counting, claims);
+    const std::vector<PositionClaim> claim = per_position(claims, n);
     covered += n > 0 && mirror_unclaimed == 0 ? 1 : 0;
 
     EXPECT_EQ(calls, expected_calls) << "trial " << trial;
-    ASSERT_EQ(claim.size(), n);
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_EQ(fields(claim[k]), fields(expected[k])) << "trial " << trial << " at " << k;
       // The production caller rotates each claimed window to canonical form.
@@ -613,16 +646,127 @@ TEST(ClaimPeriodicRuns, WholePeriodicWordIsOneRun) {
     ++calls;
     return std::optional<std::size_t>(5);
   };
-  std::vector<PeriodicRun> claim;
-  claim_periodic_runs(word, 3, accept, claim);
+  std::vector<PeriodicRun> claims;
+  claim_periodic_runs(word, 3, accept, claims);
   EXPECT_EQ(calls, 1u);
+  ASSERT_EQ(claims.size(), 1u);
+  const std::vector<PositionClaim> claim = per_position(claims, word.size());
   for (std::size_t k = 0; k < word.size(); ++k) {
-    EXPECT_EQ(fields(claim[k]), fields(PeriodicRun{2, 0, 60, 5})) << "position " << k;
+    EXPECT_EQ(fields(claim[k]), fields(PositionClaim{2, 0, 60, 5})) << "position " << k;
   }
   for (std::size_t k = 0; k + 2 <= word.size(); ++k) {
     const std::size_t best = least_rotation(std::span<const Label>(word).subspan(k, 2));
     EXPECT_EQ(word[k + best], 0u) << "position " << k;
   }
+}
+
+// The one-pass window kernels against the multi-pass oracles of
+// local_oracle.hpp, position by position and margins included: ruling-set
+// member flags (every real/unreal end combination), ell-orientation
+// directions and periodic-run claims. Windows are seeded, 0-3000 long
+// (the ruling set needs at least one node), with increasing, decreasing,
+// bit-reversed and random ID orders; claims run on 1-3-letter words made
+// of periodic blocks just below, at and just above the claim threshold
+// of a production-shaped rule (margin (a + 3) q, claimed at length
+// 2 margin + 2 q), separated by short noise; some blocks nest a claimable
+// period-1 run in every period, so one run leaves several stretches.
+TEST(LocalKernels, OnePassKernelsMatchTheMultiPassOracles) {
+  constexpr std::size_t kTrials = 300;
+  Rng rng(26);
+  std::size_t ruling_cases = 0, orientation_cases = 0, claim_cases = 0;
+  std::size_t members = 0, flips = 0, claimed_runs = 0, split_runs = 0;
+  RulingScratch ruling;
+  OrientationScratch orientation;
+  std::vector<std::size_t> positions;
+  std::vector<Direction> directions;
+  std::vector<PeriodicRun> claims;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    const std::size_t len = trial < 4 ? trial : rng.next_below(trial % 8 == 0 ? 3001 : 700);
+    std::vector<NodeId> ids(len);
+    switch (trial % 4) {
+      case 0:
+        for (std::size_t i = 0; i < len; ++i) ids[i] = i;
+        break;
+      case 1:
+        for (std::size_t i = 0; i < len; ++i) ids[i] = 3 * (len - i);
+        break;
+      case 2:
+        ids = adversarial_ids(len, rng.next_u64());
+        break;
+      default: {
+        const std::vector<std::size_t> order = rng.permutation(len);
+        for (std::size_t i = 0; i < len; ++i) ids[i] = order[i];
+      }
+    }
+
+    const std::size_t ell = 1 + rng.next_below(trial % 5 == 0 ? 200 : 24);
+    orientation_directions_window(ids, ell, directions, orientation);
+    const std::vector<Direction> expected_directions = oracle::orientation_directions(ids, ell);
+    ASSERT_EQ(directions, expected_directions) << "trial " << trial << " ell " << ell;
+    for (std::size_t i = 1; i < len; ++i) flips += directions[i] != directions[i - 1];
+    ++orientation_cases;
+
+    if (len > 0) {
+      const std::size_t min_gap = 2 + rng.next_below(63);
+      for (int ends = 0; ends < 4; ++ends) {
+        const bool left_real = (ends & 1) != 0;
+        const bool right_real = (ends & 2) != 0;
+        ruling_members_segment(ids, min_gap, left_real, right_real, positions, ruling);
+        ASSERT_EQ(flags_of(positions, len),
+                  oracle::ruling_members(ids, min_gap, left_real, right_real))
+            << "trial " << trial << " min_gap " << min_gap << " ends " << ends;
+        members += positions.size();
+        ++ruling_cases;
+      }
+    }
+
+    const std::size_t letters = 1 + rng.next_below(3);
+    const std::size_t max_period = 1 + rng.next_below(16);
+    const std::size_t salt = rng.next_below(3);
+    const auto margin_of = [salt](std::size_t q) { return ((q + salt) % 3 + 3) * q; };
+    Word word;
+    while (word.size() < len) {
+      const std::size_t q = 1 + rng.next_below(max_period + 1);
+      Word pattern(q);
+      for (Label& l : pattern) l = static_cast<Label>(rng.next_below(letters));
+      if (rng.next_below(3) == 0) {
+        // x^(q-1) y: a claimable period-1 run inside every period of the
+        // block, which the period-q run then claims around.
+        std::fill(pattern.begin(), pattern.end(), pattern[0]);
+        pattern.back() = static_cast<Label>(rng.next_below(letters));
+      }
+      const std::size_t threshold = 2 * margin_of(q) + 2 * q;
+      const std::size_t block = threshold - 1 + rng.next_below(3);
+      for (std::size_t k = 0; k < block && word.size() < len; ++k) {
+        word.push_back(pattern[k % q]);
+      }
+      for (std::size_t k = rng.next_below(4); k > 0 && word.size() < len; --k) {
+        word.push_back(static_cast<Label>(rng.next_below(letters)));
+      }
+    }
+    const auto rule = [&](std::size_t q, std::size_t begin,
+                          std::size_t end) -> std::optional<std::size_t> {
+      if (end - begin < 2 * margin_of(q) + 2 * q) return std::nullopt;
+      return margin_of(q);
+    };
+    claim_periodic_runs(word, max_period, rule, claims);
+    ASSERT_EQ(per_position(claims, len), oracle::claim_periodic_runs(word, max_period, rule))
+        << "trial " << trial;
+    std::set<std::pair<std::size_t, std::size_t>> runs;  // (period, begin)
+    for (const PeriodicRun& r : claims) {
+      if (!runs.insert({r.period, r.begin}).second) ++split_runs;
+    }
+    claimed_runs += runs.size();
+    ++claim_cases;
+  }
+  // Every case the kernels must handle actually occurred.
+  EXPECT_GT(ruling_cases, 4 * (kTrials - 10));
+  EXPECT_EQ(orientation_cases, kTrials);
+  EXPECT_EQ(claim_cases, kTrials);
+  EXPECT_GT(members, 0u);
+  EXPECT_GT(flips, 0u);
+  EXPECT_GT(claimed_runs, 0u);
+  EXPECT_GT(split_runs, 0u);
 }
 
 }  // namespace

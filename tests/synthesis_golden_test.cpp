@@ -287,7 +287,10 @@ TEST(OrientationGolden, WindowDirections) {
         }
       }
       Fnv1a hash;
-      for (Direction d : orientation_directions_window(ids, ell)) {
+      std::vector<Direction> directions;
+      OrientationScratch scratch;
+      orientation_directions_window(ids, ell, directions, scratch);
+      for (Direction d : directions) {
         hash.add(d == Direction::kForward ? 1 : 0);
       }
       EXPECT_EQ(hash.hex(), goldens[row]) << "ell=" << ell << " shape " << shape;
