@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -61,5 +62,31 @@ class ThreadPool {
   std::condition_variable wake_;
   bool stopping_ = false;
 };
+
+/// Runs body(0), ..., body(count - 1) and returns once every call has
+/// returned: on `pool` when it is non-null and count > 1, else inline in
+/// index order. Either way the exception that propagates is the lowest
+/// index's (on the pool, after every call has finished).
+template <typename Body>
+void parallel_for(ThreadPool* pool, std::size_t count, const Body& body) {
+  if (pool == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  std::vector<std::future<void>> done;
+  done.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    done.push_back(pool->submit([&body, i] { body(i); }));
+  }
+  std::exception_ptr first_error;
+  for (std::future<void>& call : done) {
+    try {
+      call.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 }  // namespace lclpath

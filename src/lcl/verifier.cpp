@@ -6,6 +6,10 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
+
+#include "core/cancel.hpp"
+#include "core/thread_pool.hpp"
 
 namespace lclpath {
 
@@ -214,19 +218,29 @@ VerifyResult verify_general(const GeneralProblem& problem, const Word& inputs,
   return VerifyResult::success();
 }
 
-/// The one dynamic program behind solve_by_dp, complete_by_dp and every
-/// PathDp completion. A label set is a mask of W = ceil(beta / 64) words
-/// (label b at bit b % 64 of word b / 64); kW fixes W at compile time (1
-/// covers beta <= 64) and kW == 0 reads it from w_.
+/// The dynamic program behind solve_by_dp, complete_by_dp and every
+/// PathDp completion, in two kernels that return the same labeling.
 ///
-/// tab_ holds, W words per row: the successor rows (succ[a] = {b : a -> b
+/// tab_ holds the word-mask form: a label set is a mask of W = ceil(beta /
+/// 64) words (label b at bit b % 64 of word b / 64; run<kW> fixes W at
+/// compile time, 1 covering beta <= 64, and kW == 0 reads it from w_).
+/// Its rows, W words each, are the successor rows (succ[a] = {b : a -> b
 /// allowed}), the predecessor rows (pred[b] = {a : a -> b allowed}), the
 /// C_node row of every input, the first-node rule's row of every input
 /// (paths with such a rule only), the last mask and node 0's candidates
-/// (the one row a run rewrites). reach_ holds W words per node: forward,
-/// the labels at v that extend a valid prefix; after the backward pass,
-/// those that also extend to a valid suffix. The labels are then read
-/// greedily front to back.
+/// (the one row a run rewrites). For beta <= 8 a set also fits one byte,
+/// and the byte kernel reads its steps off pred_image_ and next_label_.
+///
+/// Both kernels make the same passes. The candidate pass fills every
+/// node's set and stops at the first bad input label (which throws) or
+/// empty set (infeasible). The backward pass narrows the sets in place,
+/// reach[v] &= image(pred, reach[v + 1]), to the labels that extend to a
+/// valid suffix; on a cycle with first label f the last node is first
+/// masked with pred[f]. The greedy read then takes out[v] = the lowest label
+/// of reach[v] & succ[out[v - 1]]. That is the lexicographically smallest
+/// labeling: out[v - 1] extends a valid prefix, so every successor of it
+/// in reach[v] does too, and no forward pass is needed to say which labels
+/// are reachable from the start.
 PathDp::PathDp(const PairwiseProblem& problem)
     : problem_(&problem),
       w_(std::max<std::size_t>(1, (problem.num_outputs() + 63) / 64)),
@@ -269,26 +283,51 @@ PathDp::PathDp(const PairwiseProblem& problem)
 }
 
 bool PathDp::complete(std::span<const Label> inputs,
-                      std::span<const std::optional<Label>> pins, Word& out) {
+                      std::span<const std::optional<Label>> pins, Word& out,
+                      ThreadPool* pool, const ExecutionBudget* budget) {
+  if (problem_->num_outputs() <= 8 && inputs.size() >= kChunkedMinNodes) {
+    return complete_chunked(inputs, pins, out, pool != nullptr ? pool->size() : 1, pool,
+                            budget);
+  }
   if (inputs.empty() || (!pins.empty() && pins.size() != inputs.size())) return false;
-  if (w_ == 1) return run<1>(inputs, pins, out);
-  return run<0>(inputs, pins, out);
+  return w_ == 1 ? run<1>(inputs, pins, out) : run<0>(inputs, pins, out);
+}
+
+bool PathDp::complete_chunked(std::span<const Label> inputs,
+                              std::span<const std::optional<Label>> pins, Word& out,
+                              std::size_t chunks, ThreadPool* pool,
+                              const ExecutionBudget* budget) {
+  if (inputs.empty() || (!pins.empty() && pins.size() != inputs.size())) return false;
+  if (problem_->num_outputs() > 8) {
+    return w_ == 1 ? run<1>(inputs, pins, out) : run<0>(inputs, pins, out);
+  }
+  return run_bytes(inputs, pins, out, std::max<std::size_t>(chunks, 1), pool, budget);
+}
+
+void PathDp::check_pins(std::span<const std::optional<Label>> pins) const {
+  for (const std::optional<Label>& pin : pins) {
+    if (pin.has_value() && *pin >= problem_->num_outputs()) {
+      throw std::out_of_range("complete_by_dp: pinned label out of range");
+    }
+  }
+}
+
+void PathDp::throw_bad_input(std::span<const Label> inputs, std::size_t v) const {
+  // Out of range: the accessor throws std::out_of_range with its message.
+  (void)(!cycle_ && v == 0 ? problem_->outputs_for_first(inputs[v])
+                           : problem_->outputs_for(inputs[v]));
+  throw std::out_of_range("PairwiseProblem::outputs_for: bad input label");
 }
 
 template <std::size_t kW>
 bool PathDp::run(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
                  Word& out) {
-  const PairwiseProblem& problem = *problem_;
   const std::size_t W = kW != 0 ? kW : w_;
   const std::size_t n = inputs.size();
-  const std::size_t beta = problem.num_outputs();
-  const std::size_t alpha = problem.num_inputs();
+  const std::size_t beta = problem_->num_outputs();
+  const std::size_t alpha = problem_->num_inputs();
   const bool cycle = cycle_;
-  for (const std::optional<Label>& pin : pins) {
-    if (pin.has_value() && *pin >= beta) {
-      throw std::out_of_range("complete_by_dp: pinned label out of range");
-    }
-  }
+  check_pins(pins);
   const std::uint64_t* succ = tab_.data();
   const std::uint64_t* pred = tab_.data() + pred_at_;
   const std::uint64_t* last_mask = tab_.data() + last_at_;
@@ -329,82 +368,340 @@ bool PathDp::run(std::span<const Label> inputs, std::span<const std::optional<La
     return bits;
   };
 
-  // First pass: a bad input label throws, and an empty candidate set is
-  // infeasible before any solve.
+  out.resize(n);
   if (reach_.size() < n * W) reach_.resize(n * W);
   std::uint64_t* reach = reach_.data();
   for (std::size_t v = 0; v < n; ++v) {
-    if (inputs[v] >= alpha) {
-      // Out of range: the accessor throws std::out_of_range with its message.
-      (void)(!cycle && v == 0 ? problem.outputs_for_first(inputs[v])
-                              : problem.outputs_for(inputs[v]));
-    }
+    if (inputs[v] >= alpha) throw_bad_input(inputs, v);
     candidates(v, &reach[v * W]);
     if (!any(&reach[v * W])) return false;
   }
   for (std::size_t i = 0; i < W; ++i) node0[i] = reach[i];
 
-  // Forward from node 0's candidates (on a cycle, from the one label
-  // `first`, closed by the wrap edge back to it), backward in place, then
-  // the greedy read into `out`. The first solve finds every node's
-  // candidates still in `reach` from the pass above; a retry (the next
-  // first label on a cycle) reloads them.
-  out.resize(n);
+  // The backward pass, in place; on a cycle the last node is first masked
+  // with pred[*first]. The first pass finds every node's candidates still
+  // in `reach` from the candidate pass; a retry (the next first label on a
+  // cycle) reloads them.
   bool fresh = true;
-  const auto solve = [&](std::optional<Label> first) {
-    for (std::size_t i = 0; i < W; ++i) {
-      reach[i] = !first.has_value()   ? node0[i]
-                 : i == *first / 64 ? std::uint64_t{1} << (*first % 64)
-                                    : 0;
-    }
+  const auto backward = [&](std::optional<Label> first) {
     const bool reload = !fresh;
     fresh = false;
-    for (std::size_t v = 1; v < n; ++v) {
-      std::uint64_t* cur = &reach[v * W];
-      if (reload) candidates(v, cur);
-      for (std::size_t i = 0; i < W; ++i) cur[i] &= image_word(succ, cur - W, i);
-      if (!any(cur)) return false;
-    }
+    std::uint64_t* last = &reach[(n - 1) * W];
+    if (reload) candidates(n - 1, last);
     if (first.has_value()) {
-      std::uint64_t* last = &reach[(n - 1) * W];
       for (std::size_t i = 0; i < W; ++i) last[i] &= pred[*first * W + i];
-      if (!any(last)) return false;
     }
     for (std::size_t v = n - 1; v > 0; --v) {
       const std::uint64_t* cur = &reach[v * W];
       std::uint64_t* prev = &reach[(v - 1) * W];
+      if (reload) candidates(v - 1, prev);
       for (std::size_t i = 0; i < W; ++i) prev[i] &= image_word(pred, cur, i);
     }
+  };
+  const auto read = [&](Label first) {
     const auto lowest = [W](const std::uint64_t* set, const std::uint64_t* within) {
       for (std::size_t i = 0; i < W; ++i) {
         if (const std::uint64_t m = set[i] & within[i]; m != 0) {
           return static_cast<Label>(i * 64 + static_cast<std::size_t>(std::countr_zero(m)));
         }
       }
-      return Label{0};  // unreachable: the backward pass keeps a successor
+      return Label{0};  // unreachable: the backward pass kept a successor
     };
-    out[0] = lowest(reach, reach);
+    out[0] = first;
     for (std::size_t v = 1; v < n; ++v) {
       out[v] = lowest(&reach[v * W], succ + out[v - 1] * W);
     }
-    return true;
   };
 
-  if (!cycle) return solve(std::nullopt);
-  if (n == 1) {
-    // Degenerate self-loop cycle: the wrap edge is (b, b).
+  if (!cycle) {
+    backward(std::nullopt);
     for (Label b = 0; b < beta; ++b) {
-      if (has(node0, b) && has(succ + b * W, b)) {
-        out[0] = b;
+      if (has(reach, b)) {
+        read(b);
         return true;
       }
     }
     return false;
   }
+  // A first label closes when the backward pass conditioned on it keeps it
+  // at node 0 (n == 1 included: there the wrap edge is the self-loop).
   for (Label first = 0; first < beta; ++first) {
-    if (has(node0, first) && solve(first)) return true;
+    if (!has(node0, first)) continue;
+    backward(first);
+    if (has(reach, first)) {
+      read(first);
+      return true;
+    }
   }
   return false;
+}
+
+namespace {
+
+/// The lowest label of a nonempty byte-wide set. An empty set reads as
+/// label 7, which every byte table indexes safely; a read lane whose
+/// previous label cannot occur makes such reads, and its result is never
+/// used.
+inline std::uint8_t lowest_label(std::uint8_t set) {
+  return static_cast<std::uint8_t>(std::countr_zero(static_cast<unsigned>(set | 0x80u)));
+}
+
+/// Union of head[b] over the labels b in `set`.
+inline std::uint8_t apply_lanes(const std::uint8_t* head, std::uint8_t set) {
+  std::uint8_t image = 0;
+  for (unsigned m = set; m != 0; m &= m - 1) image |= head[std::countr_zero(m)];
+  return image;
+}
+
+/// The labels of a byte-wide set in ascending order; returns how many.
+std::size_t labels_of(std::uint8_t set, std::uint8_t* label) {
+  std::size_t count = 0;
+  for (unsigned m = set; m != 0; m &= m - 1) {
+    label[count++] = static_cast<std::uint8_t>(std::countr_zero(m));
+  }
+  return count;
+}
+
+/// Calls f with the lane count rounded up to 1, 2, 4 or 8 as a constant:
+/// each lane loop is then unrolled, its lanes held in registers (a runtime
+/// count lets the compiler pack them into one vector register that goes
+/// through memory on every step). Padding lanes are dead.
+template <class F>
+void with_lanes(std::size_t lanes, const F& f) {
+  if (lanes <= 1) return f(std::integral_constant<std::size_t, 1>{});
+  if (lanes <= 2) return f(std::integral_constant<std::size_t, 2>{});
+  if (lanes <= 4) return f(std::integral_constant<std::size_t, 4>{});
+  f(std::integral_constant<std::size_t, 8>{});
+}
+
+/// Backward over sets[begin, end) without writing, one lane per label b of
+/// `live`: head[b] = the set at node begin when {b} enters node end - 1.
+void backward_lanes(const std::uint8_t* pred_image, const std::uint8_t* sets,
+                    std::size_t begin, std::size_t end, std::uint8_t live,
+                    std::uint8_t* head) {
+  std::uint8_t label[8] = {};
+  const std::size_t count = labels_of(live, label);
+  with_lanes(count, [&](auto lanes) {
+    constexpr std::size_t K = decltype(lanes)::value;
+    std::uint8_t lane[K];
+    for (std::size_t i = 0; i < K; ++i) {
+      lane[i] = i < count ? static_cast<std::uint8_t>(1u << label[i]) : 0;
+    }
+    for (std::size_t v = end - 1; v > begin; --v) {
+      const std::uint8_t set = sets[v];
+      for (std::size_t i = 0; i < K; ++i) lane[i] = pred_image[set & lane[i]];
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      head[label[i]] = static_cast<std::uint8_t>(sets[begin] & lane[i]);
+    }
+  });
+}
+
+/// The greedy read over sets[begin, end) without writing, one lane per
+/// label p of `live`: tail[p] = the label at node end - 1 when p precedes
+/// node begin. next[256 * a + s] is the lowest label of s & succ[a].
+void read_lanes(const std::uint8_t* next, const std::uint8_t* sets, std::size_t begin,
+                std::size_t end, std::uint8_t live, std::uint8_t* tail) {
+  std::uint8_t label[8] = {};
+  const std::size_t count = labels_of(live, label);
+  with_lanes(count, [&](auto lanes) {
+    constexpr std::size_t K = decltype(lanes)::value;
+    std::uint8_t lane[K];
+    for (std::size_t i = 0; i < K; ++i) lane[i] = i < count ? label[i] : 0;
+    for (std::size_t v = begin; v < end; ++v) {
+      const std::uint8_t set = sets[v];
+      for (std::size_t i = 0; i < K; ++i) lane[i] = next[256u * lane[i] + set];
+    }
+    for (std::size_t i = 0; i < count; ++i) tail[label[i]] = lane[i];
+  });
+}
+
+/// The byte rows the candidate pass reads, and the rules of the special
+/// nodes (node 0, a path's last node, pins).
+struct ByteCandidates {
+  const std::uint64_t* rows;        ///< C_node per input (low byte)
+  const std::uint64_t* first_rows;  ///< node 0's rule per input
+  const std::optional<Label>* pins;  ///< null when there are none
+  std::size_t alpha;
+  std::size_t n;
+  std::uint8_t last;  ///< the last mask; all labels on a cycle
+};
+
+// The passes below take everything by value: they store bytes, which may
+// alias anything reached through a reference, so every input is a local.
+
+/// Fills sets[begin, end) with the candidate sets up to the first bad input
+/// label or empty set, and returns that node, or end when there is none.
+std::size_t fill_candidates(ByteCandidates from, const Label* inputs, std::uint8_t* sets,
+                            std::size_t begin, std::size_t end) {
+  for (std::size_t v = begin; v < end; ++v) {
+    const Label in = inputs[v];
+    if (in >= from.alpha) return v;
+    auto set = static_cast<std::uint8_t>((v == 0 ? from.first_rows : from.rows)[in]);
+    if (v == from.n - 1) set &= from.last;
+    if (from.pins != nullptr && from.pins[v].has_value()) {
+      set &= static_cast<std::uint8_t>(1u << *from.pins[v]);
+    }
+    sets[v] = set;
+    if (set == 0) return v;
+  }
+  return end;
+}
+
+/// The backward pass proper over sets[begin, end), in place, entering
+/// node end - 1 with `entering`.
+void backward_pass(const std::uint8_t* pred_image, std::uint8_t* sets, std::size_t begin,
+                   std::size_t end, std::uint8_t entering) {
+  for (std::size_t v = end; v-- > begin;) {
+    const auto set = static_cast<std::uint8_t>(sets[v] & entering);
+    sets[v] = set;
+    entering = pred_image[set];
+  }
+}
+
+/// The greedy read of nodes [begin, end) after `label`, into out.
+void read_pass(const std::uint8_t* next, const std::uint8_t* sets, Label* out,
+               std::size_t begin, std::size_t end, std::uint8_t label) {
+  for (std::size_t v = begin; v < end; ++v) {
+    label = next[256u * label + sets[v]];
+    out[v] = label;
+  }
+}
+
+}  // namespace
+
+void PathDp::build_byte_tables() {
+  const std::size_t beta = problem_->num_outputs();
+  pred_image_[0] = 0;
+  for (unsigned set = 1; set < 256; ++set) {
+    const auto low = static_cast<std::size_t>(std::countr_zero(set));
+    const auto row = low < beta ? static_cast<std::uint8_t>(tab_[pred_at_ + low]) : 0;
+    pred_image_[set] = static_cast<std::uint8_t>(pred_image_[set & (set - 1)] | row);
+  }
+  for (std::size_t a = 0; a < 8; ++a) {
+    const auto succ = a < beta ? static_cast<unsigned>(tab_[a]) : 0u;
+    for (unsigned set = 0; set < 256; ++set) {
+      next_label_[a * 256 + set] = lowest_label(static_cast<std::uint8_t>(set & succ));
+    }
+  }
+  byte_tables_ = true;
+}
+
+/// The byte kernel, in up to three parallel phases separated by serial
+/// scans over the T chunks:
+///   1. each chunk fills its candidate sets and stops at its first event
+///      (bad input, empty set). The last chunk of a path knows what enters
+///      it (every label) and runs the backward pass proper; every other
+///      chunk sweeps backward once with one lane per singleton {b} entering
+///      its last node, which gives its map from entering set to first
+///      node's set (the maps are unions over singletons). A scan finds the
+///      earliest event, or, on a cycle, the smallest first label f that
+///      node 0 keeps when the composed maps start from pred[f], then fixes
+///      each chunk's entering set right to left.
+///   2. every chunk not yet narrowed runs the backward pass proper; chunk 0
+///      then reads its labels, and every other chunk reads once with one
+///      lane per label that may precede it. A scan fixes each chunk's
+///      previous label left to right.
+///   3. the chunks after the first read their labels.
+/// With one chunk there is no read lane and no third phase, and on a path
+/// no backward lane either.
+bool PathDp::run_bytes(std::span<const Label> inputs,
+                       std::span<const std::optional<Label>> pins, Word& out,
+                       std::size_t chunks, ThreadPool* pool,
+                       const ExecutionBudget* budget) {
+  check_pins(pins);
+  const std::size_t n = inputs.size();
+  const std::size_t alpha = problem_->num_inputs();
+  const std::size_t beta = problem_->num_outputs();
+  const bool cycle = cycle_;
+  const std::size_t T = std::min(chunks, n);
+  chunks_.assign(T, ByteChunk{});
+  for (std::size_t k = 0; k < T; ++k) {
+    chunks_[k].begin = n * k / T;
+    chunks_[k].end = n * (k + 1) / T;
+  }
+  if (sets_.size() < n) sets_.resize(n);
+  std::uint8_t* sets = sets_.data();
+  if (!byte_tables_) build_byte_tables();
+  const std::uint8_t* pred_image = pred_image_;
+  const std::uint8_t* next = next_label_;
+  out.resize(n);
+  const std::optional<Label>* pinned = pins.empty() ? nullptr : pins.data();
+  const auto last = cycle ? std::uint8_t{0xff} : static_cast<std::uint8_t>(tab_[last_at_]);
+  const ByteCandidates candidates{tab_.data() + cand_at_, tab_.data() + first_at_, pinned,
+                                  alpha, n, last};
+
+  budget_check(budget);
+  parallel_for(pool, T, [&](std::size_t k) {
+    ByteChunk& c = chunks_[k];
+    c.event_at = fill_candidates(candidates, inputs.data(), sets, c.begin, c.end);
+    if (c.event_at != c.end) return;
+    if (!cycle && k == T - 1) {
+      backward_pass(pred_image, sets, c.begin, c.end, 0xff);
+      c.reached = true;
+      return;
+    }
+    backward_lanes(pred_image, sets, c.begin, c.end, sets[c.end - 1], c.head);
+  });
+  for (const ByteChunk& c : chunks_) {
+    if (c.event_at == c.end) continue;
+    if (inputs[c.event_at] >= alpha) throw_bad_input(inputs, c.event_at);
+    return false;
+  }
+
+  // A chunk's set at its first node, once what enters it is fixed.
+  const auto head_set = [&](const ByteChunk& c) {
+    return c.reached ? sets[c.begin] : apply_lanes(c.head, c.boundary);
+  };
+  Label first = 0;
+  if (cycle) {
+    // through[b]: node 0's set when {b} enters the last node.
+    std::uint8_t through[8] = {};
+    for (std::size_t b = 0; b < beta; ++b) {
+      std::uint8_t set = chunks_[T - 1].head[b];
+      for (std::size_t k = T - 1; k > 0; --k) {
+        set = apply_lanes(chunks_[k - 1].head, pred_image[set]);
+      }
+      through[b] = set;
+    }
+    while (first < beta && (apply_lanes(through, pred_image[1u << first]) >> first & 1) == 0) {
+      ++first;
+    }
+    if (first == beta) return false;
+    chunks_[T - 1].boundary = pred_image[1u << first];
+  }
+  for (std::size_t k = T - 1; k > 0; --k) {
+    chunks_[k - 1].boundary = pred_image[head_set(chunks_[k])];
+  }
+  if (!cycle) {
+    const std::uint8_t node0 = head_set(chunks_[0]);
+    if (node0 == 0) return false;
+    first = lowest_label(node0);
+  }
+
+  budget_check(budget);
+  parallel_for(pool, T, [&](std::size_t k) {
+    ByteChunk& c = chunks_[k];
+    if (!c.reached) backward_pass(pred_image, sets, c.begin, c.end, c.boundary);
+    if (k == 0) {
+      out[0] = first;
+      read_pass(next, sets, out.data(), 1, c.end, static_cast<std::uint8_t>(first));
+      return;
+    }
+    read_lanes(next, sets, c.begin, c.end, chunks_[k - 1].boundary, c.tail);
+  });
+  Label before = out[chunks_[0].end - 1];
+  for (std::size_t k = 1; k < T; ++k) {
+    chunks_[k].before = before;
+    before = chunks_[k].tail[before];
+  }
+
+  budget_check(budget);
+  parallel_for(pool, T - 1, [&](std::size_t k) {
+    const ByteChunk& c = chunks_[k + 1];
+    read_pass(next, sets, out.data(), c.begin, c.end, static_cast<std::uint8_t>(c.before));
+  });
+  return true;
 }
 
 std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inputs) {

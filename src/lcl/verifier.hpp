@@ -20,6 +20,9 @@
 
 namespace lclpath {
 
+class ExecutionBudget;
+class ThreadPool;
+
 /// Outcome of verification; on failure, identifies the first offending node
 /// and a human-readable reason (for test diagnostics).
 struct VerifyResult {
@@ -135,13 +138,25 @@ VerifyResult verify_general(const GeneralProblem& problem, const Word& inputs,
 /// ("gather everything and solve locally") and the ground truth oracle for
 /// all decidability tests.
 ///
-/// Cost: label sets are masks of W = ceil(beta / 64) machine words. A call
-/// reads the edge matrix once (beta^2 entries) into successor and
-/// predecessor rows, runs one forward and one backward pass of O(n * W)
-/// words of state (each node's step ORs one row per label in its set), and
-/// makes two allocations besides the result: the tables and the n * W
-/// reach words. A cycle repeats the passes for each candidate first label
-/// in ascending order until one closes.
+/// Cost: two passes over the word after the candidate pass. A backward
+/// pass narrows every node's candidates in place to the labels that extend
+/// to a valid suffix; a greedy read then takes, front to back, the lowest
+/// of those that follows the label before it. A cycle conditions the
+/// backward pass on the first label (the last node must close the wrap
+/// edge to it). Two kernels run these passes, chosen by beta and n alone:
+///   - words of at least PathDp::kChunkedMinNodes nodes over beta <= 8
+///     labels keep one byte per node and read set images and next labels
+///     off byte-indexed tables, in one chunk, or in one chunk per worker
+///     when PathDp::complete gets a pool; a cycle finds its first label
+///     from the composed chunk maps instead of retrying;
+///   - every other word (the synthesized algorithms' gap completions, and
+///     beta > 8) keeps masks of W = ceil(beta / 64) machine words per node,
+///     ORs one edge-matrix row per label of a set, and on a cycle repeats
+///     the backward pass for each candidate first label in ascending order
+///     until one closes.
+/// Besides the result a call makes two allocations, the problem's tables
+/// and the per-node scratch, and the chunked kernel a third for its chunk
+/// records.
 ///
 /// An input label outside the input alphabet throws std::out_of_range (the
 /// message of PairwiseProblem::outputs_for, or outputs_for_first at a
@@ -160,25 +175,72 @@ std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& i
 
 /// The DP of solve_by_dp and complete_by_dp with the problem's tables built
 /// once, for callers that complete many words against one problem (the
-/// synthesized algorithms' gap completions). The reach words are reused
-/// from call to call and grow only with the longest word seen, so a
-/// PathDp serves one thread at a time.
+/// synthesized algorithms' gap completions, the simulator's full-view
+/// solve). The per-node scratch is reused from call to call and grows only
+/// with the longest word seen, so a PathDp serves one thread at a time
+/// (a chunked call hands its chunks to the pool and waits for them).
 class PathDp {
  public:
+  /// Words this long or longer over at most 8 output labels take the
+  /// byte-per-node chunked kernel; shorter ones stay on the word-mask one.
+  static constexpr std::size_t kChunkedMinNodes = std::size_t{1} << 16;
+
   explicit PathDp(const PairwiseProblem& problem);
 
   /// complete_by_dp(problem, inputs, pins) into `out`: true with the
   /// lexicographically smallest completion (pins empty = solve_by_dp),
   /// false where those return nullopt. Same input-label and pin rules.
   /// `out` is resized to inputs.size(); its contents are unspecified
-  /// after a false return.
+  /// after a false return. With a pool, a word that takes the chunked
+  /// kernel is cut into one chunk per pool worker; `budget` (nullable) is
+  /// checked before each of its phases and charged nothing.
   bool complete(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
-                Word& out);
+                Word& out, ThreadPool* pool = nullptr,
+                const ExecutionBudget* budget = nullptr);
+
+  /// The chunked kernel complete() takes for long words, on exactly
+  /// min(chunks, n) contiguous chunks whatever the length (beta > 8 runs
+  /// the word-mask kernel instead). Each phase runs its chunks on `pool`,
+  /// or inline when it is null: the candidates and one backward sweep per
+  /// chunk (laned, one lane per singleton boundary set, where the chunk's
+  /// boundary is not yet known), a scan over the chunk boundaries, the
+  /// backward pass proper and the greedy read (laned per previous label
+  /// for every chunk but the first), a scan, and the remaining reads.
+  /// Same result as complete().
+  bool complete_chunked(std::span<const Label> inputs,
+                        std::span<const std::optional<Label>> pins, Word& out,
+                        std::size_t chunks, ThreadPool* pool = nullptr,
+                        const ExecutionBudget* budget = nullptr);
 
  private:
+  /// One chunk [begin, end) of the byte kernel and what its sweeps leave
+  /// for the boundary scans.
+  struct ByteChunk {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    /// The first bad input label or empty candidate set, or end.
+    std::size_t event_at = 0;
+    /// The backward pass proper has run (a path's last chunk, in phase 1).
+    bool reached = false;
+    /// The set the backward pass enters node end - 1 with.
+    std::uint8_t boundary = 0;
+    /// Backward lanes: head[b] = the set at node begin when {b} enters.
+    std::uint8_t head[8] = {};
+    /// Read lanes: tail[p] = the label at node end - 1 when p precedes.
+    std::uint8_t tail[8] = {};
+    /// The label before node begin, once the scan has fixed it.
+    Label before = 0;
+  };
+
   template <std::size_t kW>
   bool run(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
            Word& out);
+  bool run_bytes(std::span<const Label> inputs, std::span<const std::optional<Label>> pins,
+                 Word& out, std::size_t chunks, ThreadPool* pool,
+                 const ExecutionBudget* budget);
+  void build_byte_tables();
+  void check_pins(std::span<const std::optional<Label>> pins) const;
+  [[noreturn]] void throw_bad_input(std::span<const Label> inputs, std::size_t v) const;
 
   const PairwiseProblem* problem_;
   std::size_t w_;  ///< words per label set
@@ -187,6 +249,14 @@ class PathDp {
   std::size_t pred_at_ = 0, cand_at_ = 0, first_at_ = 0, last_at_ = 0, node0_at_ = 0;
   std::vector<std::uint64_t> tab_;
   std::vector<std::uint64_t> reach_;
+  /// The byte kernel's tables, built on its first run: the union of pred
+  /// rows over each byte-wide set, and next_label_[256 * a + s] = the
+  /// lowest label of s & succ[a] (label 7 when there is none).
+  bool byte_tables_ = false;
+  std::uint8_t pred_image_[256] = {};
+  std::uint8_t next_label_[8 * 256] = {};
+  std::vector<std::uint8_t> sets_;
+  std::vector<ByteChunk> chunks_;
 };
 
 }  // namespace lclpath

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "core/thread_pool.hpp"
+
 namespace lclpath {
 
 namespace {
@@ -42,10 +44,76 @@ std::size_t Instance::pred(std::size_t v) const {
   return size() - 1;
 }
 
-void Instance::validate() const {
+namespace {
+
+// The two loops of the pooled check take their bounds by value: a 64-bit
+// store may alias any std::size_t a lambda captures by reference.
+
+/// Marks ids[begin, end) in `bitmap`; false at an ID at or above `bound`
+/// or one marked already.
+bool mark_ids(const NodeId* ids, std::size_t begin, std::size_t end, NodeId bound,
+              std::uint64_t* bitmap) {
+  for (std::size_t v = begin; v < end; ++v) {
+    const NodeId id = ids[v];
+    if (id >= bound) return false;
+    std::uint64_t& word = bitmap[static_cast<std::size_t>(id >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    if (word & bit) return false;
+    word |= bit;
+  }
+  return true;
+}
+
+/// False when some bit of words [begin, end) is set in two of the `count`
+/// bitmaps laid `stride` words apart.
+bool disjoint_words(const std::uint64_t* bitmaps, std::size_t count, std::size_t stride,
+                    std::size_t begin, std::size_t end) {
+  for (std::size_t w = begin; w < end; ++w) {
+    std::uint64_t seen = 0;
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::uint64_t bits = bitmaps[t * stride + w];
+      if (seen & bits) return false;
+      seen |= bits;
+    }
+  }
+  return true;
+}
+
+/// True when the IDs are distinct and all below n, as sequential and
+/// permutation IDs are. Worker k of W marks the k-th of W slices of the
+/// IDs in its own n-bit bitmap (side by side in `scratch`), then checks
+/// the k-th of W word ranges of all W bitmaps for a bit set twice. W is
+/// at most 4, so the bitmaps never take more than the serial scan's 4n
+/// bits. A duplicate or an ID of n or more ends it with false.
+bool pooled_ids_distinct(const std::vector<NodeId>& ids, ThreadPool& pool,
+                         std::vector<std::uint64_t>& scratch) {
+  const std::size_t n = ids.size();
+  const std::size_t W = std::min<std::size_t>(pool.size(), 4);
+  const std::size_t words = (n + 63) / 64;
+  if (scratch.size() < W * words) scratch.resize(W * words);
+  std::vector<char> clean(W, 1);
+  parallel_for(&pool, W, [&](std::size_t k) {
+    std::uint64_t* bitmap = scratch.data() + k * words;
+    std::fill_n(bitmap, words, 0);
+    clean[k] = mark_ids(ids.data(), n * k / W, n * (k + 1) / W, n, bitmap);
+  });
+  if (std::find(clean.begin(), clean.end(), 0) != clean.end()) return false;
+  parallel_for(&pool, W, [&](std::size_t k) {
+    clean[k] = disjoint_words(scratch.data(), W, words, words * k / W, words * (k + 1) / W);
+  });
+  return std::find(clean.begin(), clean.end(), 0) == clean.end();
+}
+
+}  // namespace
+
+void Instance::validate(ThreadPool* pool) const {
   if (inputs.empty()) throw std::invalid_argument("Instance: empty");
   if (inputs.size() != ids.size()) {
     throw std::invalid_argument("Instance: inputs/ids size mismatch");
+  }
+  if (pool != nullptr && pool->size() > 1 &&
+      pooled_ids_distinct(ids, *pool, validate_scratch)) {
+    return;
   }
   const std::size_t n = ids.size();
   // Compact-ID fast path: one pass marking a bitmap. Sequential and

@@ -16,6 +16,8 @@
 
 namespace lclpath {
 
+class ThreadPool;
+
 using NodeId = std::uint64_t;
 
 struct Instance {
@@ -35,8 +37,13 @@ struct Instance {
   /// instance is empty. Single pass over a reusable bitmap scratch for
   /// compact IDs (the sequential / permutation generators); falls back to
   /// a sort for sparse assignments (e.g. adversarial bit-reversed IDs).
-  /// The engine calls this once per simulate() run, never per chunk.
-  void validate() const;
+  /// With a pool of several workers, up to four of them first mark their
+  /// slices of the IDs in private n-bit bitmaps (together no larger than
+  /// the serial scan's), which are then merged by word range; a duplicate
+  /// or an ID of n or more sends the call to the serial scan, so the
+  /// outcome and the message are the serial ones. The engine calls this
+  /// once per simulate() run, on the run's pool, never per chunk.
+  void validate(ThreadPool* pool = nullptr) const;
 };
 
 /// Instance with sequential IDs 0..n-1 and the given inputs.

@@ -1,7 +1,6 @@
 #include "local/simulator.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -149,38 +148,19 @@ void charge(const ExecutionBudget* budget, std::size_t ticks) {
 }
 
 /// Runs `run_chunk(begin, end)` on each of the plan's chunks of [0, n),
-/// inline when the plan has one worker and on a ThreadPool otherwise, and
-/// returns the chunk verdicts in index order. Every chunk is collected
-/// before rethrowing, so the pool drains cleanly and the reported
-/// exception is the earliest chunk's (matching the serial reference,
-/// which throws at the first failing node).
+/// on the run's pool (inline when it is null), and returns the chunk
+/// verdicts in index order. Every chunk is collected before rethrowing, so
+/// the pool drains cleanly and the reported exception is the earliest
+/// chunk's (matching the serial reference, which throws at the first
+/// failing node).
 template <class RunChunk>
-std::vector<ChunkVerdict> run_chunks(std::size_t n, const EnginePlan& plan,
+std::vector<ChunkVerdict> run_chunks(std::size_t n, const EnginePlan& plan, ThreadPool* pool,
                                      const RunChunk& run_chunk) {
-  std::vector<ChunkVerdict> verdicts;
-  verdicts.reserve(plan.num_chunks);
-  if (plan.threads <= 1) {
-    for (std::size_t begin = 0; begin < n; begin += plan.chunk) {
-      verdicts.push_back(run_chunk(begin, std::min(n, begin + plan.chunk)));
-    }
-    return verdicts;
-  }
-  ThreadPool pool(plan.threads);
-  std::vector<std::future<ChunkVerdict>> futures;
-  futures.reserve(plan.num_chunks);
-  for (std::size_t begin = 0; begin < n; begin += plan.chunk) {
-    const std::size_t end = std::min(n, begin + plan.chunk);
-    futures.push_back(pool.submit([&run_chunk, begin, end] { return run_chunk(begin, end); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      verdicts.push_back(future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  std::vector<ChunkVerdict> verdicts(plan.num_chunks);
+  parallel_for(pool, plan.num_chunks, [&](std::size_t k) {
+    const std::size_t begin = k * plan.chunk;
+    verdicts[k] = run_chunk(begin, std::min(n, begin + plan.chunk));
+  });
   return verdicts;
 }
 
@@ -300,12 +280,16 @@ class ChunkRunner {
 /// distinguishable), so the input word is solved in place. Both rules are
 /// content-determined, so any presentation of the instance yields the
 /// same solution; at() maps a presentation position back to its label.
+/// The solve runs on `pool` when the word is long enough to be chunked
+/// (PathDp::complete), with `budget` checked between its phases.
 class CanonicalSolution {
  public:
   CanonicalSolution(const PairwiseProblem& problem, Topology topology,
-                    const Word& inputs, const std::vector<NodeId>& ids)
+                    const Word& inputs, const std::vector<NodeId>& ids,
+                    ThreadPool* pool = nullptr, const ExecutionBudget* budget = nullptr)
       : n_(inputs.size()), cycle_(is_cycle(topology)) {
-    std::optional<Word> solution;
+    PathDp dp(problem);
+    bool solved = false;
     if (cycle_) {
       anchor_ = static_cast<std::size_t>(std::min_element(ids.begin(), ids.end()) -
                                          ids.begin());
@@ -321,14 +305,11 @@ class CanonicalSolution {
                          inputs.rbegin() + static_cast<std::ptrdiff_t>(n_ - 1 - anchor_),
                          inputs.rend(), canonical.begin());
       }
-      solution = solve_by_dp(problem, canonical);
+      solved = dp.complete(canonical, {}, solution_, pool, budget);
     } else {
-      solution = solve_by_dp(problem, inputs);
+      solved = dp.complete(inputs, {}, solution_, pool, budget);
     }
-    if (!solution) {
-      throw std::runtime_error("solve_full_view: instance has no valid labeling");
-    }
-    solution_ = std::move(*solution);
+    if (!solved) throw std::runtime_error("solve_full_view: instance has no valid labeling");
   }
 
   /// The label of the node at position `pos` of the presentation: its
@@ -347,19 +328,19 @@ class CanonicalSolution {
   Word solution_;
 };
 
-/// Memoized full-view regime: solve the canonical word once, serially,
-/// then read and verify every node's label off the shared solution in the
-/// plan's chunks, on the pool when the plan has several workers. Labels
-/// stream through the chunk verifiers, so keep_outputs = false still never
-/// materializes the output Word.
+/// Memoized full-view regime: solve the canonical word once (chunked on
+/// the run's pool when it is long), then read and verify every node's
+/// label off the shared solution in the plan's chunks on the same pool.
+/// Labels stream through the chunk verifiers, so keep_outputs = false
+/// still never materializes the output Word.
 SimulationResult simulate_full_view_memo(const PairwiseProblem& fvp,
                                          const PairwiseProblem& problem,
                                          const Instance& instance, std::size_t radius,
-                                         const SimulationOptions& options) {
+                                         const SimulationOptions& options,
+                                         const EnginePlan& plan, ThreadPool* pool) {
   const std::size_t n = instance.size();
-  const CanonicalSolution solution(fvp, instance.topology, instance.inputs,
-                                   instance.ids);
-  const EnginePlan plan = plan_run(n, options);
+  const CanonicalSolution solution(fvp, instance.topology, instance.inputs, instance.ids,
+                                   pool, options.budget);
   SimulationResult result;
   result.radius = radius;
   result.threads_used = plan.threads;
@@ -376,7 +357,7 @@ SimulationResult simulate_full_view_memo(const PairwiseProblem& fvp,
     }
     return verifier.verdict();
   };
-  result.verdict = finish_chunked_verify(problem, run_chunks(n, plan, read_chunk));
+  result.verdict = finish_chunked_verify(problem, run_chunks(n, plan, pool, read_chunk));
   return result;
 }
 
@@ -384,24 +365,23 @@ SimulationResult simulate_full_view_memo(const PairwiseProblem& fvp,
 
 SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem& problem,
                           const Instance& instance, const SimulationOptions& options) {
-  instance.validate();
+  // One pool per call, for validation, the full-view solve and the chunks;
+  // a one-worker plan runs everything inline.
   const std::size_t n = instance.size();
+  const EnginePlan plan = plan_run(n, options);
+  std::optional<ThreadPool> workers;
+  if (plan.threads > 1) workers.emplace(plan.threads);
+  ThreadPool* pool = workers ? &*workers : nullptr;
+  instance.validate(pool);  // throws on an empty instance
   const std::size_t radius = algorithm.radius(n);
-  if (n == 0) {
-    SimulationResult result;
-    result.radius = radius;
-    result.verdict = verify_pairwise(problem, instance.inputs, result.outputs);
-    return result;
-  }
 
   const bool cycle = instance.cycle();
   const bool full_regime = cycle ? 2 * radius + 1 >= n : radius >= n - 1;
   const PairwiseProblem* fvp = algorithm.full_view_problem();
   if (fvp != nullptr && options.full_view_memo && full_regime) {
-    return simulate_full_view_memo(*fvp, problem, instance, radius, options);
+    return simulate_full_view_memo(*fvp, problem, instance, radius, options, plan, pool);
   }
 
-  const EnginePlan plan = plan_run(n, options);
   SimulationResult result;
   result.radius = radius;
   result.threads_used = plan.threads;
@@ -413,7 +393,7 @@ SimulationResult simulate(const LocalAlgorithm& algorithm, const PairwiseProblem
   const auto run_chunk = [&runner](std::size_t begin, std::size_t end) {
     return runner.run(begin, end);
   };
-  result.verdict = finish_chunked_verify(problem, run_chunks(n, plan, run_chunk));
+  result.verdict = finish_chunked_verify(problem, run_chunks(n, plan, pool, run_chunk));
   return result;
 }
 

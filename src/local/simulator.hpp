@@ -8,8 +8,11 @@
 // output can only depend on what is in its view.
 //
 // Execution model (million-node engine). simulate() splits the path /
-// cycle into contiguous chunks of nodes and runs each chunk on the shared
-// ThreadPool. Workers never copy a halo: a chunk's node windows are read
+// cycle into contiguous chunks of nodes and runs each chunk on a
+// ThreadPool. A call builds one pool (none when the plan has a single
+// worker, which runs everything inline) and uses it for all of its
+// parallel work: Instance::validate's ID check, the full-view solve below
+// and the chunks. Workers never copy a halo: a chunk's node windows are read
 // straight from the instance arrays (the radius-r halo is the index range
 // [begin - r, end + r), wrapping on cycles), so chunking at any
 // granularity — including chunk_size < radius — is safe by construction.
@@ -43,8 +46,12 @@
 // full_view_problem()) that it answers such views with solve_full_view,
 // the engine solves the canonical word once and reads every node's label
 // off the shared solution — O(n) instead of the O(n^2) of n per-node
-// re-solves. The solve is serial; reading and verifying the labels runs
-// in the same chunks, on the same pool, as any other run.
+// re-solves. The solve is PathDp::complete on the call's pool: a word of
+// at least PathDp::kChunkedMinNodes nodes over at most 8 output labels is
+// cut into one chunk per worker (two or three parallel phases, each
+// preceded by a budget check), any other word is solved serially. Reading
+// and verifying the labels runs in the same chunks, on the same pool, as
+// any other run.
 // SimulationOptions::full_view_memo = false disables the memoization and
 // restores the honest per-node gather baseline.
 //

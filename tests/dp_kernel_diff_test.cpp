@@ -5,7 +5,9 @@
 // four topologies, with output alphabets on both sides of the one-word
 // (64-label) and two-word (128-label) boundaries, random first-node rules,
 // last masks and pins, and on the 10^6-node words of the Theta(n) problems
-// the synthesized-simulation benchmark solves whole.
+// the synthesized-simulation benchmark solves whole. The DpChunked suite
+// checks the byte kernel of long words over at most 8 labels at every
+// chunk count, inline and on a pool (the TSan job runs it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "dp_oracle.hpp"
 #include "lcl/catalog.hpp"
 #include "lcl/verifier.hpp"
@@ -234,6 +237,188 @@ TEST(DpKernelDiff, EmptyWordsAndMismatchedPinsAreInfeasible) {
   EXPECT_EQ(complete_by_dp(problem, {}, {}), std::nullopt);
   EXPECT_EQ(complete_by_dp(problem, Word(4, 0), std::vector<std::optional<Label>>(3)),
             std::nullopt);
+}
+
+// ---- The chunked byte kernel ------------------------------------------
+
+constexpr std::size_t kChunkCounts[] = {1, 2, 3, 4, 7};
+
+/// PathDp::complete_chunked at every chunk count, inline and on `pool`,
+/// against the oracle: the same labeling or the same nullopt, or the same
+/// out_of_range message.
+void expect_chunked_matches_oracle(const PairwiseProblem& problem, const Word& inputs,
+                                   const std::vector<std::optional<Label>>& pins,
+                                   ThreadPool& pool) {
+  const auto outcome = [](auto&& solve) -> std::string {
+    try {
+      const std::optional<Word> got = solve();
+      if (!got) return "nullopt";
+      std::string text = "labels";
+      for (const Label b : *got) text.append(" ").append(std::to_string(b));
+      return text;
+    } catch (const std::out_of_range& e) {
+      return std::string("throws ") + e.what();
+    }
+  };
+  const std::vector<std::optional<Label>> oracle_pins =
+      pins.empty() ? std::vector<std::optional<Label>>(inputs.size()) : pins;
+  const std::string want =
+      outcome([&] { return oracle_complete_by_dp(problem, inputs, oracle_pins); });
+  PathDp dp(problem);
+  for (const std::size_t chunks : kChunkCounts) {
+    for (ThreadPool* on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string got = outcome([&]() -> std::optional<Word> {
+        Word out;
+        if (!dp.complete_chunked(inputs, pins, out, chunks, on)) return std::nullopt;
+        return out;
+      });
+      const char* where = on != nullptr ? " on the pool" : " inline";
+      EXPECT_EQ(got, want) << chunks << " chunks" << where << ", n = " << inputs.size();
+    }
+  }
+}
+
+TEST(DpChunked, RandomProblemsMatchTheOracleAtEveryChunkCount) {
+  constexpr std::size_t kBetas[] = {1, 2, 5, 8, 9};
+  constexpr std::size_t kCasesPerBeta = 400;
+  ThreadPool pool(3);
+  Rng rng(20261020);
+  std::size_t feasible = 0;
+  std::size_t cases = 0;
+  for (const std::size_t beta : kBetas) {
+    for (std::size_t c = 0; c < kCasesPerBeta; ++c) {
+      const Topology topology = kTopologies[c % 4];
+      const PairwiseProblem problem = random_problem(rng, beta, topology);
+      // A quarter of the words are shorter than some chunk counts.
+      const std::size_t n = 1 + (c % 4 == 3 ? rng.next_below(6) : rng.next_below(160));
+      Word inputs(n);
+      for (Label& in : inputs) in = static_cast<Label>(rng.next_below(problem.num_inputs()));
+      std::vector<std::optional<Label>> pins;
+      if (rng.next_bool(1, 3)) {
+        pins.resize(n);
+        for (std::optional<Label>& pin : pins) {
+          if (rng.next_bool(1, 16)) pin = static_cast<Label>(rng.next_below(beta));
+        }
+      }
+      SCOPED_TRACE("beta " + std::to_string(beta) + ", case " + std::to_string(c) + ", " +
+                   to_string(topology));
+      expect_chunked_matches_oracle(problem, inputs, pins, pool);
+      if (oracle_complete_by_dp(problem, inputs,
+                                pins.empty() ? std::vector<std::optional<Label>>(n) : pins)) {
+        ++feasible;
+      }
+      ++cases;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  std::printf("%zu cases, %zu feasible\n", cases, feasible);
+  EXPECT_GE(feasible, cases / 5);
+  EXPECT_LE(feasible, cases - cases / 5);
+}
+
+/// Two inputs over labels {0, 1}: input 0 allows both, input 1 allows 1
+/// only, and input 2 allows nothing. Edges 0 -> 0, 0 -> 1 and 1 -> 1, so a
+/// labeling never steps back from 1 to 0: a cycle must be constant, and a
+/// word whose node v has input 1 labels everything from v on with 1.
+PairwiseProblem monotone(Topology topology) {
+  PairwiseProblem problem("monotone", labels("i", 3), labels("o", 2), topology);
+  problem.allow_node(0, 0);
+  problem.allow_node(0, 1);
+  problem.allow_node(1, 1);
+  problem.allow_edge(0, 0);
+  problem.allow_edge(0, 1);
+  problem.allow_edge(1, 1);
+  return problem;
+}
+
+TEST(DpChunked, InfeasibleInAMiddleChunk) {
+  ThreadPool pool(4);
+  constexpr std::size_t n = 70;  // chunk 3 of 7 is [30, 40)
+  for (const Topology topology : {Topology::kDirectedPath, Topology::kDirectedCycle}) {
+    const PairwiseProblem problem = monotone(topology);
+    SCOPED_TRACE(to_string(topology));
+    // An empty candidate set first found in a middle chunk.
+    Word inputs(n, 0);
+    inputs[35] = 2;
+    inputs[60] = 2;
+    expect_chunked_matches_oracle(problem, inputs, {}, pool);
+    // Every candidate set nonempty, but a 1 pinned before a 0 at 36: the
+    // backward pass empties node 35 and everything before it.
+    std::vector<std::optional<Label>> pins(n);
+    pins[34] = 1;
+    pins[36] = 0;
+    inputs.assign(n, 0);
+    expect_chunked_matches_oracle(problem, inputs, pins, pool);
+    PathDp dp(problem);
+    Word out;
+    EXPECT_FALSE(dp.complete_chunked(inputs, pins, out, 7, &pool));
+  }
+}
+
+TEST(DpChunked, CycleWhoseSmallestFirstLabelDoesNotClose) {
+  ThreadPool pool(4);
+  const PairwiseProblem problem = monotone(Topology::kDirectedCycle);
+  for (const std::size_t n : {1, 2, 5, 9, 70}) {
+    for (std::size_t at = 1; at < n; at += 1 + n / 8) {
+      // Node 0 may take 0 or 1, but input 1 at `at` forces 1 there, and a
+      // constant cycle then needs 1 everywhere: label 0 first never closes.
+      Word inputs(n, 0);
+      inputs[at] = 1;
+      SCOPED_TRACE("n " + std::to_string(n) + ", forced at " + std::to_string(at));
+      expect_chunked_matches_oracle(problem, inputs, {}, pool);
+      PathDp dp(problem);
+      Word out;
+      ASSERT_TRUE(dp.complete_chunked(inputs, {}, out, 7, &pool));
+      EXPECT_EQ(out, Word(n, 1));
+    }
+  }
+}
+
+TEST(DpChunked, EarliestEventDecidesBetweenNulloptAndThrow) {
+  ThreadPool pool(4);
+  constexpr std::size_t n = 70;
+  for (const Topology topology : kTopologies) {
+    const PairwiseProblem problem = monotone(topology);
+    SCOPED_TRACE(to_string(topology));
+    PathDp dp(problem);
+    Word out;
+    for (const std::size_t chunks : kChunkCounts) {
+      // An empty set in an early chunk before a bad label in a later one.
+      Word inputs(n, 0);
+      inputs[12] = 2;
+      inputs[65] = 9;
+      EXPECT_FALSE(dp.complete_chunked(inputs, {}, out, chunks, &pool)) << chunks;
+      expect_chunked_matches_oracle(problem, inputs, {}, pool);
+      // The reverse order throws the accessor's message.
+      inputs[12] = 9;
+      inputs[65] = 2;
+      EXPECT_THROW((void)dp.complete_chunked(inputs, {}, out, chunks, &pool),
+                   std::out_of_range)
+          << chunks;
+      expect_chunked_matches_oracle(problem, inputs, {}, pool);
+    }
+  }
+}
+
+TEST(DpChunked, PooledLongWordsMatchTheOracle) {
+  // Above kChunkedMinNodes, complete() with a pool cuts the word into one
+  // chunk per worker.
+  const PairwiseProblem problems[] = {catalog::agreement(Topology::kDirectedCycle),
+                                      catalog::two_coloring(Topology::kDirectedPath),
+                                      catalog::two_coloring(Topology::kUndirectedPath),
+                                      catalog::coloring(3, Topology::kUndirectedCycle)};
+  ThreadPool pool(4);
+  Rng rng(2);
+  const std::size_t n = PathDp::kChunkedMinNodes + 12345;
+  for (const PairwiseProblem& problem : problems) {
+    SCOPED_TRACE(problem.name() + " on " + to_string(problem.topology()));
+    Word inputs(n);
+    for (Label& in : inputs) in = static_cast<Label>(rng.next_below(problem.num_inputs()));
+    PathDp dp(problem);
+    Word out;
+    ASSERT_TRUE(dp.complete(inputs, {}, out, &pool));
+    EXPECT_TRUE(out == *oracle_solve_by_dp(problem, inputs));
+  }
 }
 
 }  // namespace

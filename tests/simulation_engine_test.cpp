@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/fault_injection.hpp"
+#include "core/thread_pool.hpp"
 #include "decide/classifier.hpp"
 #include "lcl/catalog.hpp"
 #include "local/cole_vishkin.hpp"
@@ -359,6 +360,15 @@ std::deque<BudgetCase> budget_cases() {
   full_view.problem = catalog::coloring(3, Topology::kDirectedPath);
   full_view.algorithm = std::make_unique<GatherAllAlgorithm>(full_view.problem);
   full_view.instance = random_instance(full_view.problem.topology(), 5000, 1, rng);
+
+  // Long enough for the chunked solve (PathDp::kChunkedMinNodes), whose
+  // phases check the budget; n is no multiple of the checkpoint stride.
+  const std::size_t long_n = (std::size_t{1} << 17) + 7;
+  BudgetCase& chunked = cases.emplace_back();
+  chunked.path = "full-view chunked solve";
+  chunked.problem = catalog::two_coloring(Topology::kDirectedPath);
+  chunked.algorithm = std::make_unique<GatherAllAlgorithm>(chunked.problem);
+  chunked.instance = random_instance(chunked.problem.topology(), long_n, 1, rng);
   return cases;
 }
 
@@ -603,6 +613,107 @@ TEST(AdversarialIds, RoundTripValidate) {
   Instance compact = make_instance(Topology::kDirectedCycle, Word(64, 0));
   compact.ids[10] = compact.ids[40];
   EXPECT_THROW(compact.validate(), std::invalid_argument);
+}
+
+// ------------------------------------------------------------------------
+// validate() on a pool: per-worker bitmaps merged by word range, with the
+// serial scan's outcome and message.
+// ------------------------------------------------------------------------
+
+/// validate()'s outcome: "ok" or the exception message.
+std::string validate_outcome(const Instance& instance, ThreadPool* pool) {
+  try {
+    instance.validate(pool);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "ok";
+}
+
+void ExpectPooledValidateMatchesSerial(const Instance& instance, const std::string& what) {
+  const std::string want = validate_outcome(instance, nullptr);
+  for (const std::size_t workers : {2, 3, 4}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(validate_outcome(instance, &pool), want) << what << ", workers " << workers;
+  }
+}
+
+TEST(PooledValidate, DuplicatesAcrossSlicesReportTheSerialMessage) {
+  Rng rng(91);
+  const Instance base = random_instance(Topology::kDirectedCycle, 1000, 2, rng);
+  ExpectPooledValidateMatchesSerial(base, "distinct");
+  // A pair straddling two workers' slices (the first and last quarter).
+  Instance straddle = base;
+  straddle.ids[990] = straddle.ids[10];
+  ExpectPooledValidateMatchesSerial(straddle, "straddling pair");
+  EXPECT_EQ(validate_outcome(straddle, nullptr),
+            "Instance: duplicate node ID " + std::to_string(base.ids[10]));
+  // Two pairs, (600, 700) and (400, 990): the serial scan meets the copy
+  // at 700 first and reports that pair, although the other one starts
+  // earlier.
+  Instance two = base;
+  two.ids[700] = two.ids[600];
+  two.ids[990] = two.ids[400];
+  ExpectPooledValidateMatchesSerial(two, "two pairs");
+  EXPECT_EQ(validate_outcome(two, nullptr),
+            "Instance: duplicate node ID " + std::to_string(base.ids[600]));
+  // A pair inside one slice.
+  Instance inside = base;
+  inside.ids[3] = inside.ids[1];
+  ExpectPooledValidateMatchesSerial(inside, "pair in one slice");
+}
+
+TEST(PooledValidate, CompactBoundAndSparseFallback) {
+  const std::size_t n = 1000;
+  // The pooled bitmaps cover IDs below n; the serial scan's, below 4n.
+  Instance edge = make_instance(Topology::kUndirectedPath, Word(n, 0));
+  edge.ids[n / 2] = n;
+  ExpectPooledValidateMatchesSerial(edge, "ID n");
+  EXPECT_EQ(validate_outcome(edge, nullptr), "ok");
+  edge.ids[n / 3] = n;
+  ExpectPooledValidateMatchesSerial(edge, "ID n twice");
+  EXPECT_NE(validate_outcome(edge, nullptr), "ok");
+  Instance top = make_instance(Topology::kUndirectedPath, Word(n, 0));
+  top.ids[n / 2] = 4 * n - 1;  // the largest ID the serial bitmap covers
+  ExpectPooledValidateMatchesSerial(top, "ID 4n - 1");
+  EXPECT_EQ(validate_outcome(top, nullptr), "ok");
+  Instance twice = top;
+  twice.ids[n - 1] = 4 * n - 1;
+  ExpectPooledValidateMatchesSerial(twice, "ID 4n - 1 twice");
+  EXPECT_NE(validate_outcome(twice, nullptr), "ok");
+  // 4n is sparse: the sort path decides, duplicate or not.
+  Instance over = top;
+  over.ids[n / 2] = 4 * n;
+  ExpectPooledValidateMatchesSerial(over, "ID 4n");
+  over.ids[0] = 4 * n;
+  ExpectPooledValidateMatchesSerial(over, "ID 4n twice");
+  EXPECT_NE(validate_outcome(over, nullptr), "ok");
+  // Bit-reversed IDs are sparse from the first node on.
+  Rng rng(92);
+  Instance adversarial = adversarial_instance(Topology::kDirectedCycle, n, 2, rng);
+  ExpectPooledValidateMatchesSerial(adversarial, "adversarial");
+  EXPECT_EQ(validate_outcome(adversarial, nullptr), "ok");
+  adversarial.ids[777] = adversarial.ids[5];
+  ExpectPooledValidateMatchesSerial(adversarial, "adversarial duplicate");
+  EXPECT_NE(validate_outcome(adversarial, nullptr), "ok");
+}
+
+TEST(PooledValidate, SimulateThrowsTheSerialMessage) {
+  const PairwiseProblem problem = catalog::coloring(3, Topology::kDirectedCycle);
+  Rng rng(93);
+  Instance instance = random_instance(problem.topology(), 20000, 1, rng);
+  instance.ids[19990] = instance.ids[15];
+  const std::string want = validate_outcome(instance, nullptr);
+  ASSERT_NE(want, "ok");
+  const GatherAllAlgorithm algorithm(problem);
+  SimulationOptions options;
+  options.threads = 4;
+  try {
+    simulate(algorithm, problem, instance, options);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), want);
+  }
 }
 
 TEST(AdversarialIds, SaltPreservesDifferences) {
